@@ -3,6 +3,7 @@ problem over totally positive configurations in RP^3.
 """
 
 from .errors import (
+    CertificateFailure,
     DegenerateConfiguration,
     DegenerateLine,
     DegeneratePencil,

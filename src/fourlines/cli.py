@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input/parse error, 3 hypothesis violation
-(non-totally-positive input), 4 degenerate configuration.
+(non-totally-positive input, failed sampling search), 4 degenerate
+configuration or singular matrix, 5 failed certificate.  Every library
+error maps to one of them (see ``fourlines.errors``).
 """
 from __future__ import annotations
 
@@ -13,15 +15,19 @@ from pathlib import Path
 from . import serialize as ser
 from .curves import (
     CurveSpec,
+    _certifying_sample,
     convexity_sample_check,
-    epsilon_threshold,
     lemma_sample,
     schubert_count,
 )
 from .errors import (
+    CertificateFailure,
     DegenerateConfiguration,
+    FourLinesError,
     HypothesisViolation,
     InputError,
+    SearchFailure,
+    SingularMatrixError,
 )
 from .identity import verify_identity
 from .totalpos import check_tp_config, lw_factor, random_tp_instance
@@ -31,6 +37,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_DEGENERATE = 4
+EXIT_CERTIFICATE = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,7 +162,7 @@ def _cmd_solve(args) -> int:
                 continue
             try:
                 sol = solve_transversals(ser.blocks_from_obj(_read_json(str(path))))
-            except (InputError, HypothesisViolation, DegenerateConfiguration) as exc:
+            except FourLinesError as exc:
                 sys.stderr.write(f"{path.name}: {exc}\n")
                 worst = max(worst, _code_of(exc))
                 continue
@@ -182,13 +189,13 @@ def _cmd_curve_sample(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad --ts value {args.ts!r}") from exc
     if args.epsilon == "auto":
-        eps = epsilon_threshold(curve, ts)
+        report = _certifying_sample(curve, ts)
     else:
         try:
             eps = Fraction(args.epsilon)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad --epsilon value {args.epsilon!r}") from exc
-    report = lemma_sample(curve, ts, eps)
+        report = lemma_sample(curve, ts, eps)
     _emit(ser.sample_report_to_obj(report), args.output, args.format)
     return EXIT_OK if report.ok else EXIT_HYPOTHESIS
 
@@ -227,14 +234,19 @@ _COMMANDS = {
 }
 
 
-def _code_of(exc) -> int:
-    if isinstance(exc, InputError):
-        return EXIT_INPUT
-    if isinstance(exc, HypothesisViolation):
-        return EXIT_HYPOTHESIS
-    if isinstance(exc, DegenerateConfiguration):
-        return EXIT_DEGENERATE
-    return EXIT_INPUT
+#: Exit code of each library error, the first matching class wins.
+_EXIT_CODES = (
+    (InputError, EXIT_INPUT),
+    (HypothesisViolation, EXIT_HYPOTHESIS),
+    (SearchFailure, EXIT_HYPOTHESIS),
+    (DegenerateConfiguration, EXIT_DEGENERATE),
+    (SingularMatrixError, EXIT_DEGENERATE),
+    (CertificateFailure, EXIT_CERTIFICATE),
+)
+
+
+def _code_of(exc: FourLinesError) -> int:
+    return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), EXIT_INPUT)
 
 
 def run(argv) -> int:
@@ -245,7 +257,7 @@ def run(argv) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, HypothesisViolation, DegenerateConfiguration) as exc:
+    except FourLinesError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _code_of(exc)
     except OSError as exc:

@@ -11,6 +11,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
+    CertificateFailure,
     DegenerateConfiguration,
     DomainError,
     InputError,
@@ -81,9 +82,12 @@ def frenet_basis(curve: CurveSpec) -> MatQ:
     return wronskian.inverse()
 
 
-def tangent_block(curve: CurveSpec, t) -> MatQ:
-    """4x2 block with columns (value, derivative) at t, in the basis at 0."""
-    fb = frenet_basis(curve)
+def tangent_block(curve: CurveSpec, t, basis: Optional[MatQ] = None) -> MatQ:
+    """4x2 block with columns (value, derivative) at t, in the basis at 0.
+
+    ``basis`` is ``frenet_basis(curve)``, computed here when not given.
+    """
+    fb = frenet_basis(curve) if basis is None else basis
     val = MatQ.from_cols([curve_eval(curve, t, 0)])
     der = MatQ.from_cols([curve_eval(curve, t, 1)])
     block = (fb @ val).hstack(fb @ der)
@@ -119,9 +123,12 @@ def _validate_ts(ts) -> tuple:
     return ts
 
 
-def lemma_sample(curve: CurveSpec, ts, epsilon) -> SampleReport:
+def lemma_sample(curve: CurveSpec, ts, epsilon, basis: Optional[MatQ] = None) -> SampleReport:
     """8x4 sample matrix with row pairs (value, value + eps*derivative) and all
-    70 maximal minors with their pair-count exponents."""
+    70 maximal minors with their pair-count exponents.
+
+    ``basis`` is ``frenet_basis(curve)``, computed here when not given.
+    """
     ts = _validate_ts(ts)
     epsilon = as_rat(epsilon)
     if epsilon <= 0:
@@ -132,7 +139,7 @@ def lemma_sample(curve: CurveSpec, ts, epsilon) -> SampleReport:
             raise InputError(f"epsilon {epsilon} breaks the sample ordering at t = {ts[idx]}")
     if shifted[3] > 1:
         raise InputError(f"epsilon {epsilon} pushes the last sample beyond the domain")
-    fb = frenet_basis(curve)
+    fb = frenet_basis(curve) if basis is None else basis
     rows = []
     for t in ts:
         val = fb @ MatQ.from_cols([curve_eval(curve, t, 0)])
@@ -157,19 +164,29 @@ def lemma_sample(curve: CurveSpec, ts, epsilon) -> SampleReport:
     )
 
 
-def epsilon_threshold(curve: CurveSpec, ts, max_halvings: int = 64) -> Fraction:
-    """Deterministic halving search for an epsilon certifying the sampling lemma."""
+def _certifying_sample(
+    curve: CurveSpec, ts, max_halvings: int = 64, basis: Optional[MatQ] = None
+) -> SampleReport:
+    """Deterministic halving search; the first sample report that certifies
+    the sampling lemma."""
     ts = _validate_ts(ts)
+    fb = frenet_basis(curve) if basis is None else basis
     gaps = [ts[i + 1] - ts[i] for i in range(3)] + [Fraction(1) - ts[3]]
     eps = min(gaps) / 4
     for _ in range(max_halvings):
         try:
-            if lemma_sample(curve, ts, eps).ok:
-                return eps
+            report = lemma_sample(curve, ts, eps, basis=fb)
+            if report.ok:
+                return report
         except InputError:
             pass
         eps /= 2
     raise SearchFailure(f"no certifying epsilon found after {max_halvings} halvings")
+
+
+def epsilon_threshold(curve: CurveSpec, ts, max_halvings: int = 64) -> Fraction:
+    """Deterministic halving search for an epsilon certifying the sampling lemma."""
+    return _certifying_sample(curve, ts, max_halvings).epsilon
 
 
 def tangent_config(curve: CurveSpec, ts) -> ConfigBlocks:
@@ -180,12 +197,9 @@ def tangent_config(curve: CurveSpec, ts) -> ConfigBlocks:
     differs from the first by epsilon times the derivative.
     """
     ts = _validate_ts(ts)
-    eps = epsilon_threshold(curve, ts)
-    report = lemma_sample(curve, ts, eps)
-    if not report.ok:
-        raise NotConvex("sampling certificate failed despite threshold search")
-    blocks = [tangent_block(curve, t) for t in ts]
-    return ConfigBlocks(*blocks)
+    fb = frenet_basis(curve)
+    _certifying_sample(curve, ts, basis=fb)
+    return ConfigBlocks(*(tangent_block(curve, t, basis=fb) for t in ts))
 
 
 @dataclass(frozen=True)
@@ -237,5 +251,6 @@ def schubert_count(k: int, n: int) -> int:
     )
     den = math.prod(math.factorial(j) for j in range(k + 1, n + 1))
     count, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise CertificateFailure(f"Schubert count {num}/{den} is not an integer")
     return count

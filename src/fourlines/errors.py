@@ -1,7 +1,12 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: InputError -> 2,
-HypothesisViolation -> 3, DegenerateConfiguration -> 4.
+Exit-code mapping used by the CLI (``fourlines.cli``), for every command
+and for each file of ``solve --batch``:
+
+- InputError (and its subclasses) -> 2
+- HypothesisViolation, SearchFailure -> 3
+- DegenerateConfiguration, SingularMatrixError -> 4
+- CertificateFailure -> 5
 """
 
 
@@ -70,3 +75,7 @@ class NotConvex(HypothesisViolation):
 
 class SearchFailure(FourLinesError):
     """An iterative deterministic search exceeded its cap."""
+
+
+class CertificateFailure(FourLinesError):
+    """An exact certificate did not check out: the computed result is wrong."""

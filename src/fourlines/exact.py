@@ -365,30 +365,6 @@ class MatQ:
             return QuadNum.of(0, x.d)
         return Fraction(0)
 
-    def det_cofactor(self) -> Scalar:
-        """Laplace cofactor expansion along the first row (independent cross-check)."""
-        if not self.is_square():
-            raise DimensionError("determinant of non-square matrix")
-        return self._cof(self._e)
-
-    @classmethod
-    def _cof(cls, rows) -> Scalar:
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = None
-        for j, x in enumerate(rows[0]):
-            if not x:
-                continue
-            sub = [tuple(r[t] for t in range(n) if t != j) for r in rows[1:]]
-            term = x * cls._cof(sub)
-            if j % 2:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0) if not isinstance(rows[0][0], QuadNum) else QuadNum.of(0, rows[0][0].d)
-        return total
-
     def minor(self, I, J) -> Scalar:
         I, J = IndexSet.of(I), IndexSet.of(J)
         if len(I) != len(J):

@@ -14,8 +14,9 @@ positive parameter choice yields a totally positive product.
 """
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Tuple
@@ -92,6 +93,9 @@ class TPReport:
     witness_cols: Optional[IndexSet] = None
     witness_rows: Optional[IndexSet] = None
     witness_minor: Optional[Fraction] = None
+    #: The canonical form a configuration verdict was read from (None for
+    #: a 4x4 check, or when [W3 W4] is singular).
+    canonical: Optional["CanonicalForm"] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -103,14 +107,90 @@ class CanonicalForm:
     y: MatQ
 
 
+#: The 70 column sets C of [W1 W2 W3 W4] in lexicographic order, each with
+#: the rows R and columns J of the minor of X that it maps to.  With
+#: g*W = [X Y], det(g) * minor_W(C) = det [X Y]_C, and expanding along the
+#: columns of Y (signed unit vectors) leaves the minor of X on the rows that
+#: those columns miss.  Y is chosen so that this expansion has sign +1 for
+#: every C (tests pin it), so minor_W(C) = minor_X(R, J) / det(g).
+_CONFIG_MINORS = tuple(
+    (cols,
+     tuple(r for r in range(4) if 8 - r not in cols),
+     tuple(c - 1 for c in cols if c <= 4))
+    for cols in combinations(range(1, 9), 4)
+)
+
+
+def _minor_ladder(x: MatQ) -> dict:
+    """Every minor of a 4x4 rational matrix, up to a positive factor, as ints.
+
+    Keys are (rows, cols) as 0-based tuples, ``((), ())`` holding 1.  Each
+    row is first scaled by the LCM of its denominators, which multiplies a
+    minor by a positive integer and so keeps its sign.  Minors of order
+    k + 1 come from those of order k by Laplace expansion along their first
+    row, so the 69 minors cost under 150 integer products.
+    """
+    a = []
+    for row in x.entries():
+        s = math.lcm(*(v.denominator for v in row))
+        a.append([v.numerator * (s // v.denominator) for v in row])
+    minors = {((), ()): 1}
+    for order in range(1, 5):
+        for rows in combinations(range(4), order):
+            top, rest = a[rows[0]], rows[1:]
+            for cols in combinations(range(4), order):
+                total = 0
+                for k, c in enumerate(cols):
+                    term = top[c] * minors[rest, cols[:k] + cols[k + 1:]]
+                    total += -term if k % 2 else term
+                minors[rows, cols] = total
+    return minors
+
+
+def _reduce(blocks: ConfigBlocks):
+    """The canonical form (g = Y*[W3 W4]^(-1), X = g*[W1 W2]) and det g.
+
+    det(Y) = 1, so det(g) = 1/det[W3 W4]: one determinant, one inverse.
+    """
+    w34 = blocks.w3.hstack(blocks.w4)
+    det34 = w34.det()
+    if det34 == 0:
+        raise DegenerateConfiguration("[W3 W4] is singular: degenerate configuration")
+    g = Y_SIGN @ w34.inverse()
+    return CanonicalForm(g=g, x=g @ blocks.w1.hstack(blocks.w2), y=Y_SIGN), 1 / det34
+
+
 def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     """All 70 maximal minors of the 4x8 concatenation strictly positive?
 
     Reports the lexicographically first non-positive minor on failure.
+    The signs come from the integer minor ladder of the canonical X (each
+    maximal minor is a minor of X over det g); only the witness is
+    evaluated exactly.  The report carries that canonical form.  A
+    singular [W3 W4] has none, so then the minors are scanned directly.
+
+    A TP verdict also proves what canonicalize(strict=True) checks:
+    det(g) = 1/minor_W(5,6,7,8) > 0, and each minor of X is a positive
+    multiple of a maximal minor of W.
     """
     for idx, w in enumerate(blocks.blocks(), start=1):
         if w.rank() < 2:
             raise InputError(f"block W{idx} is rank-deficient")
+    try:
+        canon, det_g = _reduce(blocks)
+    except DegenerateConfiguration:
+        return _scan_config(blocks)
+    minors = _minor_ladder(canon.x)
+    sign = 1 if det_g > 0 else -1
+    for cols, rows, xcols in _CONFIG_MINORS:
+        if sign * minors[rows, xcols] <= 0:
+            rows4 = IndexSet((1, 2, 3, 4))
+            witness = blocks.concat().minor(rows4, cols)
+            return TPReport(False, IndexSet(cols), rows4, witness, canonical=canon)
+    return TPReport(True, canonical=canon)
+
+
+def _scan_config(blocks: ConfigBlocks) -> TPReport:
     a = blocks.concat()
     rows = IndexSet((1, 2, 3, 4))
     for cols in combinations(range(1, 9), 4):
@@ -121,15 +201,21 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
 
 
 def check_tp_square(x: MatQ) -> TPReport:
-    """All 69 minors of orders 1..4 of a 4x4 matrix strictly positive?"""
+    """All 69 minors of orders 1..4 of a 4x4 matrix strictly positive?
+
+    Walks the integer minor ladder by order, then rows, then columns, and
+    evaluates only the first non-positive minor exactly.
+    """
     if x.rows != 4 or x.cols != 4:
         raise DimensionError("expected a 4x4 matrix")
+    minors = _minor_ladder(x)
     for order in range(1, 5):
-        for rows in combinations(range(1, 5), order):
-            for cols in combinations(range(1, 5), order):
-                m = x.minor(rows, cols)
-                if m <= 0:
-                    return TPReport(False, IndexSet(cols), IndexSet(rows), m)
+        for rows in combinations(range(4), order):
+            for cols in combinations(range(4), order):
+                if minors[rows, cols] <= 0:
+                    rows1 = IndexSet(tuple(r + 1 for r in rows))
+                    cols1 = IndexSet(tuple(c + 1 for c in cols))
+                    return TPReport(False, cols1, rows1, x.minor(rows1, cols1))
     return TPReport(True)
 
 
@@ -140,22 +226,18 @@ def canonicalize(blocks: ConfigBlocks, strict: bool = True) -> CanonicalForm:
     are enforced (hypothesis-violation error carrying the witness minor);
     otherwise the caller is expected to inspect them.
     """
-    w34 = blocks.w3.hstack(blocks.w4)
-    if w34.det() == 0:
-        raise DegenerateConfiguration("[W3 W4] is singular: degenerate configuration")
-    g = Y_SIGN @ w34.inverse()
-    x = g @ blocks.w1.hstack(blocks.w2)
+    canon, det_g = _reduce(blocks)
     if strict:
-        if g.det() <= 0:
-            raise HypothesisViolation(f"det(g) = {g.det()} is not positive")
-        rep = check_tp_square(x)
+        if det_g <= 0:
+            raise HypothesisViolation(f"det(g) = {det_g} is not positive")
+        rep = check_tp_square(canon.x)
         if not rep.ok:
             raise NotTotallyPositive(
                 f"canonical X is not totally positive: minor rows {rep.witness_rows} "
                 f"cols {rep.witness_cols} = {rep.witness_minor}",
                 witness=rep,
             )
-    return CanonicalForm(g=g, x=x, y=Y_SIGN)
+    return canon
 
 
 def lw_compose(params: LWParams) -> MatQ:

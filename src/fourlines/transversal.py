@@ -3,8 +3,9 @@
 Pipeline: canonical reduction, the two bilinear incidence equations from
 2x2 minors of X, elimination to a quadratic in x, exact roots over
 Q(sqrt D), reconstruction of both lines and back-mapping to the original
-coordinates, with exact incidence certificates.  An independent oracle
-solves the same problem directly in Pluecker coordinates.
+coordinates, with exact certificates that raise CertificateFailure.  An
+independent oracle solves the same problem directly in Pluecker
+coordinates.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import (
+    CertificateFailure,
     DegenerateConfiguration,
     DegenerateLine,
     DegeneratePencil,
@@ -20,12 +22,7 @@ from .errors import (
     NonGenericConfiguration,
 )
 from .exact import MatQ, QuadNum, as_rat, rational_sqrt
-from .totalpos import CanonicalForm, ConfigBlocks, canonicalize, check_tp_config
-
-#: Global sign of the expansion of det[W_i | U(x, y)] relative to the
-#: minor coefficients; fixed once by the symbolic-determinant cross-check
-#: in the test suite.
-DET_EXPANSION_SIGN = 1
+from .totalpos import Y_SIGN, CanonicalForm, ConfigBlocks, canonicalize, check_tp_config
 
 
 @dataclass(frozen=True)
@@ -154,12 +151,11 @@ def bilinear_forms(x: MatQ) -> Tuple[BilinearForm, BilinearForm]:
     """The incidence equations det[W1|U] = 0 and det[W2|U] = 0 as bilinear forms."""
 
     def form(cols) -> BilinearForm:
-        s = DET_EXPANSION_SIGN
         return BilinearForm(
-            s * x.minor((1, 3), cols),
-            s * x.minor((1, 4), cols),
-            s * x.minor((2, 3), cols),
-            s * x.minor((2, 4), cols),
+            x.minor((1, 3), cols),
+            x.minor((1, 4), cols),
+            x.minor((2, 3), cols),
+            x.minor((2, 4), cols),
         )
 
     return form((1, 2)), form((3, 4))
@@ -266,7 +262,8 @@ def solve_canonical(x: MatQ, forms=None, quad=None):
     for sgn in (1, -1):
         x_val = (minus_b + (sq if sgn == 1 else -sq)) / two_a
         y_val = _recover_y(x_val, f, h)
-        assert f.eval(x_val, y_val) == 0 and h.eval(x_val, y_val) == 0
+        if f.eval(x_val, y_val) != 0 or h.eval(x_val, y_val) != 0:
+            raise CertificateFailure(f"chart root x = {x_val!r} misses a bilinear form")
         roots.append((x_val, y_val))
         lines.append(LineRep.from_span(_canonical_span(x_val, y_val, d_ctx)))
         if disc == 0:
@@ -288,16 +285,22 @@ def _limit_line(f: BilinearForm, h: BilinearForm, d: Fraction) -> Optional[LineR
 
 
 def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
-    """End-to-end solver: two real transversal lines with exact certificates."""
+    """End-to-end solver: two real transversal lines with exact certificates.
+
+    The canonical form is the one the total-positivity verdict was read
+    from; incidence of each solution line with each input line is
+    certified by the Pluecker pairing, which equals det[W_i | L_j] exactly.
+    """
     tp = check_tp_config(blocks)
+    # Only a singular [W3 W4] leaves no canonical form; canonicalize raises for it.
+    canon = tp.canonical or canonicalize(blocks, strict=False)
     warnings: List[str] = [] if tp.ok else ["hypothesis-not-verified"]
-    canon = canonicalize(blocks, strict=tp.ok)
-    if not tp.ok:
-        if canon.g.det() <= 0:
-            warnings.append("canonical-basis-orientation-flipped")
+    if not tp.ok and canon.g.det() <= 0:
+        warnings.append("canonical-basis-orientation-flipped")
     forms = bilinear_forms(canon.x)
     quad = eliminate_to_quadratic(*forms)
-    assert quad.disc == discriminant_from_minors(canon.x)
+    if quad.disc != discriminant_from_minors(canon.x):
+        raise CertificateFailure("eliminated discriminant differs from its form in the minors of X")
     if tp.ok and quad.disc <= 0:
         raise NoRealSolution(
             f"discriminant {quad.disc} not positive despite verified total positivity"
@@ -307,15 +310,17 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     if len(canon_lines) != 2:
         raise NonGenericConfiguration("expected exactly two chart solutions")
     d_ctx = _context_radicand(canon_lines)
-    g_inv = canon.g.inverse().to_quad(d_ctx)
-    lines = tuple(LineRep.from_span(g_inv @ ln.span) for ln in canon_lines)
+    # g = Y [W3 W4]^(-1) and Y is a signed permutation, so g^(-1) = [W3 W4] Y^T.
+    g_inv = blocks.w3.hstack(blocks.w4) @ Y_SIGN.transpose()
+    lines = tuple(LineRep.from_span(_map_span(g_inv, ln.span, d_ctx)) for ln in canon_lines)
     if lines[0].proportional(lines[1]):
         raise NonGenericConfiguration("the two solution lines coincide")
     incidence = tuple(
-        tuple(w.to_quad(d_ctx).hstack(ln.span).det() for ln in lines)
-        for w in blocks.blocks()
+        tuple(_rational_meet(ell, ln.plucker, d_ctx) for ln in lines)
+        for ell in map(plucker_of_span, blocks.blocks())
     )
-    assert all(v == 0 for row in incidence for v in row)
+    if any(v != 0 for row in incidence for v in row):
+        raise CertificateFailure("a solution line misses an input line")
     return TransversalSolution(
         canonical=canon,
         forms=forms,
@@ -325,6 +330,22 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
         canonical_lines=canon_lines,
         incidence=incidence,
         warnings=tuple(warnings),
+    )
+
+
+def _map_span(m: MatQ, span: MatQ, d: Fraction) -> MatQ:
+    """m @ span for a rational m and a span over Q(sqrt d), as two rational
+    products: one of the rational parts, one of the sqrt(d) parts."""
+    a = (m @ span.map(lambda q: q.a)).entries()
+    b = (m @ span.map(lambda q: q.b)).entries()
+    return MatQ([[QuadNum(x, y, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+
+
+def _rational_meet(ell: tuple, p: tuple, d: Fraction) -> QuadNum:
+    """plucker_meet of a rational ell with p over Q(sqrt d), by bilinearity:
+    once on the rational parts of p and once on its sqrt(d) parts."""
+    return QuadNum(
+        plucker_meet(ell, tuple(q.a for q in p)), plucker_meet(ell, tuple(q.b for q in p)), d
     )
 
 
@@ -406,16 +427,6 @@ def oracle_plucker_solve(blocks: ConfigBlocks) -> List[LineRep]:
             if delta == 0:
                 break
     lines = [LineRep.from_span(span_from_plucker(p)) for p in sols]
-    for ln in lines:
-        d_ctx = _line_radicand(ln)
-        for ell in ells:
-            ellq = tuple(QuadNum.of(c, d_ctx) for c in ell)
-            assert plucker_meet(ln.plucker, ellq) == 0
+    if any(plucker_meet(ln.plucker, ell) != 0 for ln in lines for ell in ells):
+        raise CertificateFailure("an oracle line misses an input line")
     return lines
-
-
-def _line_radicand(ln: LineRep) -> Fraction:
-    for v in ln.plucker:
-        if isinstance(v, QuadNum):
-            return v.d
-    return Fraction(0)

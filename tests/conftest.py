@@ -33,6 +33,22 @@ def ones_params() -> LWParams:
     return LWParams(tuple(Fraction(1) for _ in range(16)))
 
 
+def det_cofactor(m: MatQ):
+    """Laplace cofactor expansion along the first row: a determinant oracle
+    independent of the library's Bareiss elimination."""
+    rows = m.entries()
+    if len(rows) != len(rows[0]):
+        raise ValueError("determinant of non-square matrix")
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for j, x in enumerate(rows[0]):
+        if x:
+            sub = MatQ([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total + (-1) ** j * x * det_cofactor(sub)
+    return total
+
+
 def rand_frac(rng: random.Random, lo: int = -9, hi: int = 9, den: int = 9) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 

@@ -1,7 +1,18 @@
 import json
 
-from fourlines import MatQ, Y_SIGN, blocks_of_canonical, random_tp_instance
+import pytest
+
+from fourlines import (
+    CertificateFailure,
+    MatQ,
+    SingularMatrixError,
+    Y_SIGN,
+    blocks_of_canonical,
+    random_tp_instance,
+)
+from fourlines import cli
 from fourlines import serialize as ser
+from fourlines import transversal
 from fourlines.cli import run
 
 from conftest import X1_ENTRIES
@@ -109,6 +120,15 @@ class TestCurveSample:
     def test_bad_ts(self, capsys):
         assert run(["curve-sample", "--ts", "1/10,oops"]) == 2
 
+    def test_failed_search_exits_3(self, tmp_path, capsys):
+        # (1, t, t^2, t^3 - 3t^4) is not convex on [0, 1]: no epsilon certifies
+        spec = {"kind": "polynomial",
+                "components": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1", "-3"]]}
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(spec))
+        assert run(["curve-sample", "--ts", "1/10,3/10,5/10,9/10", "--curve", str(path)]) == 3
+        assert "no certifying epsilon" in capsys.readouterr().err
+
     def test_custom_curve(self, tmp_path, capsys):
         spec = {"kind": "polynomial", "components": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]}
         path = tmp_path / "curve.json"
@@ -139,3 +159,53 @@ class TestOthers:
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [(SingularMatrixError(), 4),
+                                             (CertificateFailure("tampered"), 5)])
+    def test_library_errors(self, tmp_path, capsys, monkeypatch, error, code):
+        inp = tmp_path / "cfg.json"
+        write_x1_config(inp)
+
+        def fail(blocks):
+            raise error
+
+        monkeypatch.setattr(cli, "solve_transversals", fail)
+        assert run(["solve", "--input", str(inp)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_tampered_line_exits_5(self, tmp_path, capsys, monkeypatch):
+        inp = tmp_path / "cfg.json"
+        write_x1_config(inp)
+        original = transversal._map_span
+
+        def tampered(m, span, d):
+            rows = [list(r) for r in original(m, span, d).entries()]
+            rows[0][0] += 1
+            return MatQ(rows)
+
+        monkeypatch.setattr(transversal, "_map_span", tampered)
+        assert run(["solve", "--input", str(inp)]) == 5
+        assert "misses an input line" in capsys.readouterr().err
+
+    def test_batch_isolates_each_file(self, tmp_path, capsys, monkeypatch):
+        indir = tmp_path / "batch"
+        indir.mkdir()
+        for seed in (1, 2, 3):
+            _, blocks = random_tp_instance(seed, bound=5)
+            (indir / f"inst{seed}.json").write_text(ser.dumps(ser.blocks_to_obj(blocks)))
+        solve = cli.solve_transversals
+        bad = ser.blocks_from_obj(json.loads((indir / "inst2.json").read_text()))
+
+        def fail_on_bad(blocks):
+            if blocks == bad:
+                raise CertificateFailure("tampered")
+            return solve(blocks)
+
+        monkeypatch.setattr(cli, "solve_transversals", fail_on_bad)
+        outdir = tmp_path / "out"
+        assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 5
+        sols = sorted(p.name for p in outdir.glob("*.solution.json"))
+        assert sols == ["inst1.solution.json", "inst3.solution.json"]
+        assert "inst2.json: tampered" in capsys.readouterr().err

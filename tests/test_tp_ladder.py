@@ -1,0 +1,293 @@
+"""Differential tests of the integer minor ladder and the Pluecker incidence
+certificate, against oracles that use cofactor expansion only."""
+import math
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from fourlines import (
+    CertificateFailure,
+    ConfigBlocks,
+    MatQ,
+    Y_SIGN,
+    canonicalize,
+    check_tp_config,
+    check_tp_square,
+    lw_compose,
+    oracle_plucker_solve,
+    plucker_meet,
+    plucker_of_span,
+    random_tp_instance,
+    solve_transversals,
+)
+from fourlines import transversal
+from fourlines.totalpos import _CONFIG_MINORS, _minor_ladder
+
+from conftest import det_cofactor, premultiply, rand_params, rand_pos_det
+
+ROWS4 = (1, 2, 3, 4)
+
+
+def minor(m: MatQ, rows, cols):
+    return det_cofactor(m.submatrix(rows, cols)) if rows else Fraction(1)
+
+
+def oracle_config(blocks: ConfigBlocks) -> tuple:
+    """Lexicographically first non-positive maximal minor of [W1 W2 W3 W4]."""
+    a = blocks.concat()
+    for cols in combinations(range(1, 9), 4):
+        m = minor(a, ROWS4, cols)
+        if m <= 0:
+            return (False, ROWS4, cols, m)
+    return (True, None, None, None)
+
+
+def oracle_square(x: MatQ) -> tuple:
+    """First non-positive minor of a 4x4 matrix by order, rows, then columns."""
+    for order in range(1, 5):
+        for rows in combinations(range(1, 5), order):
+            for cols in combinations(range(1, 5), order):
+                m = minor(x, rows, cols)
+                if m <= 0:
+                    return (False, rows, cols, m)
+    return (True, None, None, None)
+
+
+def as_tuple(rep) -> tuple:
+    if rep.ok:
+        return (True, None, None, None)
+    return (False, tuple(rep.witness_rows), tuple(rep.witness_cols), rep.witness_minor)
+
+
+def entries(blocks: ConfigBlocks) -> list:
+    return [[list(r) for r in w.entries()] for w in blocks.blocks()]
+
+
+def from_entries(ws) -> ConfigBlocks:
+    return ConfigBlocks(*(MatQ(w) for w in ws))
+
+
+def zeroing_change(blocks: ConfigBlocks, block: int, row: int, col: int, target) -> ConfigBlocks:
+    """Change one entry so that the maximal minor on columns ``target`` is 0.
+
+    The minor is affine in a single entry, so two evaluations give the root.
+    """
+    ws = entries(blocks)
+    v0 = ws[block][row][col]
+    m0 = minor(blocks.concat(), ROWS4, target)
+    ws[block][row][col] = v0 + 1
+    slope = minor(from_entries(ws).concat(), ROWS4, target) - m0
+    if slope == 0:
+        return None
+    ws[block][row][col] = v0 - m0 / slope
+    return from_entries(ws)
+
+
+def perturbed_instances():
+    """Single-entry changes of TP instances.
+
+    Every third change zeroes the first column set that holds the changed
+    column; the minors before it do not involve that entry, so the witness
+    is exactly 0.
+    """
+    rng = random.Random(5150)
+    out = []
+    colsets = list(combinations(range(1, 9), 4))
+    while len(out) < 45:
+        _, blocks = random_tp_instance(rng.randrange(10**6))
+        b, r, c = rng.randrange(4), rng.randrange(4), rng.randrange(2)
+        kind = len(out) % 3
+        if kind == 0:
+            target = next(cols for cols in colsets if 2 * b + c + 1 in cols)
+            changed = zeroing_change(blocks, b, r, c, target)
+        elif kind == 1:
+            changed = zeroing_change(blocks, b, r, c, rng.choice(colsets))
+        else:
+            ws = entries(blocks)
+            ws[b][r][c] *= Fraction(rng.choice((-1, 0, 1, 3)), rng.randint(1, 5))
+            changed = from_entries(ws)
+        if changed is not None and all(w.rank() == 2 for w in changed.blocks()):
+            out.append(changed)
+    return out
+
+
+class TestConfigMinorMap:
+    def test_column_sets_in_lexicographic_order(self):
+        assert [cols for cols, _, _ in _CONFIG_MINORS] == list(combinations(range(1, 9), 4))
+
+    def test_sign_is_plus_one_for_all_70_column_sets(self):
+        # epsilon_C = det [X Y]_C / minor_X(R, J), on an X with all minors
+        # positive and distinct, so a wrong sign or a wrong R or J shows
+        x = lw_compose(rand_params(random.Random(3)))
+        a = x.hstack(Y_SIGN)
+        eps = []
+        for cols, rows, xcols in _CONFIG_MINORS:
+            sub = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in xcols))
+            eps.append(minor(a, ROWS4, cols) / sub)
+        assert eps == [1] * 70
+
+    def test_row_sets(self):
+        # the columns 5..8 of Y are e4, -e3, e2, -e1: each removes one row of X
+        by_cols = {cols: (rows, xcols) for cols, rows, xcols in _CONFIG_MINORS}
+        assert by_cols[1, 2, 3, 4] == ((0, 1, 2, 3), (0, 1, 2, 3))
+        assert by_cols[1, 2, 3, 5] == ((0, 1, 2), (0, 1, 2))
+        assert by_cols[2, 4, 6, 8] == ((1, 3), (1, 3))
+        assert by_cols[5, 6, 7, 8] == ((), ())
+
+
+class TestLadder:
+    @pytest.mark.parametrize("bound", [10, 10**30])
+    def test_values_are_row_scaled_minors(self, bound):
+        for seed in range(3):
+            params, _ = random_tp_instance(seed, bound)
+            x = lw_compose(params)
+            scales = [math.lcm(*(v.denominator for v in row)) for row in x.entries()]
+            ladder = _minor_ladder(x)
+            assert len(ladder) == 70
+            for (rows, cols), value in ladder.items():
+                exact = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
+                assert value == exact * math.prod(scales[r] for r in rows)
+
+
+class TestCheckTpConfig:
+    @pytest.mark.parametrize("bound", [10, 10**30])
+    def test_tp_instances(self, bound):
+        for seed in range(8):
+            _, blocks = random_tp_instance(seed, bound)
+            assert as_tuple(check_tp_config(blocks)) == oracle_config(blocks) == (True,) + (None,) * 3
+
+    def test_change_of_basis(self):
+        # det h < 0 flips every maximal minor: the witness is the first column set
+        rng = random.Random(17)
+        for seed in range(6):
+            _, blocks = random_tp_instance(seed)
+            h = rand_pos_det(rng)
+            if seed % 2:
+                h = MatQ([h.row(1), h.row(0), h.row(2), h.row(3)])
+            moved = premultiply(blocks, h)
+            assert as_tuple(check_tp_config(moved)) == oracle_config(moved)
+
+    def test_perturbed_instances(self):
+        zeros = 0
+        for blocks in perturbed_instances():
+            want = oracle_config(blocks)
+            assert as_tuple(check_tp_config(blocks)) == want
+            zeros += want[3] == 0
+        assert zeros >= 5
+
+    def test_permuted_blocks(self):
+        rng = random.Random(23)
+        for seed in range(6):
+            _, blocks = random_tp_instance(seed)
+            order = [0, 1, 2, 3]
+            while order == sorted(order):
+                rng.shuffle(order)
+            permuted = ConfigBlocks(*(blocks.blocks()[j] for j in order))
+            assert as_tuple(check_tp_config(permuted)) == oracle_config(permuted)
+
+    def test_singular_w34(self):
+        for seed in range(3):
+            _, b = random_tp_instance(seed)
+            w4 = b.w3.scale(Fraction(2))
+            singular = ConfigBlocks(b.w1, b.w2, b.w3, MatQ([[r[1], r[0]] for r in w4.entries()]))
+            rep = check_tp_config(singular)
+            assert as_tuple(rep) == oracle_config(singular)
+            assert not rep.ok
+
+
+class TestCheckTpSquare:
+    @pytest.mark.parametrize("bound", [10, 10**30])
+    def test_tp_matrices(self, bound):
+        for seed in range(8):
+            params, _ = random_tp_instance(seed, bound)
+            x = lw_compose(params)
+            assert as_tuple(check_tp_square(x)) == oracle_square(x) == (True,) + (None,) * 3
+
+    def test_perturbed_matrices(self):
+        rng = random.Random(29)
+        zeros = 0
+        for _ in range(40):
+            params, _ = random_tp_instance(rng.randrange(10**6))
+            rows = [list(r) for r in lw_compose(params).entries()]
+            i, j = rng.randrange(4), rng.randrange(4)
+            rows[i][j] *= Fraction(rng.choice((-1, 0, 1, 2)), rng.randint(1, 4))
+            x = MatQ(rows)
+            want = oracle_square(x)
+            assert as_tuple(check_tp_square(x)) == want
+            zeros += want[3] == 0
+        assert zeros >= 5
+
+    def test_canonical_x_of_perturbed_instances(self):
+        for blocks in perturbed_instances()[:10]:
+            x = canonicalize(blocks, strict=False).x
+            assert as_tuple(check_tp_square(x)) == oracle_square(x)
+
+
+class TestIncidenceCertificate:
+    @pytest.mark.parametrize("bound", [10, 10**30])
+    def test_pairing_is_the_determinant(self, bound):
+        for seed in range(3):
+            _, blocks = random_tp_instance(seed, bound)
+            sol = solve_transversals(blocks)
+            d = sol.quadratic.disc
+            for w, row in zip(blocks.blocks(), sol.incidence):
+                for ln, value in zip(sol.lines, row):
+                    det = w.to_quad(d).hstack(ln.span).det()
+                    assert value == det == 0 and value.d == det.d == d
+
+    def test_pairing_is_the_determinant_off_the_lines(self):
+        # blocks of another instance, moved off [X Y], miss the lines
+        _, blocks = random_tp_instance(0)
+        _, other = random_tp_instance(1)
+        other = premultiply(other, rand_pos_det(random.Random(31)))
+        sol = solve_transversals(blocks)
+        d = sol.quadratic.disc
+        for w in other.blocks():
+            for ln in sol.lines:
+                det = w.to_quad(d).hstack(ln.span).det()
+                value = plucker_meet(plucker_of_span(w), ln.plucker)
+                assert value == det != 0 and value.d == det.d == d
+
+
+class TestCertificatesRaise:
+    """Each certificate is an explicit check, so it also runs under ``python -O``."""
+
+    def test_tampered_line(self, monkeypatch):
+        _, blocks = random_tp_instance(0)
+        original = transversal._map_span
+
+        def tampered(m, span, d):
+            rows = [list(r) for r in original(m, span, d).entries()]
+            rows[0][0] += 1
+            return MatQ(rows)
+
+        monkeypatch.setattr(transversal, "_map_span", tampered)
+        with pytest.raises(CertificateFailure, match="misses an input line"):
+            solve_transversals(blocks)
+
+    def test_tampered_root(self, monkeypatch):
+        _, blocks = random_tp_instance(0)
+        original = transversal._recover_y
+        monkeypatch.setattr(transversal, "_recover_y", lambda *args: original(*args) + 1)
+        with pytest.raises(CertificateFailure, match="misses a bilinear form"):
+            solve_transversals(blocks)
+
+    def test_tampered_discriminant(self, monkeypatch):
+        _, blocks = random_tp_instance(0)
+        monkeypatch.setattr(transversal, "discriminant_from_minors", lambda x: Fraction(-1))
+        with pytest.raises(CertificateFailure, match="discriminant"):
+            solve_transversals(blocks)
+
+    def test_tampered_oracle_line(self, monkeypatch):
+        _, blocks = random_tp_instance(0)
+        original = transversal.span_from_plucker
+
+        def tampered(p):
+            span = original(p)
+            return MatQ([span.row(1), span.row(0), span.row(2), span.row(3)])
+
+        monkeypatch.setattr(transversal, "span_from_plucker", tampered)
+        with pytest.raises(CertificateFailure, match="oracle line"):
+            oracle_plucker_solve(blocks)
