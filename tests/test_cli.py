@@ -12,7 +12,6 @@ from fourlines import (
 )
 from fourlines import cli
 from fourlines import serialize as ser
-from fourlines import transversal
 from fourlines.cli import run
 
 from conftest import X1_ENTRIES
@@ -174,20 +173,6 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "solve_transversals", fail)
         assert run(["solve", "--input", str(inp)]) == code
         assert capsys.readouterr().err.startswith("error: ")
-
-    def test_tampered_line_exits_5(self, tmp_path, capsys, monkeypatch):
-        inp = tmp_path / "cfg.json"
-        write_x1_config(inp)
-        original = transversal._map_span
-
-        def tampered(m, span, d):
-            rows = [list(r) for r in original(m, span, d).entries()]
-            rows[0][0] += 1
-            return MatQ(rows)
-
-        monkeypatch.setattr(transversal, "_map_span", tampered)
-        assert run(["solve", "--input", str(inp)]) == 5
-        assert "misses an input line" in capsys.readouterr().err
 
     def test_batch_isolates_each_file(self, tmp_path, capsys, monkeypatch):
         indir = tmp_path / "batch"
