@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import serialize as ser
@@ -184,18 +183,11 @@ def _cmd_verify_identity(args) -> int:
 
 def _cmd_curve_sample(args) -> int:
     curve = _load_curve(args.curve)
-    try:
-        ts = tuple(Fraction(part) for part in args.ts.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad --ts value {args.ts!r}") from exc
+    ts = tuple(ser.rat_from_str(part) for part in args.ts.split(","))
     if args.epsilon == "auto":
         report = _certifying_sample(curve, ts)
     else:
-        try:
-            eps = Fraction(args.epsilon)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad --epsilon value {args.epsilon!r}") from exc
-        report = lemma_sample(curve, ts, eps)
+        report = lemma_sample(curve, ts, ser.rat_from_str(args.epsilon))
     _emit(ser.sample_report_to_obj(report), args.output, args.format)
     return EXIT_OK if report.ok else EXIT_HYPOTHESIS
 

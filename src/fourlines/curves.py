@@ -18,11 +18,18 @@ from .errors import (
     NotConvex,
     SearchFailure,
 )
-from .exact import IndexSet, MatQ, as_rat
+from .exact import IndexSet, MatQ, as_rat, minor_ladder
 from .totalpos import ConfigBlocks
 
 RATIONAL_NORMAL = "rational_normal"
 POLYNOMIAL = "polynomial"
+
+#: Largest ``convexity_sample_check`` grid: C(32, 4) = 35,960 determinants;
+#: the ladder's time and memory grow as grid^4.
+MAX_GRID = 32
+#: Largest n of ``schubert_count``: counts up to n = 100 have at most 3,364
+#: decimal digits, below the 4,300 that Python prints by default.
+MAX_SCHUBERT_N = 100
 
 #: (1, t, t^2, t^3) as coefficient lists, ascending powers.
 _MOMENT_COMPONENTS = ((Fraction(1),), (Fraction(0), Fraction(1)),
@@ -82,15 +89,22 @@ def frenet_basis(curve: CurveSpec) -> MatQ:
     return wronskian.inverse()
 
 
-def tangent_block(curve: CurveSpec, t, basis: Optional[MatQ] = None) -> MatQ:
-    """4x2 block with columns (value, derivative) at t, in the basis at 0.
+def _frame(curve: CurveSpec, t, basis: MatQ) -> tuple:
+    """(value, derivative) of the lift at t, in the basis at 0."""
+    return tuple((basis @ MatQ.from_cols([curve_eval(curve, t, order)])).col(0) for order in (0, 1))
 
-    ``basis`` is ``frenet_basis(curve)``, computed here when not given.
-    """
-    fb = frenet_basis(curve) if basis is None else basis
-    val = MatQ.from_cols([curve_eval(curve, t, 0)])
-    der = MatQ.from_cols([curve_eval(curve, t, 1)])
-    block = (fb @ val).hstack(fb @ der)
+
+def _frames(curve: CurveSpec, ts, basis: MatQ) -> tuple:
+    return tuple(_frame(curve, t, basis) for t in ts)
+
+
+def tangent_block(curve: CurveSpec, t) -> MatQ:
+    """4x2 block with columns (value, derivative) at t, in the basis at 0."""
+    return _block(_frame(curve, t, frenet_basis(curve)), t)
+
+
+def _block(frame: tuple, t) -> MatQ:
+    block = MatQ.from_cols(frame)
     if block.rank() < 2:
         raise DegenerateConfiguration(f"cusp at t = {t}: value and derivative dependent")
     return block
@@ -100,6 +114,24 @@ def kappa_of(index_set) -> int:
     """Number of sample pairs {2k-1, 2k} fully contained in the index set."""
     idx = set(IndexSet.of(index_set))
     return sum(1 for k in range(1, 5) if {2 * k - 1, 2 * k} <= idx)
+
+
+#: The 70 row sets of the 8x4 sample in lexicographic order, and their kappas.
+_SAMPLE_ROWS = tuple(IndexSet(rows) for rows in combinations(range(1, 9), 4))
+_SAMPLE_KAPPAS = tuple(kappa_of(rows) for rows in _SAMPLE_ROWS)
+
+
+def _maximal_minors(m: MatQ) -> list:
+    """Exact maximal minors of a k x 4 rational matrix.
+
+    One value per 4-row set, in lexicographic order, read from the integer
+    minor ladder: each equals ``MatQ.minor`` on those rows.
+    """
+    ladder, scales = minor_ladder(m)
+    return [
+        Fraction(ladder[sub, (0, 1, 2, 3)], math.prod(scales[i] for i in sub))
+        for sub in combinations(range(m.rows), 4)
+    ]
 
 
 @dataclass(frozen=True)
@@ -123,11 +155,13 @@ def _validate_ts(ts) -> tuple:
     return ts
 
 
-def lemma_sample(curve: CurveSpec, ts, epsilon, basis: Optional[MatQ] = None) -> SampleReport:
+def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[tuple] = None) -> SampleReport:
     """8x4 sample matrix with row pairs (value, value + eps*derivative) and all
     70 maximal minors with their pair-count exponents.
 
-    ``basis`` is ``frenet_basis(curve)``, computed here when not given.
+    ``frames`` holds the (value, derivative) pair at each t in the Frenet
+    basis at 0; they do not depend on epsilon, so the search passes them
+    in, and they are computed here when not given.
     """
     ts = _validate_ts(ts)
     epsilon = as_rat(epsilon)
@@ -139,43 +173,42 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, basis: Optional[MatQ] = None) ->
             raise InputError(f"epsilon {epsilon} breaks the sample ordering at t = {ts[idx]}")
     if shifted[3] > 1:
         raise InputError(f"epsilon {epsilon} pushes the last sample beyond the domain")
-    fb = frenet_basis(curve) if basis is None else basis
+    if frames is None:
+        frames = _frames(curve, ts, frenet_basis(curve))
     rows = []
-    for t in ts:
-        val = fb @ MatQ.from_cols([curve_eval(curve, t, 0)])
-        der = fb @ MatQ.from_cols([curve_eval(curve, t, 1)])
-        v = val.col(0)
-        w = tuple(a + epsilon * b for a, b in zip(v, der.col(0)))
+    for v, d in frames:
         rows.append(v)
-        rows.append(w)
-    w_mat = MatQ(rows)
-    minors = []
-    kappas = []
-    ok = True
-    for rows_idx in combinations(range(1, 9), 4):
-        iset = IndexSet(rows_idx)
-        m = w_mat.minor(iset, (1, 2, 3, 4))
-        minors.append((iset, m))
-        kappas.append(kappa_of(iset))
-        if m <= 0:
-            ok = False
+        rows.append(tuple(a + epsilon * b for a, b in zip(v, d)))
+    w = MatQ(rows)
+    values = _maximal_minors(w)
     return SampleReport(
-        ts=ts, epsilon=epsilon, w=w_mat, minors=tuple(minors), kappas=tuple(kappas), ok=ok
+        ts=ts,
+        epsilon=epsilon,
+        w=w,
+        minors=tuple(zip(_SAMPLE_ROWS, values)),
+        kappas=_SAMPLE_KAPPAS,
+        ok=all(v > 0 for v in values),
     )
 
 
 def _certifying_sample(
-    curve: CurveSpec, ts, max_halvings: int = 64, basis: Optional[MatQ] = None
+    curve: CurveSpec, ts, max_halvings: int = 64, frames: Optional[tuple] = None
 ) -> SampleReport:
     """Deterministic halving search; the first sample report that certifies
-    the sampling lemma."""
+    the sampling lemma.
+
+    The frames (as in ``lemma_sample``) are computed once, when not given;
+    each halving only forms the shifted rows and reads their 70 minors
+    from the integer ladder.
+    """
     ts = _validate_ts(ts)
-    fb = frenet_basis(curve) if basis is None else basis
+    if frames is None:
+        frames = _frames(curve, ts, frenet_basis(curve))
     gaps = [ts[i + 1] - ts[i] for i in range(3)] + [Fraction(1) - ts[3]]
     eps = min(gaps) / 4
     for _ in range(max_halvings):
         try:
-            report = lemma_sample(curve, ts, eps, basis=fb)
+            report = lemma_sample(curve, ts, eps, frames=frames)
             if report.ok:
                 return report
         except InputError:
@@ -197,9 +230,9 @@ def tangent_config(curve: CurveSpec, ts) -> ConfigBlocks:
     differs from the first by epsilon times the derivative.
     """
     ts = _validate_ts(ts)
-    fb = frenet_basis(curve)
-    _certifying_sample(curve, ts, basis=fb)
-    return ConfigBlocks(*(tangent_block(curve, t, basis=fb) for t in ts))
+    frames = _frames(curve, ts, frenet_basis(curve))
+    _certifying_sample(curve, ts, frames=frames)
+    return ConfigBlocks(*(_block(frame, t) for frame, t in zip(frames, ts)))
 
 
 @dataclass(frozen=True)
@@ -219,8 +252,8 @@ def convexity_sample_check(curve: CurveSpec, grid_size: int) -> ConvexityReport:
 
     Only a sampled check; a passing report never certifies convexity.
     """
-    if grid_size < 4:
-        raise InputError(f"grid size must be >= 4, got {grid_size}")
+    if not 4 <= grid_size <= MAX_GRID:
+        raise InputError(f"grid size must lie in 4..{MAX_GRID}, got {grid_size}")
     grid = tuple(Fraction(i, grid_size + 1) for i in range(1, grid_size + 1))
     degenerate = False
     try:
@@ -228,15 +261,15 @@ def convexity_sample_check(curve: CurveSpec, grid_size: int) -> ConvexityReport:
     except NotConvex:
         degenerate = True
         fb = MatQ.identity(4)
-    values = [fb @ MatQ.from_cols([curve_eval(curve, t, 0)]) for t in grid]
-    failures = []
-    for subset in combinations(range(grid_size), 4):
-        det = MatQ([values[i].col(0) for i in subset]).det()
-        if det <= 0:
-            failures.append((IndexSet(tuple(i + 1 for i in subset)), det))
+    values = MatQ([(fb @ MatQ.from_cols([curve_eval(curve, t, 0)])).col(0) for t in grid])
+    failures = tuple(
+        (IndexSet(tuple(i + 1 for i in sub)), det)
+        for sub, det in zip(combinations(range(grid_size), 4), _maximal_minors(values))
+        if det <= 0
+    )
     return ConvexityReport(
         grid=grid,
-        failures=tuple(failures),
+        failures=failures,
         frenet_degenerate=degenerate,
         ok=not degenerate and not failures,
     )
@@ -246,6 +279,8 @@ def schubert_count(k: int, n: int) -> int:
     """Number of (n-k-1)-planes meeting (k+1)(n-k) generic k-planes in P^n."""
     if not (isinstance(k, int) and isinstance(n, int)) or not 0 <= k < n:
         raise DomainError(f"need integers 0 <= k < n, got k={k}, n={n}")
+    if n > MAX_SCHUBERT_N:
+        raise DomainError(f"n = {n} exceeds the cap {MAX_SCHUBERT_N}")
     num = math.prod(math.factorial(i) for i in range(1, n - k)) * math.factorial(
         (k + 1) * (n - k)
     )

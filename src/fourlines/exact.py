@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -465,6 +466,39 @@ class MatQ:
                 v[pc] = -a[rr][fc]
             basis.append(tuple(v))
         return basis
+
+
+def minor_ladder(m: MatQ) -> tuple:
+    """Every minor of a rational matrix, up to a positive row factor, as ints.
+
+    Returns ``(minors, scales)``.  Each row i is first scaled by the LCM
+    ``scales[i]`` of its denominators, so the minor on rows R and columns C
+    is ``Fraction(minors[R, C], prod(scales[i] for i in R))``; keys are
+    0-based tuples, ``((), ())`` holding 1.  The scaling multiplies a minor
+    by a positive integer, so the ints alone carry every sign.  Minors of
+    order k + 1 come from those of order k by Laplace expansion along their
+    first row: the 69 minors of a 4x4 cost under 150 integer products, the
+    70 maximal minors of an 8x4 (with every smaller one) about 1,300.
+    """
+    a, scales = [], []
+    for row in m.entries():
+        s = math.lcm(*(v.denominator for v in row))
+        scales.append(s)
+        a.append([v.numerator * (s // v.denominator) for v in row])
+    minors = {((), ()): 1}
+    for order in range(1, min(m.rows, m.cols) + 1):
+        # each column set with its expansion terms: (column, the rest, odd?)
+        expansions = [(cols, [(c, cols[:k] + cols[k + 1:], k % 2) for k, c in enumerate(cols)])
+                      for cols in combinations(range(m.cols), order)]
+        for rows in combinations(range(m.rows), order):
+            top, rest = a[rows[0]], rows[1:]
+            for cols, terms in expansions:
+                total = 0
+                for c, sub, odd in terms:
+                    term = top[c] * minors[rest, sub]
+                    total += -term if odd else term
+                minors[rows, cols] = total
+    return minors, scales
 
 
 def mat_det(m: MatQ) -> Scalar:

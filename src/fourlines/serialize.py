@@ -7,6 +7,7 @@ row-major nested arrays.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .curves import CurveSpec, ConvexityReport, SampleReport, POLYNOMIAL, RATIONAL_NORMAL
@@ -21,11 +22,28 @@ def rat_to_str(r: Fraction) -> str:
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
+#: The only accepted rational literal: ``-?[0-9]+(/[0-9]+)?``, no sign on
+#: the denominator, no spaces, exponents, decimal points or underscores.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+#: Longest accepted literal, in characters.  The entries of a bound-10^30
+#: instance reach about 640; Python parses at most 4,300-digit integers.
+MAX_RATIONAL_LENGTH = 4096
+
+
 def rat_from_str(s) -> Fraction:
+    """Parse a rational literal of the strict grammar above (a JSON integer
+    is read as its decimal string)."""
+    s = str(s) if isinstance(s, int) and not isinstance(s, bool) else s
+    if not isinstance(s, str):
+        raise InputError(f"rational literal must be a string, got {type(s).__name__}")
+    if len(s) > MAX_RATIONAL_LENGTH:
+        raise InputError(f"rational literal of {len(s)} characters exceeds {MAX_RATIONAL_LENGTH}")
+    if not _RATIONAL.fullmatch(s):
+        raise InputError(f"bad rational literal {s!r}: expected p or p/q in decimal digits")
     try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {s!r}") from exc
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise InputError(f"bad rational literal {s!r}: zero denominator") from exc
 
 
 def quad_to_obj(q) -> dict:
@@ -189,5 +207,6 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers JSON integers over Python's digit limit
         raise InputError(f"invalid JSON: {exc}") from exc

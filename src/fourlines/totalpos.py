@@ -14,7 +14,6 @@ positive parameter choice yields a totally positive product.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +28,7 @@ from .errors import (
     InputError,
     NotTotallyPositive,
 )
-from .exact import IndexSet, MatQ, as_rat
+from .exact import IndexSet, MatQ, as_rat, minor_ladder
 
 #: The fixed anti-diagonal sign matrix of the canonical form [X Y].
 Y_SIGN = MatQ(
@@ -121,32 +120,6 @@ _CONFIG_MINORS = tuple(
 )
 
 
-def _minor_ladder(x: MatQ) -> dict:
-    """Every minor of a 4x4 rational matrix, up to a positive factor, as ints.
-
-    Keys are (rows, cols) as 0-based tuples, ``((), ())`` holding 1.  Each
-    row is first scaled by the LCM of its denominators, which multiplies a
-    minor by a positive integer and so keeps its sign.  Minors of order
-    k + 1 come from those of order k by Laplace expansion along their first
-    row, so the 69 minors cost under 150 integer products.
-    """
-    a = []
-    for row in x.entries():
-        s = math.lcm(*(v.denominator for v in row))
-        a.append([v.numerator * (s // v.denominator) for v in row])
-    minors = {((), ()): 1}
-    for order in range(1, 5):
-        for rows in combinations(range(4), order):
-            top, rest = a[rows[0]], rows[1:]
-            for cols in combinations(range(4), order):
-                total = 0
-                for k, c in enumerate(cols):
-                    term = top[c] * minors[rest, cols[:k] + cols[k + 1:]]
-                    total += -term if k % 2 else term
-                minors[rows, cols] = total
-    return minors
-
-
 def _reduce(blocks: ConfigBlocks):
     """The canonical form (g = Y*[W3 W4]^(-1), X = g*[W1 W2]) and det g.
 
@@ -180,7 +153,7 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
         canon, det_g = _reduce(blocks)
     except DegenerateConfiguration:
         return _scan_config(blocks)
-    minors = _minor_ladder(canon.x)
+    minors, _ = minor_ladder(canon.x)
     sign = 1 if det_g > 0 else -1
     for cols, rows, xcols in _CONFIG_MINORS:
         if sign * minors[rows, xcols] <= 0:
@@ -208,7 +181,7 @@ def check_tp_square(x: MatQ) -> TPReport:
     """
     if x.rows != 4 or x.cols != 4:
         raise DimensionError("expected a 4x4 matrix")
-    minors = _minor_ladder(x)
+    minors, _ = minor_ladder(x)
     for order in range(1, 5):
         for rows in combinations(range(4), order):
             for cols in combinations(range(4), order):

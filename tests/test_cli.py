@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from fourlines import (
     random_tp_instance,
 )
 from fourlines import cli
+from fourlines.curves import MAX_GRID, MAX_SCHUBERT_N
 from fourlines import serialize as ser
 from fourlines.cli import run
 
@@ -119,6 +121,21 @@ class TestCurveSample:
     def test_bad_ts(self, capsys):
         assert run(["curve-sample", "--ts", "1/10,oops"]) == 2
 
+    @pytest.mark.parametrize("literal", ["1e999999999", "0.3", "1_0", "1/0", "1" * 5000])
+    def test_hostile_literals_exit_2_quickly(self, capsys, literal):
+        start = time.perf_counter()
+        assert run(["curve-sample", "--ts", f"1/10,3/10,5/10,{literal}"]) == 2
+        assert run(["curve-sample", "--ts", "1/10,3/10,5/10,7/10", "--epsilon", literal]) == 2
+        assert time.perf_counter() - start < 2
+        assert "rational literal" in capsys.readouterr().err
+
+    def test_hostile_literal_in_json(self, tmp_path, capsys):
+        spec = {"kind": "polynomial",
+                "components": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1e999999999"]]}
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(spec))
+        assert run(["curve-sample", "--ts", "1/10,3/10,5/10,7/10", "--curve", str(path)]) == 2
+
     def test_failed_search_exits_3(self, tmp_path, capsys):
         # (1, t, t^2, t^3 - 3t^4) is not convex on [0, 1]: no epsilon certifies
         spec = {"kind": "polynomial",
@@ -142,6 +159,17 @@ class TestOthers:
         assert run(["schubert-count", "--k", "2", "--n", "5"]) == 0
         assert capsys.readouterr().out == "42\n"
         assert run(["schubert-count", "--k", "3", "--n", "3"]) == 2
+
+    def test_schubert_cap(self, capsys):
+        assert run(["schubert-count", "--k", str(MAX_SCHUBERT_N // 2), "--n", str(MAX_SCHUBERT_N)]) == 0
+        assert capsys.readouterr().out.strip().isdigit()
+        assert run(["schubert-count", "--k", "1", "--n", str(MAX_SCHUBERT_N + 1)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_grid_cap(self, capsys):
+        assert run(["convexity-check", "--grid", str(MAX_GRID)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["grid"]) == MAX_GRID
+        assert run(["convexity-check", "--grid", str(MAX_GRID + 1)]) == 2
 
     def test_convexity_check(self, capsys):
         assert run(["convexity-check", "--grid", "8"]) == 0

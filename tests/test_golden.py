@@ -1,12 +1,14 @@
 """Golden CLI outputs: the sha256 of the JSON that fixed commands write.
 
-The digests pin every byte of ``solve``, ``check-tp`` and
-``verify-identity`` output, so a change to the exact pipeline that alters
-a number, a witness or the JSON layout fails here.  Inputs are rebuilt
+The digests pin every byte of ``solve``, ``check-tp``, ``verify-identity``,
+``curve-sample`` and ``convexity-check`` output, so a change to the exact
+pipeline that alters a number, a witness or the JSON layout fails here.  Inputs are rebuilt
 from seeds: ``random_tp_instance`` for ``solve``, and for ``check-tp``
 single-entry changes of such instances whose first non-positive maximal
 minor sits early, in the middle or late in the lexicographic order, or is
-exactly zero, plus permuted blocks and a singular [W3 W4].
+exactly zero, plus permuted blocks and a singular [W3 W4].  The curve
+commands run on the moment curve and on quartics (1, t, t^2, t^3 + c t^4):
+convex for c = -1/10 and -1/4, not convex for c = -1.
 """
 import hashlib
 from fractions import Fraction
@@ -58,6 +60,26 @@ MUTATIONS = {
 PERMUTED_DIGEST = "304c0afa15f01c63a148a819c45fe5f9e72a5bb4558753e3a86916c4ca2a4016"
 SINGULAR_DIGEST = "402deb61e1d2db353c5e8baaff0de27431536248ae595b3b36e1a2a66efeb5e1"
 IDENTITY_DIGEST = "7f6867b1337b376d80a8c748e7e625d6dc36207565f47bcb84b60ab8beeca368"
+
+#: name -> (quartic c or None for the moment curve, ts, epsilon, exit code, digest)
+CURVE_SAMPLES = {
+    "moment-auto": (None, "1/10,3/10,5/10,7/10", "auto", 0,
+                    "b629768fdfd336f2264fceb87247bb7ad91b340e74e203e0ab78878ed29c3b02"),
+    "quartic-1/10-auto": ("-1/10", "3/100,21/100,47/100,88/100", "auto", 0,
+                          "2e09caeb2ac8c31843c7f517aeeb38792f4fc4a5a2e096241a6954d114f7861f"),
+    "quartic-1/4-auto": ("-1/4", "1/10,3/10,5/10,7/10", "auto", 0,
+                         "0131584d6720446d0095fca9eaa3284da9216ea961768f9e0f8cd0c5e5dd0b49"),
+    "moment-explicit": (None, "1/10,3/10,5/10,7/10", "1/40", 0,
+                        "bb449e65cdc480ab10ef06f6e64303b3b4d1a31efdd10fc5a1c1440b7079dd9f"),
+    "quartic-1-explicit": ("-1", "1/10,3/10,5/10,9/10", "1/40", 3,
+                           "097764f5d82894a72749478232a4cad11a21e1046006592d271289ed24cfbe7d"),
+    "quartic-1-refused": ("-1", "1/10,3/10,5/10,9/10", "auto", 3, None),
+}
+#: name -> (quartic c or None, grid size, exit code, digest)
+CONVEXITY = {
+    "moment": (None, 12, 0, "d3bf440c0731e6260e96760e0e8e68f427fccc7b0a8ada77fbfad76691219ede"),
+    "quartic-1": ("-1", 12, 3, "a3ca5220860552754c940d22cbc3d6cc567a7c44c9f2b1ee7ddd82eaa41664cd"),
+}
 
 
 def cli_digest(tmp_path, argv) -> tuple:
@@ -111,3 +133,32 @@ def test_check_tp_singular_w34(tmp_path):
 
 def test_verify_identity(tmp_path):
     assert cli_digest(tmp_path, ["verify-identity", "--spots", "1"]) == (0, IDENTITY_DIGEST)
+
+
+def curve_args(tmp_path, c) -> list:
+    """``--curve`` for the quartic (1, t, t^2, t^3 + c t^4); none for the moment curve."""
+    if c is None:
+        return []
+    path = tmp_path / "curve.json"
+    path.write_text(ser.dumps({"kind": "polynomial",
+                               "components": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1", c]]}))
+    return ["--curve", str(path)]
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_SAMPLES))
+def test_curve_sample(tmp_path, name):
+    c, ts, eps, code, digest = CURVE_SAMPLES[name]
+    argv = ["curve-sample", "--ts", ts, "--epsilon", eps] + curve_args(tmp_path, c)
+    if digest is None:
+        # refused: no certifying epsilon, nothing written
+        assert run(argv + ["--output", str(tmp_path / "out.json")]) == code
+        assert not (tmp_path / "out.json").exists()
+    else:
+        assert cli_digest(tmp_path, argv) == (code, digest)
+
+
+@pytest.mark.parametrize("name", sorted(CONVEXITY))
+def test_convexity_check(tmp_path, name):
+    c, grid, code, digest = CONVEXITY[name]
+    argv = ["convexity-check", "--grid", str(grid)] + curve_args(tmp_path, c)
+    assert cli_digest(tmp_path, argv) == (code, digest)

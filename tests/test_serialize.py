@@ -24,6 +24,38 @@ class TestScalars:
         with pytest.raises(InputError):
             ser.rat_from_str("1/0")
 
+    @pytest.mark.parametrize("text", ["0.3", "1e3", "1e999999999", "1_0", "+1", " 1", "1/-2",
+                                      "1/2/3", "--1", "", "\u0661", "nan", "inf"])
+    def test_strict_grammar(self, text):
+        with pytest.raises(InputError):
+            ser.rat_from_str(text)
+
+    def test_grammar_accepts(self):
+        assert ser.rat_from_str("-12/8") == Fraction(-3, 2)
+        assert ser.rat_from_str("007") == 7
+        assert ser.rat_from_str(5) == 5  # a JSON integer
+        with pytest.raises(InputError):
+            ser.rat_from_str(0.5)  # a JSON float
+        with pytest.raises(InputError):
+            ser.rat_from_str(True)
+
+    def test_length_cap(self):
+        at_cap = "1" * (ser.MAX_RATIONAL_LENGTH - 2) + "/3"
+        assert ser.rat_from_str(at_cap) == Fraction(int("1" * (ser.MAX_RATIONAL_LENGTH - 2)), 3)
+        with pytest.raises(InputError, match="exceeds"):
+            ser.rat_from_str("1" * (ser.MAX_RATIONAL_LENGTH + 1))
+
+    def test_bound_1e30_literals_fit(self):
+        _, blocks = random_tp_instance(0, 10**30)
+        longest = max(len(ser.rat_to_str(x)) for w in blocks.blocks() for row in w.entries() for x in row)
+        assert longest * 4 < ser.MAX_RATIONAL_LENGTH
+
+    def test_json_over_int_digit_limit(self):
+        with pytest.raises(InputError):
+            ser.loads("1" * 5000)
+        with pytest.raises(InputError):
+            ser.loads("[" * 100000)
+
     def test_quad_round_trip(self):
         q = QuadNum(Fraction(-5, 2), Fraction(1, 16), Fraction(320))
         assert ser.quad_from_obj(ser.quad_to_obj(q)) == q

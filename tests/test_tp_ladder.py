@@ -1,20 +1,30 @@
-"""Differential tests of the integer minor ladder and the Pluecker incidence
-certificate, against oracles that use cofactor expansion only."""
+"""Differential tests of the integer minor ladder, its users (the TP checks,
+the curve sample and the sampled convexity check) and the Pluecker
+incidence certificate, against oracles that use cofactor expansion or
+Bareiss elimination only."""
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourlines import (
     CertificateFailure,
     ConfigBlocks,
+    CurveSpec,
     MatQ,
     Y_SIGN,
     canonicalize,
     check_tp_config,
     check_tp_square,
+    convexity_sample_check,
+    curve_eval,
+    frenet_basis,
+    kappa_of,
+    lemma_sample,
     lw_compose,
     oracle_plucker_solve,
     plucker_meet,
@@ -23,9 +33,11 @@ from fourlines import (
     solve_transversals,
 )
 from fourlines import transversal
-from fourlines.totalpos import _CONFIG_MINORS, _minor_ladder
+from fourlines.curves import POLYNOMIAL
+from fourlines.exact import minor_ladder
+from fourlines.totalpos import _CONFIG_MINORS
 
-from conftest import det_cofactor, premultiply, rand_params, rand_pos_det
+from conftest import det_cofactor, premultiply, rand_frac, rand_params, rand_pos_det
 
 ROWS4 = (1, 2, 3, 4)
 
@@ -144,11 +156,93 @@ class TestLadder:
             params, _ = random_tp_instance(seed, bound)
             x = lw_compose(params)
             scales = [math.lcm(*(v.denominator for v in row)) for row in x.entries()]
-            ladder = _minor_ladder(x)
+            ladder, ladder_scales = minor_ladder(x)
+            assert ladder_scales == scales
             assert len(ladder) == 70
             for (rows, cols), value in ladder.items():
                 exact = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
                 assert value == exact * math.prod(scales[r] for r in rows)
+
+
+def assert_ladder_is_exact(m: MatQ):
+    """Every minor of every order, against the cofactor oracle."""
+    ladder, scales = minor_ladder(m)
+    assert scales == [math.lcm(*(v.denominator for v in row)) for row in m.entries()]
+    top = min(m.rows, m.cols)
+    assert len(ladder) == sum(math.comb(m.rows, k) * math.comb(m.cols, k) for k in range(top + 1))
+    for (rows, cols), value in ladder.items():
+        exact = minor(m, tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
+        assert Fraction(value, math.prod(scales[r] for r in rows)) == exact
+
+
+def rand_with_zeros(rng: random.Random, rows: int, cols: int) -> MatQ:
+    """Random rationals with about a third of the entries zero and one zero row."""
+    a = [[rand_frac(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(cols)]
+         for _ in range(rows)]
+    a[rng.randrange(rows)] = [Fraction(0)] * cols
+    return MatQ(a)
+
+
+class TestGeneralLadder:
+    @pytest.mark.parametrize("rows, count", [(4, 12), (8, 4), (12, 2)])
+    def test_random_rational(self, rows, count):
+        rng = random.Random(rows)
+        for _ in range(count):
+            assert_ladder_is_exact(MatQ([[rand_frac(rng) for _ in range(4)] for _ in range(rows)]))
+
+    @pytest.mark.parametrize("rows, count", [(4, 12), (8, 4), (12, 2)])
+    def test_rows_with_zero_entries(self, rows, count):
+        rng = random.Random(100 + rows)
+        for _ in range(count):
+            assert_ladder_is_exact(rand_with_zeros(rng, rows, 4))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(-40, 40, max_denominator=30), min_size=n, max_size=n),
+        min_size=1, max_size=6)))
+    def test_property_matches_cofactor_oracle(self, rows):
+        assert_ladder_is_exact(MatQ(rows))
+
+
+def quartic(c) -> CurveSpec:
+    """(1, t, t^2, t^3 + c t^4): convex on [0, 1] for c = -1/10, not for c = -1."""
+    return CurveSpec(kind=POLYNOMIAL, components=((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1, Fraction(c))))
+
+
+TS_IN = (Fraction(1, 10), Fraction(3, 10), Fraction(5, 10), Fraction(7, 10))
+TS_WIDE = (Fraction(1, 10), Fraction(3, 10), Fraction(5, 10), Fraction(9, 10))
+
+
+class TestCurveSample:
+    @pytest.mark.parametrize("curve, ts, eps, ok", [
+        (CurveSpec.moment(), TS_IN, Fraction(1, 20), True),
+        (CurveSpec.moment(), TS_WIDE, Fraction(1, 1000), True),
+        (quartic("-1/10"), TS_IN, Fraction(1, 40), True),
+        (quartic("-1/4"), TS_IN, Fraction(1, 40), True),
+        (quartic(-1), TS_WIDE, Fraction(1, 40), False),
+        (quartic(-1), TS_IN, Fraction(1, 20), False),
+    ])
+    def test_minors_match_bareiss(self, curve, ts, eps, ok):
+        rep = lemma_sample(curve, ts, eps)
+        assert [tuple(iset) for iset, _ in rep.minors] == list(combinations(range(1, 9), 4))
+        for (iset, value), kappa in zip(rep.minors, rep.kappas):
+            assert value == rep.w.minor(iset, ROWS4)
+            assert kappa == kappa_of(iset)
+        assert rep.ok is ok
+        assert ok or any(value <= 0 for _, value in rep.minors)
+
+    def test_convexity_failures_match_bareiss(self):
+        curve, grid = quartic(-1), 9
+        fb = frenet_basis(curve)
+        points = [(fb @ MatQ.from_cols([curve_eval(curve, Fraction(i, grid + 1))])).col(0)
+                  for i in range(1, grid + 1)]
+        want = []
+        for sub in combinations(range(grid), 4):
+            det = MatQ([points[i] for i in sub]).det()
+            if det <= 0:
+                want.append((tuple(i + 1 for i in sub), det))
+        rep = convexity_sample_check(curve, grid)
+        assert want and [(tuple(iset), v) for iset, v in rep.failures] == want
 
 
 class TestCheckTpConfig:
