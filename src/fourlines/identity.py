@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+from .errors import InputError
 from .poly import Poly16, poly_equal
+
+#: Largest ``verify_identity`` spot count: each spot evaluates both sides
+#: once, and ``verify-identity --spots 1000`` takes about a second on a
+#: 2-CPU Linux VM.
+MAX_SPOTS = 1000
 
 #: Monomials of the printed F (two of them with coefficient 2).
 _F_TERMS = (
@@ -152,13 +158,16 @@ def verify_identity(spot_count: int = 5, seed: int = 0) -> IdentityCertificate:
     """Full symbolic comparison plus deterministic random spot evaluations.
 
     The all-ones point is always included as the first spot row.
+    ``spot_count`` must lie in 1..MAX_SPOTS.
     """
+    if not 1 <= spot_count <= MAX_SPOTS:
+        raise InputError(f"spot count must lie in 1..{MAX_SPOTS}, got {spot_count}")
     lhs = symbolic_D()
     rhs = rhs_poly()
     equal, diff = poly_equal(lhs, rhs)
     rng = random.Random(seed)
     points = [tuple(Fraction(1) for _ in range(16))]
-    for _ in range(max(0, spot_count - 1)):
+    for _ in range(spot_count - 1):
         points.append(
             tuple(Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(16))
         )

@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import re
 from fractions import Fraction
+from math import prod
+from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 VARS = "abcdefghijklmnop"
@@ -28,6 +30,13 @@ class Poly16:
             if c:
                 t[ev] = c
         self.terms = t
+
+    @classmethod
+    def _of(cls, terms: Dict[ExpVec, int]) -> "Poly16":
+        """Wrap a dict that already holds no zero coefficient, without copying it."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -64,12 +73,12 @@ class Poly16:
                 t[ev] = nc
             elif ev in t:
                 del t[ev]
-        return Poly16(t)
+        return Poly16._of(t)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly16":
-        return Poly16({ev: -c for ev, c in self.terms.items()})
+        return Poly16._of({ev: -c for ev, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly16":
         return self + (-self._coerce(other))
@@ -80,15 +89,18 @@ class Poly16:
     def __mul__(self, other) -> "Poly16":
         other = self._coerce(other)
         t: Dict[ExpVec, int] = {}
+        get = t.get
+        rhs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                ev = tuple(x + y for x, y in zip(e1, e2))
-                nc = t.get(ev, 0) + c1 * c2
+            for e2, c2 in rhs:
+                ev = tuple(map(add, e1, e2))
+                nc = get(ev, 0) + c1 * c2
                 if nc:
                     t[ev] = nc
-                elif ev in t:
+                else:
+                    # c1 * c2 != 0, so a zero sum means ev was already stored
                     del t[ev]
-        return Poly16(t)
+        return Poly16._of(t)
 
     __rmul__ = __mul__
 
@@ -139,18 +151,27 @@ class Poly16:
     # -- evaluation ---------------------------------------------------
 
     def eval(self, values: Sequence) -> Fraction:
-        """Exact evaluation at 16 rational values (order a..p)."""
+        """Exact evaluation at 16 rational values (order a..p).
+
+        With each value written p_i/q_i and M_i the largest exponent of
+        variable i, the sum of c * prod p_i^e_i * q_i^(M_i - e_i) over the
+        terms is an integer; it is divided once by prod q_i^M_i.
+        """
         if len(values) != NVARS:
             raise ValueError(f"need {NVARS} values, got {len(values)}")
         vals = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
-        total = Fraction(0)
-        for ev, c in self.terms.items():
-            term = Fraction(c)
-            for v, e in zip(vals, ev):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        active, tables, den = [], [], 1
+        for i, top in enumerate(map(max, zip(*self.terms))):
+            if top:
+                num, q = vals[i].numerator, vals[i].denominator
+                active.append(i)
+                tables.append([num**e * q ** (top - e) for e in range(top + 1)])
+                den *= q**top
+        total = sum(
+            c * prod([tab[ev[i]] for i, tab in zip(active, tables)])
+            for ev, c in self.terms.items()
+        )
+        return Fraction(total, den)
 
     # -- serialization ------------------------------------------------
 

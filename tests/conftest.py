@@ -49,6 +49,22 @@ def det_cofactor(m: MatQ):
     return total
 
 
+def poly_eval_oracle(p, values) -> Fraction:
+    """Term-by-term Fraction evaluation of a Poly16: an oracle independent
+    of the library's single-division integer kernel."""
+    if len(values) != 16:
+        raise ValueError(f"need 16 values, got {len(values)}")
+    vals = [Fraction(v) for v in values]
+    total = Fraction(0)
+    for ev, c in p.terms.items():
+        term = Fraction(c)
+        for v, e in zip(vals, ev):
+            if e:
+                term *= v**e
+        total += term
+    return total
+
+
 def rand_frac(rng: random.Random, lo: int = -9, hi: int = 9, den: int = 9) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 

@@ -13,6 +13,7 @@ from fourlines import (
 )
 from fourlines import cli
 from fourlines.curves import MAX_GRID, MAX_SCHUBERT_N
+from fourlines.identity import MAX_SPOTS
 from fourlines import serialize as ser
 from fourlines.cli import run
 
@@ -105,6 +106,20 @@ class TestVerifyIdentity:
         obj = json.loads(capsys.readouterr().out)
         assert obj["equal"] is True
         assert obj["spot_evaluations"][0]["lhs"] == "320"
+
+    @pytest.mark.parametrize("spots", [0, -1, MAX_SPOTS + 1])
+    def test_spots_out_of_range_exit_2_quickly(self, capsys, spots):
+        start = time.perf_counter()
+        assert run(["verify-identity", "--spots", str(spots)]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"1..{MAX_SPOTS}" in capsys.readouterr().err
+
+    def test_spots_cap(self, capsys):
+        assert run(["verify-identity", "--spots", str(MAX_SPOTS)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["equal"] is True
+        assert len(obj["spot_evaluations"]) == MAX_SPOTS
+        assert all(s["lhs"] == s["rhs"] for s in obj["spot_evaluations"])
 
 
 class TestCurveSample:

@@ -60,6 +60,12 @@ MUTATIONS = {
 PERMUTED_DIGEST = "304c0afa15f01c63a148a819c45fe5f9e72a5bb4558753e3a86916c4ca2a4016"
 SINGULAR_DIGEST = "402deb61e1d2db353c5e8baaff0de27431536248ae595b3b36e1a2a66efeb5e1"
 IDENTITY_DIGEST = "7f6867b1337b376d80a8c748e7e625d6dc36207565f47bcb84b60ab8beeca368"
+#: verify-identity arguments -> digest, for spots at seeded rational points
+#: (``--spots 1`` above evaluates only the all-ones point)
+IDENTITY_SPOT_DIGESTS = {
+    ("--spots", "5"): "2b2e79f18265d97d4194699666627784b54580466801f679b79e13252312d14b",
+    ("--spots", "9", "--seed", "3"): "b3f7398648203e8077507f4c6a7749bff7d0ae8ca5363a6d448a81a9d463ce01",
+}
 
 #: name -> (quartic c or None for the moment curve, ts, epsilon, exit code, digest)
 CURVE_SAMPLES = {
@@ -133,6 +139,11 @@ def test_check_tp_singular_w34(tmp_path):
 
 def test_verify_identity(tmp_path):
     assert cli_digest(tmp_path, ["verify-identity", "--spots", "1"]) == (0, IDENTITY_DIGEST)
+
+
+@pytest.mark.parametrize("args", sorted(IDENTITY_SPOT_DIGESTS), ids=" ".join)
+def test_verify_identity_spots(tmp_path, args):
+    assert cli_digest(tmp_path, ["verify-identity", *args]) == (0, IDENTITY_SPOT_DIGESTS[args])
 
 
 def curve_args(tmp_path, c) -> list:

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourlines import Poly16, poly_add, poly_equal, poly_eval, poly_mul
-from fourlines.identity import printed_FGH
+from fourlines.identity import printed_FGH, rhs_poly, symbolic_D
 
-from conftest import rand_frac
+from conftest import poly_eval_oracle, rand_frac
 
 
 def v(name):
@@ -21,6 +23,73 @@ def rand_poly(rng, nterms=5, max_exp=3):
             ev[rng.randrange(16)] += rng.randint(1, max_exp)
         terms[tuple(ev)] = rng.randint(-9, 9)
     return Poly16(terms)
+
+
+#: Sparse Poly16: at most 12 terms, each with at most 6 variables of exponent <= 6.
+sparse_polys = st.dictionaries(
+    st.dictionaries(st.integers(0, 15), st.integers(1, 6), max_size=6).map(
+        lambda ev: tuple(ev.get(i, 0) for i in range(16))
+    ),
+    st.integers(-10**6, 10**6),
+    max_size=12,
+).map(Poly16)
+points = st.lists(
+    st.fractions(-1000, 1000, max_denominator=1000) | st.integers(-10**30, 10**30),
+    min_size=16,
+    max_size=16,
+)
+derandomized = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def spot_points(count=20):
+    """Seeded points mixing Fraction, int and str coordinates, with zero and
+    negative entries and some of 10^30 size."""
+    rng = random.Random(17)
+    big = 10**30
+    out = []
+    for k in range(count):
+        pt = []
+        for i in range(16):
+            kind = (k + i) % 4
+            if kind == 0:
+                x = rand_frac(rng)
+            elif kind == 1:
+                x = Fraction(rng.randint(-big, big), rng.randint(1, big))
+            elif kind == 2:
+                x = rng.randint(-50, 50)
+            else:
+                x = f"{rng.randint(-99, 99)}/{rng.randint(1, 99)}"
+            pt.append(x)
+        pt[k % 16] = 0 if k % 2 else "0"
+        out.append(pt)
+    return out
+
+
+class TestEval:
+    @pytest.mark.parametrize("poly", [symbolic_D, rhs_poly], ids=lambda f: f.__name__)
+    def test_identity_polys_match_oracle(self, poly):
+        p = poly()
+        pts = spot_points()
+        assert any(Fraction(x) < 0 for pt in pts for x in pt)
+        assert any(isinstance(x, Fraction) and abs(x.numerator) > 10**29 for pt in pts for x in pt)
+        for pt in pts:
+            got = p.eval(pt)
+            assert type(got) is Fraction
+            assert got == poly_eval_oracle(p, pt)
+
+    def test_zero_polynomial(self):
+        got = Poly16.zero().eval(spot_points(1)[0])
+        assert type(got) is Fraction and got == 0
+
+    @pytest.mark.parametrize("n", [0, 15, 17])
+    def test_wrong_length(self, n):
+        with pytest.raises(ValueError, match="need 16 values"):
+            v("a").eval([1] * n)
+
+    @derandomized
+    @given(sparse_polys, points)
+    def test_matches_oracle(self, p, point):
+        assert p.eval(point) == poly_eval_oracle(p, point)
 
 
 class TestRingOps:
@@ -46,6 +115,19 @@ class TestRingOps:
             point = [rand_frac(rng) for _ in range(16)]
             assert poly_eval(p * q, point) == poly_eval(p, point) * poly_eval(q, point)
             assert poly_eval(p + q, point) == poly_eval(p, point) + poly_eval(q, point)
+
+    @derandomized
+    @given(sparse_polys, sparse_polys, points)
+    def test_eval_is_ring_homomorphism_generated(self, p, q, point):
+        assert 0 not in (p * q).terms.values()
+        assert (p * q).eval(point) == p.eval(point) * q.eval(point)
+        assert (p + q).eval(point) == p.eval(point) + q.eval(point)
+
+    def test_product_stores_no_zero_coefficient(self):
+        a, b = v("a"), v("b")
+        prod = (a + b) * (a - b)
+        assert prod == a * a - b * b
+        assert prod.num_terms() == 2 and 0 not in prod.terms.values()
 
     def test_monomial_degree_additivity(self):
         m1 = Poly16.monomial("aabc")
@@ -105,6 +187,11 @@ class TestSerialization:
             text = p.to_text()
             assert Poly16.parse(text).to_text() == text
             assert Poly16.parse(text) == p
+
+    @derandomized
+    @given(sparse_polys)
+    def test_round_trip_generated(self, p):
+        assert Poly16.parse(p.to_text()) == p
 
     def test_zero(self):
         assert Poly16.zero().to_text() == "0"
