@@ -9,12 +9,17 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .curves import CurveSpec, ConvexityReport, SampleReport, POLYNOMIAL, RATIONAL_NORMAL
 from .errors import InputError
-from .exact import MatQ, QuadNum
-from .totalpos import ConfigBlocks, LWParams, PARAM_NAMES, TPReport
-from .transversal import LineRep, TransversalSolution
+
+# Each converter imports the library classes it builds where it builds
+# them, so reading or writing one format loads only the modules it needs.
+if TYPE_CHECKING:
+    from .curves import ConvexityReport, CurveSpec, SampleReport
+    from .exact import MatQ, QuadNum
+    from .totalpos import ConfigBlocks, LWParams, TPReport
+    from .transversal import LineRep, TransversalSolution
 
 
 def rat_to_str(r: Fraction) -> str:
@@ -48,11 +53,13 @@ def rat_from_str(s) -> Fraction:
 
 def quad_to_obj(q) -> dict:
     if isinstance(q, Fraction):
-        q = QuadNum.of(q, 0)
+        return {"a": rat_to_str(q), "b": "0", "d": "0"}
     return {"a": rat_to_str(q.a), "b": rat_to_str(q.b), "d": rat_to_str(q.d)}
 
 
 def quad_from_obj(obj) -> QuadNum:
+    from .exact import QuadNum
+
     try:
         return QuadNum(rat_from_str(obj["a"]), rat_from_str(obj["b"]), rat_from_str(obj["d"]))
     except (KeyError, TypeError) as exc:
@@ -64,10 +71,11 @@ def mat_to_obj(m: MatQ) -> list:
 
 
 def mat_from_obj(obj) -> MatQ:
-    try:
-        return MatQ([[rat_from_str(x) for x in row] for row in obj])
-    except (TypeError, IndexError) as exc:
-        raise InputError(f"bad matrix object") from exc
+    from .exact import MatQ
+
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise InputError("matrix JSON must be a list of rows, each a list")
+    return MatQ([[rat_from_str(x) for x in row] for row in obj])
 
 
 def quad_mat_to_obj(m: MatQ) -> list:
@@ -79,10 +87,14 @@ def blocks_to_obj(blocks: ConfigBlocks) -> dict:
 
 
 def blocks_from_obj(obj) -> ConfigBlocks:
+    from .totalpos import ConfigBlocks
+
     try:
         raw = obj["blocks"]
     except (KeyError, TypeError) as exc:
         raise InputError('configuration JSON must have a "blocks" key') from exc
+    if not isinstance(raw, list):
+        raise InputError('"blocks" must be a list of 4 matrices')
     if len(raw) != 4:
         raise InputError(f"need 4 blocks, got {len(raw)}")
     return ConfigBlocks(*(mat_from_obj(w) for w in raw))
@@ -105,6 +117,8 @@ def params_to_obj(params: LWParams) -> dict:
 
 
 def params_from_obj(obj) -> LWParams:
+    from .totalpos import PARAM_NAMES, LWParams
+
     try:
         return LWParams(tuple(rat_from_str(obj[name]) for name in PARAM_NAMES))
     except (KeyError, TypeError) as exc:
@@ -112,6 +126,8 @@ def params_from_obj(obj) -> LWParams:
 
 
 def _line_to_obj(line: LineRep) -> dict:
+    from .exact import QuadNum
+
     plucker = [x if isinstance(x, QuadNum) else QuadNum.of(x, 0) for x in line.plucker]
     return {
         "span": quad_mat_to_obj(line.span),
@@ -174,6 +190,8 @@ def convexity_report_to_obj(rep: ConvexityReport) -> dict:
 
 
 def curve_spec_from_obj(obj) -> CurveSpec:
+    from .curves import POLYNOMIAL, RATIONAL_NORMAL, CurveSpec
+
     try:
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:
@@ -184,6 +202,8 @@ def curve_spec_from_obj(obj) -> CurveSpec:
         comps = obj.get("components")
         if comps is None:
             raise InputError('polynomial curve JSON needs "components"')
+        if not isinstance(comps, list) or not all(isinstance(comp, list) for comp in comps):
+            raise InputError('"components" must be a list of coefficient lists')
         return CurveSpec(
             kind=POLYNOMIAL,
             components=tuple(tuple(rat_from_str(c) for c in comp) for comp in comps),
@@ -192,6 +212,8 @@ def curve_spec_from_obj(obj) -> CurveSpec:
 
 
 def curve_spec_to_obj(curve: CurveSpec) -> dict:
+    from .curves import POLYNOMIAL, RATIONAL_NORMAL
+
     if curve.kind == RATIONAL_NORMAL:
         return {"kind": RATIONAL_NORMAL}
     return {

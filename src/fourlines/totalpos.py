@@ -41,6 +41,11 @@ Y_SIGN = MatQ(
 )
 
 PARAM_NAMES = "abcdefghijklmnop"
+#: Largest ``random_tp_instance`` bound.  The entries of a bound-10^100
+#: instance reach about 2,200 characters, so every generated instance reads
+#: back under ``serialize.MAX_RATIONAL_LENGTH`` (4,096); at 10^250 they
+#: reach 4,479, and at 10^1000 they exceed Python's 4,300-digit print limit.
+MAX_BOUND = 10**100
 
 
 @dataclass(frozen=True)
@@ -324,6 +329,8 @@ def random_tp_instance(seed: int, bound: int = 10):
     """Deterministic totally positive instance: parameters and blocks of [X Y]."""
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
+    if bound > MAX_BOUND:
+        raise DomainError(f"bound must be <= 10^100, got a {len(str(bound))}-digit bound")
     rng = random.Random(seed)
     params = LWParams(
         tuple(Fraction(rng.randint(1, bound), rng.randint(1, bound)) for _ in range(16))

@@ -11,9 +11,10 @@ from fourlines import (
     blocks_of_canonical,
     random_tp_instance,
 )
-from fourlines import cli
+from fourlines import transversal
 from fourlines.curves import MAX_GRID, MAX_SCHUBERT_N
 from fourlines.identity import MAX_SPOTS
+from fourlines.totalpos import MAX_BOUND
 from fourlines import serialize as ser
 from fourlines.cli import run
 
@@ -95,6 +96,16 @@ class TestSolve:
         assert sols == ["inst1.solution.json", "inst2.solution.json", "inst3.solution.json"]
         for p in outdir.glob("*.solution.json"):
             assert len(json.loads(p.read_text())["lines"]) == 2
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.write_text("{}")],
+                             ids=["missing", "file"])
+    def test_batch_not_a_directory(self, tmp_path, capsys, make):
+        indir = tmp_path / "batch"
+        make(indir)
+        outdir = tmp_path / "out"
+        assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_no_input(self, capsys):
         assert run(["solve"]) == 2
@@ -199,6 +210,18 @@ class TestOthers:
         assert run(["solve", "--input", str(inst)]) == 0
         assert len(json.loads(capsys.readouterr().out)["lines"]) == 2
 
+    def test_random_instance_bound_cap(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        assert run(["random-instance", "--seed", "3", "--bound", str(MAX_BOUND),
+                    "--output", str(inst)]) == 0
+        assert run(["check-tp", "--input", str(inst)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        start = time.perf_counter()
+        assert run(["random-instance", "--seed", "3", "--bound", str(MAX_BOUND + 1)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert "bound must be <= 10^100" in captured.err and captured.out == ""
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -213,7 +236,7 @@ class TestExitCodes:
         def fail(blocks):
             raise error
 
-        monkeypatch.setattr(cli, "solve_transversals", fail)
+        monkeypatch.setattr(transversal, "solve_transversals", fail)
         assert run(["solve", "--input", str(inp)]) == code
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -223,7 +246,7 @@ class TestExitCodes:
         for seed in (1, 2, 3):
             _, blocks = random_tp_instance(seed, bound=5)
             (indir / f"inst{seed}.json").write_text(ser.dumps(ser.blocks_to_obj(blocks)))
-        solve = cli.solve_transversals
+        solve = transversal.solve_transversals
         bad = ser.blocks_from_obj(json.loads((indir / "inst2.json").read_text()))
 
         def fail_on_bad(blocks):
@@ -231,7 +254,7 @@ class TestExitCodes:
                 raise CertificateFailure("tampered")
             return solve(blocks)
 
-        monkeypatch.setattr(cli, "solve_transversals", fail_on_bad)
+        monkeypatch.setattr(transversal, "solve_transversals", fail_on_bad)
         outdir = tmp_path / "out"
         assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 5
         sols = sorted(p.name for p in outdir.glob("*.solution.json"))

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fourlines import CurveSpec, InputError, MatQ, QuadNum, lemma_sample, random_tp_instance, solve_transversals
+from fourlines import (ConfigBlocks, CurveSpec, InputError, LWParams, MatQ, QuadNum, lemma_sample,
+                       random_tp_instance, solve_transversals)
 from fourlines import serialize as ser
+from fourlines.totalpos import MAX_BOUND
 
 from conftest import rand_frac
 
@@ -49,6 +53,14 @@ class TestScalars:
         _, blocks = random_tp_instance(0, 10**30)
         longest = max(len(ser.rat_to_str(x)) for w in blocks.blocks() for row in w.entries() for x in row)
         assert longest * 4 < ser.MAX_RATIONAL_LENGTH
+
+    def test_max_bound_literals_fit(self):
+        for seed in range(10):
+            _, blocks = random_tp_instance(seed, MAX_BOUND)
+            obj = ser.loads(ser.dumps(ser.blocks_to_obj(blocks)))
+            assert ser.blocks_from_obj(obj) == blocks
+            longest = max(len(x) for w in obj["blocks"] for row in w for x in row)
+            assert longest < ser.MAX_RATIONAL_LENGTH
 
     def test_json_over_int_digit_limit(self):
         with pytest.raises(InputError):
@@ -130,3 +142,95 @@ class TestReports:
     def test_bad_json(self):
         with pytest.raises(InputError):
             ser.loads("{not json")
+
+
+derandomized = settings(derandomize=True, max_examples=80, deadline=None)
+rationals = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+positive = st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40))
+quads = st.builds(QuadNum, rationals, rationals,
+                  st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40)))
+blocks = st.lists(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=4, max_size=4),
+                  min_size=4, max_size=4).map(lambda ws: ConfigBlocks(*map(MatQ, ws)))
+curves = st.just(CurveSpec.moment()) | st.lists(
+    st.lists(rationals, max_size=6).map(tuple), min_size=4, max_size=4,
+).map(lambda comps: CurveSpec(kind="polynomial", components=tuple(comps)))
+
+
+def _via_json(obj):
+    return ser.loads(ser.dumps(obj))
+
+
+class TestRoundTripProperties:
+    @derandomized
+    @given(blocks)
+    def test_blocks(self, b):
+        assert ser.blocks_from_obj(_via_json(ser.blocks_to_obj(b))) == b
+
+    @derandomized
+    @given(st.lists(positive, min_size=16, max_size=16).map(lambda vs: LWParams(tuple(vs))))
+    def test_lw_params(self, params):
+        assert ser.params_from_obj(_via_json(ser.params_to_obj(params))) == params
+
+    @derandomized
+    @given(quads)
+    def test_quad(self, q):
+        assert ser.quad_from_obj(_via_json(ser.quad_to_obj(q))) == q
+
+    @derandomized
+    @given(rationals)
+    def test_rational_as_quad(self, r):
+        assert ser.quad_to_obj(r) == ser.quad_to_obj(QuadNum.of(r, 0))
+
+    @derandomized
+    @given(curves)
+    def test_curve_spec(self, curve):
+        assert ser.curve_spec_from_obj(_via_json(ser.curve_spec_to_obj(curve))) == curve
+
+
+#: Any JSON value, biased towards the keys and shapes the parsers look for.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(
+        ["1", "-2/3", "1/0", "0.5", "x", "", "polynomial", "rational_normal"]),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(
+        st.sampled_from(["blocks", "kind", "components", "a"]) | st.text(max_size=3),
+        children, max_size=4),
+    max_leaves=15,
+)
+near_blocks = st.fixed_dictionaries({"blocks": json_values | st.lists(
+    st.lists(st.lists(json_values, min_size=2, max_size=2) | json_values, min_size=4, max_size=4)
+    | json_values, min_size=4, max_size=4)})
+near_curves = st.fixed_dictionaries({"kind": st.just("polynomial"), "components": json_values | st.lists(
+    st.lists(json_values, max_size=3) | json_values, min_size=4, max_size=4)})
+
+
+def _parses_or_input_error(parse, obj):
+    """``parse(obj)`` returns, or raises InputError; any other exception fails."""
+    try:
+        parse(obj)
+    except InputError:
+        pass
+
+
+class TestParserFuzz:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(json_values | near_blocks)
+    def test_blocks_from_obj(self, obj):
+        _parses_or_input_error(ser.blocks_from_obj, obj)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(json_values | near_curves)
+    def test_curve_spec_from_obj(self, obj):
+        _parses_or_input_error(ser.curve_spec_from_obj, obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"blocks": 5}, {"blocks": None}, {"blocks": "abcd"}, {"blocks": {"a": 1, "b": 2, "c": 3, "d": 4}},
+        {"blocks": [["12", "34", "56", "78"]] * 4}, {"blocks": [[{"a": 1}, {"b": 2}]] * 4},
+    ])
+    def test_malformed_blocks(self, obj):
+        with pytest.raises(InputError):
+            ser.blocks_from_obj(obj)
+
+    @pytest.mark.parametrize("components", [5, [5, 6, 7, 8], ["12", "1", "1", "1"], {"a": [1]}])
+    def test_malformed_components(self, components):
+        with pytest.raises(InputError):
+            ser.curve_spec_from_obj({"kind": "polynomial", "components": components})

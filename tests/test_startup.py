@@ -1,0 +1,129 @@
+"""What a process loads: the lazy package names, and the modules each CLI
+command imports."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fourlines
+from fourlines import cli
+
+SRC = Path(fourlines.__file__).resolve().parent.parent
+PERFBENCH = SRC.parent / "perfbench"
+
+#: Every name the package exported when it imported all submodules at once,
+#: with the submodule that defines it.
+EXPORTS = {
+    "errors": "CertificateFailure DegenerateConfiguration DegenerateLine DegeneratePencil "
+              "DimensionError DomainError FourLinesError HypothesisViolation InputError "
+              "NoRealSolution NonGenericConfiguration NotConvex NotTotallyPositive "
+              "RadicandMismatch SearchFailure SingularMatrixError",
+    "exact": "IndexSet MatQ QuadNum Rat mat_det mat_inverse mat_minor quad_arith",
+    "poly": "Poly16 poly_add poly_equal poly_eval poly_mul",
+    "totalpos": "CanonicalForm ConfigBlocks LWParams TPReport Y_SIGN blocks_of_canonical "
+                "canonicalize check_tp_config check_tp_square lw_compose lw_factor "
+                "random_tp_instance",
+    "transversal": "BilinearForm LineRep Quadratic TransversalSolution bilinear_forms "
+                   "discriminant_from_minors eliminate_to_quadratic oracle_plucker_solve "
+                   "plucker_meet plucker_of_span solve_canonical solve_transversals",
+    "identity": "IdentityCertificate printed_FGH symbolic_D symbolic_X verify_identity",
+    "curves": "ConvexityReport CurveSpec SampleReport convexity_sample_check curve_eval "
+              "epsilon_threshold frenet_basis kappa_of lemma_sample schubert_count "
+              "tangent_block tangent_config",
+}
+
+
+def _python(*args: str) -> str:
+    """The output of a fresh interpreter that sees the package sources."""
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
+                          timeout=60, check=True)
+    return proc.stdout
+
+
+class TestPackageNames:
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_each_name_is_the_defining_modules_object(self, module):
+        defining = importlib.import_module(f"fourlines.{module}")
+        for name in EXPORTS[module].split():
+            assert getattr(fourlines, name) is getattr(defining, name), name
+            assert name in dir(fourlines), name
+            assert name in fourlines.__all__, name
+
+    def test_from_import(self):
+        from fourlines import MatQ, solve_transversals, verify_identity
+        from fourlines.exact import MatQ as exact_matq
+        from fourlines.identity import verify_identity as identity_verify
+        from fourlines.transversal import solve_transversals as transversal_solve
+
+        assert (MatQ, solve_transversals, verify_identity) == (
+            exact_matq, transversal_solve, identity_verify)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+            fourlines.frobnicate
+        assert not hasattr(fourlines, "_certifying_sample")
+        with pytest.raises(ImportError):
+            from fourlines import frobnicate  # noqa: F401
+
+    def test_import_loads_only_errors(self):
+        out = _python("-c", "import sys, fourlines; "
+                      "print(sorted(m for m in sys.modules if m.startswith('fourlines'))); "
+                      "print(fourlines.exact.MatQ is fourlines.MatQ)")
+        assert out.split("\n")[:2] == ["['fourlines', 'fourlines.errors']", "True"]
+
+
+class TestCommandImports:
+    def test_verify_identity_loads_five_modules(self, tmp_path):
+        out = tmp_path / "cert.json"
+        code = (
+            "import runpy, sys\n"
+            f"sys.argv = ['fourlines', 'verify-identity', '--spots', '1', '--output', {str(out)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('fourlines.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(sorted(m for m in sys.modules if m.startswith('fourlines')))\n"
+        )
+        assert _python("-c", code).strip() == str(
+            ["fourlines", "fourlines.errors", "fourlines.identity", "fourlines.poly",
+             "fourlines.serialize"])
+        assert json.loads(out.read_text())["equal"] is True
+
+    def test_library_import_loads_what_the_tracer_wraps(self):
+        # The tracer finds the modules it wraps in sys.modules after
+        # ``import fourlines.cli``; importing it afterwards must load none.
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+            "import fourlines.cli\n"
+            "loaded = set(sys.modules)\n"
+            "import tracer\n"
+            "wrapped = {m for m, _, _ in tracer.FUNCTION_SPANS} | {'fourlines.curves'}\n"
+            "wrapped |= {cls.__module__ for cls, _, _ in tracer.METHOD_SPANS + tracer.METHOD_COUNTS}\n"
+            "print(sorted(wrapped - loaded))\n"
+            "print(sorted(m for m in set(sys.modules) - loaded if m.startswith('fourlines')))\n"
+            "t = tracer.Tracer()\n"
+            "t.install()\n"
+            "t.restore()\n"
+        )
+        assert _python("-c", code).split("\n")[:2] == ["[]", "[]"]
+
+
+class TestCachedParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_bad_argv_then_good_equals_fresh_process(self, capsys):
+        assert cli.run(["verify-identity", "--spots", "3", "--seed", "x"]) == 2
+        assert cli.run(["frobnicate"]) == 2
+        capsys.readouterr()
+        assert cli.run(["verify-identity", "--spots", "2", "--seed", "4"]) == 0
+        in_process = capsys.readouterr().out
+        fresh = _python("-m", "fourlines.cli", "verify-identity", "--spots", "2", "--seed", "4")
+        assert in_process == fresh
+        assert json.loads(in_process)["equal"] is True
