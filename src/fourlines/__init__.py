@@ -30,8 +30,8 @@ from .errors import (
 _LAZY = {
     name: module
     for module, names in (
-        ("exact", "IndexSet MatQ QuadNum Rat mat_det mat_inverse mat_minor quad_arith"),
-        ("poly", "Poly16 poly_add poly_equal poly_eval poly_mul"),
+        ("exact", "IndexSet MatQ QuadNum Rat"),
+        ("poly", "Poly16 poly_equal"),
         ("totalpos", "CanonicalForm ConfigBlocks LWParams TPReport Y_SIGN blocks_of_canonical "
                      "canonicalize check_tp_config check_tp_square lw_compose lw_factor "
                      "random_tp_instance"),

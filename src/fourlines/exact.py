@@ -159,9 +159,6 @@ class QuadNum:
         """(a + b sqrt d)(a - b sqrt d) = a^2 - d b^2."""
         return self.a * self.a - self.d * self.b * self.b
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def approx(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(float(self.d))
 
@@ -185,19 +182,6 @@ class QuadNum:
         if self.b == 0:
             return f"QuadNum({self.a})"
         return f"QuadNum({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def quad_arith(op: str, u: QuadNum, v: QuadNum) -> QuadNum:
-    """Named-operation entry point over Q(sqrt d)."""
-    if op == "add":
-        return u + v
-    if op == "sub":
-        return u - v
-    if op == "mul":
-        return u * v
-    if op == "div":
-        return u / v
-    raise ValueError(f"unknown operation {op!r}")
 
 
 @dataclass(frozen=True)
@@ -288,16 +272,6 @@ class MatQ:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._e)
         return f"MatQ[{body}]"
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in addition")
-        return MatQ([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in subtraction")
-        return MatQ([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
-
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -372,30 +346,48 @@ class MatQ:
             raise DimensionError(f"minor needs |I| = |J|, got {len(I)} and {len(J)}")
         return self.submatrix(I, J).det()
 
+    def _rref(self, right: Optional[list] = None) -> tuple:
+        """Gauss-Jordan elimination of [self | right], pivoting in the columns of self.
+
+        Returns the reduced rows and the pivot columns (0-based, increasing);
+        a column without a pivot is spanned by the columns before it.
+        """
+        if right is None:
+            a = [list(row) for row in self._e]
+        else:
+            a = [list(row) + extra for row, extra in zip(self._e, right)]
+        pivots = []
+        for c in range(self.cols):
+            r = len(pivots)
+            if r == self.rows:
+                break
+            for piv in range(r, self.rows):
+                if a[piv][c]:
+                    break
+            else:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            inv = self._invert_scalar(a[r][c])
+            a[r] = [x * inv for x in a[r]]
+            for i in range(self.rows):
+                if i != r and a[i][c]:
+                    f = a[i][c]
+                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            pivots.append(c)
+        return a, pivots
+
     def inverse(self) -> "MatQ":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse by Gauss-Jordan elimination of [self | I]."""
         if not self.is_square():
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
-        a = [list(row) + [self._one_like() if i == j else self._zero_like() for j in range(n)]
-             for i, row in enumerate(self._e)]
-        for k in range(n):
-            piv = None
-            for r in range(k, n):
-                if a[r][k]:
-                    piv = r
-                    break
-            if piv is None:
-                raise SingularMatrixError(
-                    f"matrix is singular: pivot column {k + 1} has vanishing determinant"
-                )
-            a[k], a[piv] = a[piv], a[k]
-            inv = self._invert_scalar(a[k][k])
-            a[k] = [x * inv for x in a[k]]
-            for r in range(n):
-                if r != k and a[r][k]:
-                    f = a[r][k]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+        one, zero = self._one_like(), self._zero_like()
+        a, pivots = self._rref([[one if i == j else zero for j in range(n)] for i in range(n)])
+        if len(pivots) < n:
+            k = min(set(range(n)) - set(pivots))
+            raise SingularMatrixError(
+                f"matrix is singular: pivot column {k + 1} has vanishing determinant"
+            )
         return MatQ([row[n:] for row in a])
 
     def _one_like(self) -> Scalar:
@@ -411,55 +403,13 @@ class MatQ:
         return Fraction(1) / x
 
     def rank(self) -> int:
-        a = [list(row) for row in self._e]
-        r = 0
-        for c in range(self.cols):
-            piv = None
-            for i in range(r, self.rows):
-                if a[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = self._invert_scalar(a[r][c])
-            a[r] = [x * inv for x in a[r]]
-            for i in range(self.rows):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        return len(self._rref()[1])
 
     def nullspace(self) -> list:
         """Basis of the right kernel, as tuples of Fractions."""
-        a = [list(row) for row in self._e]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            piv = None
-            for i in range(r, self.rows):
-                if a[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = self._invert_scalar(a[r][c])
-            a[r] = [x * inv for x in a[r]]
-            for i in range(self.rows):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        free = [c for c in range(self.cols) if c not in pivots]
+        a, pivots = self._rref()
         basis = []
-        for fc in free:
+        for fc in (c for c in range(self.cols) if c not in pivots):
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
             for rr, pc in enumerate(pivots):
@@ -500,14 +450,3 @@ def minor_ladder(m: MatQ) -> tuple:
                 minors[rows, cols] = total
     return minors, scales
 
-
-def mat_det(m: MatQ) -> Scalar:
-    return m.det()
-
-
-def mat_minor(m: MatQ, I, J) -> Scalar:
-    return m.minor(I, J)
-
-
-def mat_inverse(m: MatQ) -> MatQ:
-    return m.inverse()

@@ -1,9 +1,11 @@
 """Symbolic certification of the discriminant decomposition D = m^2 n^2 (FG + H^2).
 
-The discriminant is expanded from 2x2 minors of the symbolic factorization
-product; that expansion is the authority.  The printed F, G, H are
-transcribed verbatim and compared against it, equality or the exact
-difference polynomial going into the certificate.
+The left side is the solver's own discriminant chain (``fourlines.chart``:
+the chart product, its bilinear forms, their resultant and B^2 - 4AC) run
+on ``Poly16`` variables instead of rationals; that expansion is the
+authority.  The printed F, G, H are transcribed verbatim and compared
+against it, equality or the exact difference polynomial going into the
+certificate.
 """
 from __future__ import annotations
 
@@ -11,10 +13,11 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
+from .chart import discriminant_of, lw_product
 from .errors import InputError
-from .poly import Poly16, poly_equal
+from .poly import VARS, Poly16, poly_equal
 
 #: Largest ``verify_identity`` spot count: each spot evaluates both sides
 #: once, and ``verify-identity --spots 1000`` takes about a second on a
@@ -41,56 +44,14 @@ _G_TERMS = (
 _H_TERMS = (("bknp", 1), ("cdehijmo", -1))
 
 
-def _v(name: str) -> Poly16:
-    return Poly16.variable(name)
-
-
-def symbolic_X() -> list:
+def symbolic_X() -> tuple:
     """4x4 matrix of polynomials: the factorization product L * diag * U."""
-    a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p = (_v(ch) for ch in "abcdefghijklmnop")
-    one = Poly16.constant(1)
-    zero = Poly16.zero()
-    lower = [
-        [one, zero, zero, zero],
-        [g + j + l, one, zero, zero],
-        [h * j + h * l + k * l, h + k, one, zero],
-        [i * k * l, i * k, i, one],
-    ]
-    diag = [m, n, o, p]
-    upper = [
-        [one, f + d + a, a * b + a * e + d * e, a * b * c],
-        [zero, one, b + e, b * c],
-        [zero, zero, one, c],
-        [zero, zero, zero, one],
-    ]
-    ld = [[lower[r][t] * diag[t] for t in range(4)] for r in range(4)]
-    return [
-        [sum((ld[r][t] * upper[t][s] for t in range(4)), Poly16.zero()) for s in range(4)]
-        for r in range(4)
-    ]
-
-
-def _minor2(x, rows, cols) -> Poly16:
-    r1, r2 = (r - 1 for r in rows)
-    c1, c2 = (c - 1 for c in cols)
-    return x[r1][c1] * x[r2][c2] - x[r1][c2] * x[r2][c1]
+    return lw_product([Poly16.variable(ch) for ch in VARS])
 
 
 def symbolic_D() -> Poly16:
-    """Discriminant formula expanded over the symbolic minors."""
-    x = symbolic_X()
-    d1312 = _minor2(x, (1, 3), (1, 2))
-    d1412 = _minor2(x, (1, 4), (1, 2))
-    d2312 = _minor2(x, (2, 3), (1, 2))
-    d2412 = _minor2(x, (2, 4), (1, 2))
-    d1334 = _minor2(x, (1, 3), (3, 4))
-    d1434 = _minor2(x, (1, 4), (3, 4))
-    d2334 = _minor2(x, (2, 3), (3, 4))
-    d2434 = _minor2(x, (2, 4), (3, 4))
-    bracket = d1312 * d2434 - d2412 * d1334 - d1412 * d2334 + d2312 * d1434
-    return bracket * bracket - 4 * (d1312 * d1434 - d1412 * d1334) * (
-        d2312 * d2434 - d2412 * d2334
-    )
+    """The solver's discriminant chain expanded over the symbolic X."""
+    return discriminant_of(symbolic_X())
 
 
 def printed_FGH() -> Tuple[Poly16, Poly16, Poly16]:

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from math import prod
 from operator import add
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 VARS = "abcdefghijklmnop"
 NVARS = 16
@@ -235,18 +235,6 @@ class Poly16:
 
     def __repr__(self):
         return f"Poly16({self.to_text()})"
-
-
-def poly_add(p: Poly16, q: Poly16) -> Poly16:
-    return p + q
-
-
-def poly_mul(p: Poly16, q: Poly16) -> Poly16:
-    return p * q
-
-
-def poly_eval(p: Poly16, values: Sequence) -> Fraction:
-    return p.eval(values)
 
 
 def poly_equal(p: Poly16, q: Poly16):

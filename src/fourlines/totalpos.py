@@ -1,16 +1,6 @@
 """Total positivity: configuration checks, canonical reduction, and the
-16-parameter triangular factorization of totally positive 4x4 matrices.
-
-Note on the factorization chart: the lower unitriangular factor used here is
-
-    [[1, 0, 0, 0],
-     [g+j+l, 1, 0, 0],
-     [hj+hl+kl, h+k, 1, 0],
-     [ikl, ik, i, 1]]
-
-which equals the bidiagonal product
-(I + g E21 + h E32 + i E43)(I + j E21 + k E32)(I + l E21), so every
-positive parameter choice yields a totally positive product.
+16-parameter triangular factorization of totally positive 4x4 matrices
+(the chart itself is ``fourlines.chart.lw_product``).
 """
 from __future__ import annotations
 
@@ -28,6 +18,7 @@ from .errors import (
     InputError,
     NotTotallyPositive,
 )
+from .chart import lw_product
 from .exact import IndexSet, MatQ, as_rat, minor_ladder
 
 #: The fixed anti-diagonal sign matrix of the canonical form [X Y].
@@ -220,25 +211,7 @@ def canonicalize(blocks: ConfigBlocks, strict: bool = True) -> CanonicalForm:
 
 def lw_compose(params: LWParams) -> MatQ:
     """Totally positive 4x4 matrix L * diag(m,n,o,p) * U from positive parameters."""
-    a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p = params.values
-    lower = MatQ(
-        [
-            [1, 0, 0, 0],
-            [g + j + l, 1, 0, 0],
-            [h * j + h * l + k * l, h + k, 1, 0],
-            [i * k * l, i * k, i, 1],
-        ]
-    )
-    diag = MatQ.diag([m, n, o, p])
-    upper = MatQ(
-        [
-            [1, f + d + a, a * b + a * e + d * e, a * b * c],
-            [0, 1, b + e, b * c],
-            [0, 0, 1, c],
-            [0, 0, 0, 1],
-        ]
-    )
-    return lower @ diag @ upper
+    return MatQ(lw_product(params.values))
 
 
 def _ldu(x: MatQ):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourlines import (
     DimensionError,
@@ -11,10 +14,6 @@ from fourlines import (
     RadicandMismatch,
     SingularMatrixError,
     Y_SIGN,
-    mat_det,
-    mat_inverse,
-    mat_minor,
-    quad_arith,
 )
 from fourlines.exact import rational_sqrt
 
@@ -39,15 +38,15 @@ def laplace_row_expansion(m: MatQ, row: int) -> Fraction:
 
 class TestDeterminant:
     def test_identity(self):
-        assert mat_det(MatQ.identity(4)) == 1
+        assert MatQ.identity(4).det() == 1
 
     def test_sign_matrix(self):
         # frozen via cofactor expansion of the displayed 4x4
-        assert mat_det(Y_SIGN) == 1
+        assert Y_SIGN.det() == 1
         assert det_cofactor(Y_SIGN) == 1
 
     def test_all_ones_composition(self, x1):
-        assert mat_det(x1) == 1
+        assert x1.det() == 1
 
     def test_non_square(self):
         with pytest.raises(DimensionError):
@@ -76,17 +75,17 @@ class TestDeterminant:
 
 class TestMinor:
     def test_x1_minors(self, x1):
-        assert mat_minor(x1, (1, 3), (1, 2)) == 2
-        assert mat_minor(x1, (2, 4), (3, 4)) == 20
+        assert x1.minor((1, 3), (1, 2)) == 2
+        assert x1.minor((2, 4), (3, 4)) == 20
 
     def test_full_minor_is_det(self):
         rng = random.Random(17)
         m = rand_mat(rng)
-        assert mat_minor(m, (1, 2, 3, 4), (1, 2, 3, 4)) == m.det()
+        assert m.minor((1, 2, 3, 4), (1, 2, 3, 4)) == m.det()
 
     def test_size_mismatch(self, x1):
         with pytest.raises(DimensionError):
-            mat_minor(x1, (1, 2), (1, 2, 3))
+            x1.minor((1, 2), (1, 2, 3))
 
     def test_matches_copied_submatrix(self):
         rng = random.Random(19)
@@ -97,7 +96,7 @@ class TestMinor:
             for I in combinations(range(1, 5), size):
                 for J in combinations(range(1, 5), size):
                     copied = MatQ([[m[i - 1, j - 1] for j in J] for i in I])
-                    assert mat_minor(m, I, J) == copied.det()
+                    assert m.minor(I, J) == copied.det()
 
     def test_index_set_validation(self):
         with pytest.raises(DimensionError):
@@ -108,16 +107,16 @@ class TestMinor:
 
 class TestInverse:
     def test_identity(self):
-        assert mat_inverse(MatQ.identity(4)) == MatQ.identity(4)
+        assert MatQ.identity(4).inverse() == MatQ.identity(4)
 
     def test_sign_matrix_inverse_is_transpose(self):
-        inv = mat_inverse(Y_SIGN)
+        inv = Y_SIGN.inverse()
         assert inv == Y_SIGN.transpose()
         assert Y_SIGN @ inv == MatQ.identity(4)
 
     def test_diagonal(self):
         d = MatQ.diag([Fraction(2), Fraction(3), Fraction(5), Fraction(7)])
-        assert mat_inverse(d) == MatQ.diag(
+        assert d.inverse() == MatQ.diag(
             [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)]
         )
 
@@ -144,7 +143,7 @@ class TestQuadNum:
         assert q(1, 1, 2) * q(1, -1, 2) == -1
 
     def test_rationalization(self):
-        inv = quad_arith("div", q(1, 0, 5), q(3, 1, 5))
+        inv = q(1, 0, 5) / q(3, 1, 5)
         assert inv == q(Fraction(3, 4), Fraction(-1, 4), 5)
         assert inv * q(3, 1, 5) == 1
 
@@ -152,10 +151,12 @@ class TestQuadNum:
         rng = random.Random(29)
         for _ in range(50):
             a, b = rand_frac(rng), rand_frac(rng)
-            for op, f in (("add", a + b), ("sub", a - b), ("mul", a * b)):
-                assert quad_arith(op, q(a, 0, 7), q(b, 0, 7)) == f
+            u, v = q(a, 0, 7), q(b, 0, 7)
+            assert u + v == a + b
+            assert u - v == a - b
+            assert u * v == a * b
             if b != 0:
-                assert quad_arith("div", q(a, 0, 7), q(b, 0, 7)) == a / b
+                assert u / v == a / b
 
     def test_field_axioms(self):
         rng = random.Random(31)
@@ -185,7 +186,7 @@ class TestQuadNum:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            quad_arith("div", q(1, 0, 2), q(0, 0, 2))
+            q(1, 0, 2) / q(0, 0, 2)
 
     def test_same_value_across_radicands(self):
         # sqrt(320) = 8*sqrt(5)
@@ -214,3 +215,64 @@ def test_nullspace():
         assert all(
             sum(m[i, j] * v[j] for j in range(3)) == 0 for i in range(2)
         )
+
+
+def rank_by_minors(m: MatQ) -> int:
+    """Order of the largest non-vanishing minor, by cofactor expansion: a rank
+    oracle independent of the library's Gauss-Jordan elimination."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rows in combinations(range(1, m.rows + 1), k):
+            for cols in combinations(range(1, m.cols + 1), k):
+                if det_cofactor(m.submatrix(rows, cols)):
+                    return k
+    return 0
+
+
+small_scalars = st.sampled_from([0, 0, 1, -1, 2]) | st.fractions(-5, 5, max_denominator=4)
+
+
+def entry_lists(rows: int, cols: int):
+    row = st.lists(small_scalars, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@st.composite
+def small_matrices(draw, square=False):
+    """Matrices of at most 4 rows and 5 columns; half of them are a product
+    through k <= min(rows, cols) dimensions, so often rank-deficient."""
+    rows = draw(st.integers(1, 4))
+    cols = rows if square else draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return MatQ(draw(entry_lists(rows, cols)))
+    k = draw(st.integers(1, min(rows, cols)))
+    return MatQ(draw(entry_lists(rows, k))) @ MatQ(draw(entry_lists(k, cols)))
+
+
+derandomized = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+class TestGaussJordan:
+    @derandomized
+    @given(small_matrices())
+    def test_rank_and_nullspace(self, m):
+        basis = m.nullspace()
+        assert m.rank() == rank_by_minors(m)
+        assert m.rank() + len(basis) == m.cols
+        for v in basis:
+            assert len(v) == m.cols and all(type(x) is Fraction for x in v)
+            assert all(sum(m[i, j] * v[j] for j in range(m.cols)) == 0 for i in range(m.rows))
+        if basis:
+            assert MatQ(basis).rank() == len(basis)
+
+    @derandomized
+    @given(small_matrices(square=True))
+    def test_inverse(self, m):
+        n = m.rows
+        if m.det() != 0:
+            assert m @ m.inverse() == MatQ.identity(n) == m.inverse() @ m
+            return
+        # the first column that the columns before it span has no pivot
+        first = next(c for c in range(1, n + 1)
+                     if rank_by_minors(m.submatrix(range(1, n + 1), range(1, c + 1))) < c)
+        with pytest.raises(SingularMatrixError, match=f"pivot column {first} has vanishing"):
+            m.inverse()

@@ -10,7 +10,9 @@ from fourlines import (
     symbolic_X,
     verify_identity,
 )
+from fourlines import chart
 from fourlines.identity import rhs_poly
+from fourlines.poly import VARS, Poly16
 
 from conftest import rand_params
 
@@ -47,6 +49,50 @@ class TestSymbolicD:
 
     def test_at_all_ones(self):
         assert symbolic_D().eval([Fraction(1)] * 16) == 320
+
+
+def bracket_discriminant(x):
+    """The discriminant as the bracket formula in the eight 2x2 minors of X
+    (rows 13, 14, 23, 24; columns 12 and 34): the reference that the
+    solver's chain of ``chart`` functions must equal."""
+
+    def d(rows, cols):
+        (r1, r2), (c1, c2) = ((int(ch) - 1 for ch in rows), (int(ch) - 1 for ch in cols))
+        return x[r1][c1] * x[r2][c2] - x[r1][c2] * x[r2][c1]
+
+    d1312, d1412, d2312, d2412 = (d(rows, "12") for rows in ("13", "14", "23", "24"))
+    d1334, d1434, d2334, d2434 = (d(rows, "34") for rows in ("13", "14", "23", "24"))
+    bracket = d1312 * d2434 - d2412 * d1334 - d1412 * d2334 + d2312 * d1434
+    return bracket * bracket - 4 * (d1312 * d1434 - d1412 * d1334) * (
+        d2312 * d2434 - d2412 * d2334
+    )
+
+
+class TestDiscriminantChain:
+    """Symbolic proofs that the solver's discriminant chain is the bracket
+    formula, for every X, and gives symbolic_D on the chart."""
+
+    def test_generic_x(self):
+        # X with 16 free entries: x[r][s] is the variable a..p in row-major order
+        x = [[Poly16.variable(VARS[4 * r + s]) for s in range(4)] for r in range(4)]
+        lhs = chart.discriminant_of(x)
+        assert lhs == bracket_discriminant(x)
+        assert lhs.num_terms() == 136
+
+    def test_chart_x(self):
+        assert chart.discriminant_of(symbolic_X()) == symbolic_D()
+        assert bracket_discriminant(symbolic_X()) == symbolic_D()
+
+    def test_forms_and_resultant_on_generic_x(self):
+        x = [[Poly16.variable(VARS[4 * r + s]) for s in range(4)] for r in range(4)]
+        f, h = chart.bilinear_forms(x)
+        a, b, c = chart.resultant(f, h)
+        # Eliminating y from f = y(c_xy x + c_y) + (c_x x + c_1) and h leaves
+        # -(A x^2 + B x + C); both sides have degree 2 in x, so agreeing at
+        # three values of x proves it.
+        for t in (0, 1, 2):
+            lhs = (f[1] * t + f[3]) * (h[0] * t + h[2]) - (h[1] * t + h[3]) * (f[0] * t + f[2])
+            assert lhs == -(a * t * t + b * t + c)
 
 
 class TestFactorization:

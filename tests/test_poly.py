@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourlines import Poly16, poly_add, poly_equal, poly_eval, poly_mul
+from fourlines import Poly16, poly_equal
 from fourlines.identity import printed_FGH, rhs_poly, symbolic_D
 
 from conftest import poly_eval_oracle, rand_frac
@@ -100,21 +100,21 @@ class TestRingOps:
     def test_additive_inverse(self):
         rng = random.Random(3)
         p = rand_poly(rng)
-        z = poly_add(p, -p)
+        z = p + (-p)
         assert z.is_zero()
         assert z.terms == {}
 
     def test_annihilation(self):
         f, _, _ = printed_FGH()
-        assert poly_mul(f, Poly16.zero()).is_zero()
+        assert (f * Poly16.zero()).is_zero()
 
     def test_eval_is_ring_homomorphism(self):
         rng = random.Random(5)
         for _ in range(100):
             p, q = rand_poly(rng), rand_poly(rng)
             point = [rand_frac(rng) for _ in range(16)]
-            assert poly_eval(p * q, point) == poly_eval(p, point) * poly_eval(q, point)
-            assert poly_eval(p + q, point) == poly_eval(p, point) + poly_eval(q, point)
+            assert (p * q).eval(point) == p.eval(point) * q.eval(point)
+            assert (p + q).eval(point) == p.eval(point) + q.eval(point)
 
     @derandomized
     @given(sparse_polys, sparse_polys, points)
@@ -147,9 +147,9 @@ class TestPrintedPolynomials:
     def test_evaluations_at_ones(self):
         f, g, h = printed_FGH()
         ones = [Fraction(1)] * 16
-        assert poly_eval(f, ones) == 20
-        assert poly_eval(g, ones) == 16
-        assert poly_eval(h, ones) == 0
+        assert f.eval(ones) == 20
+        assert g.eval(ones) == 16
+        assert h.eval(ones) == 0
 
     def test_term_counts(self):
         f, g, h = printed_FGH()

@@ -22,8 +22,8 @@ EXPORTS = {
               "DimensionError DomainError FourLinesError HypothesisViolation InputError "
               "NoRealSolution NonGenericConfiguration NotConvex NotTotallyPositive "
               "RadicandMismatch SearchFailure SingularMatrixError",
-    "exact": "IndexSet MatQ QuadNum Rat mat_det mat_inverse mat_minor quad_arith",
-    "poly": "Poly16 poly_add poly_equal poly_eval poly_mul",
+    "exact": "IndexSet MatQ QuadNum Rat",
+    "poly": "Poly16 poly_equal",
     "totalpos": "CanonicalForm ConfigBlocks LWParams TPReport Y_SIGN blocks_of_canonical "
                 "canonicalize check_tp_config check_tp_square lw_compose lw_factor "
                 "random_tp_instance",
@@ -78,7 +78,7 @@ class TestPackageNames:
 
 
 class TestCommandImports:
-    def test_verify_identity_loads_five_modules(self, tmp_path):
+    def test_verify_identity_loads_six_modules(self, tmp_path):
         out = tmp_path / "cert.json"
         code = (
             "import runpy, sys\n"
@@ -90,8 +90,8 @@ class TestCommandImports:
             "print(sorted(m for m in sys.modules if m.startswith('fourlines')))\n"
         )
         assert _python("-c", code).strip() == str(
-            ["fourlines", "fourlines.errors", "fourlines.identity", "fourlines.poly",
-             "fourlines.serialize"])
+            ["fourlines", "fourlines.chart", "fourlines.errors", "fourlines.identity",
+             "fourlines.poly", "fourlines.serialize"])
         assert json.loads(out.read_text())["equal"] is True
 
     def test_library_import_loads_what_the_tracer_wraps(self):

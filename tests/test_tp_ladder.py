@@ -369,10 +369,19 @@ class TestCertificatesRaise:
             solve_transversals(blocks)
 
     def test_tampered_discriminant(self, monkeypatch):
-        _, blocks = random_tp_instance(0)
-        monkeypatch.setattr(transversal, "discriminant_from_minors", lambda x: Fraction(-1))
-        with pytest.raises(CertificateFailure, match="discriminant"):
-            solve_transversals(blocks)
+        # The quadratic has one source; a wrong one yields roots that the
+        # chart-root or the incidence certificate rejects.
+        original = transversal.eliminate_to_quadratic
+
+        def tampered(f, h):
+            quad = original(f, h)
+            return transversal.Quadratic(quad.a, quad.b, quad.c - 1)
+
+        monkeypatch.setattr(transversal, "eliminate_to_quadratic", tampered)
+        for seed in range(20):
+            _, blocks = random_tp_instance(seed)
+            with pytest.raises(CertificateFailure, match="misses a bilinear form|misses an input line"):
+                solve_transversals(blocks)
 
     def test_tampered_oracle_line(self, monkeypatch):
         _, blocks = random_tp_instance(0)

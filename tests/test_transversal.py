@@ -123,6 +123,11 @@ class TestElimination:
         h = BilinearForm(Fraction(2), Fraction(4), Fraction(6), Fraction(8))
         with pytest.raises(DegeneratePencil):
             eliminate_to_quadratic(f, h)
+        # xy and y share the factor y: the resultant vanishes, but they are
+        # not proportional
+        xy = BilinearForm(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        y = BilinearForm(Fraction(0), Fraction(0), Fraction(1), Fraction(0))
+        assert eliminate_to_quadratic(xy, y) == Quadratic(0, 0, 0)
 
     def test_discriminant_from_minors_matches(self):
         rng = random.Random(89)
