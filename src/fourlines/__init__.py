@@ -30,7 +30,7 @@ from .errors import (
 _LAZY = {
     name: module
     for module, names in (
-        ("exact", "IndexSet MatQ QuadNum Rat"),
+        ("exact", "IndexSet MatQ QuadNum"),
         ("poly", "Poly16 poly_equal"),
         ("totalpos", "CanonicalForm ConfigBlocks LWParams TPReport Y_SIGN blocks_of_canonical "
                      "canonicalize check_tp_config check_tp_square lw_compose lw_factor "

@@ -170,12 +170,12 @@ def _cmd_solve(args) -> int:
                 continue
             try:
                 sol = solve_transversals(ser.blocks_from_obj(_read_json(str(path))))
+                text = ser.dumps(ser.solution_to_obj(sol))
             except FourLinesError as exc:
                 sys.stderr.write(f"{path.name}: {exc}\n")
                 worst = max(worst, _code_of(exc))
                 continue
-            out = outdir / (path.stem + ".solution.json")
-            out.write_text(ser.dumps(ser.solution_to_obj(sol)))
+            (outdir / (path.stem + ".solution.json")).write_text(text)
         return worst
     if not args.input:
         raise InputError("solve needs --input or --batch")
@@ -193,14 +193,14 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _cmd_curve_sample(args) -> int:
-    from .curves import _certifying_sample, lemma_sample
+    from .curves import MAX_CURVE_LITERAL, _certifying_sample, lemma_sample
 
     curve = _load_curve(args.curve)
-    ts = tuple(ser.rat_from_str(part) for part in args.ts.split(","))
+    ts = tuple(ser.rat_from_str(part, MAX_CURVE_LITERAL) for part in args.ts.split(","))
     if args.epsilon == "auto":
         report = _certifying_sample(curve, ts)
     else:
-        report = lemma_sample(curve, ts, ser.rat_from_str(args.epsilon))
+        report = lemma_sample(curve, ts, ser.rat_from_str(args.epsilon, MAX_CURVE_LITERAL))
     _emit(ser.sample_report_to_obj(report), args.output, args.format)
     return EXIT_OK if report.ok else EXIT_HYPOTHESIS
 

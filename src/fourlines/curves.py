@@ -27,6 +27,13 @@ POLYNOMIAL = "polynomial"
 #: Largest ``convexity_sample_check`` grid: C(32, 4) = 35,960 determinants;
 #: the ladder's time and memory grow as grid^4.
 MAX_GRID = 32
+#: Halvings of the epsilon search before it gives up.
+MAX_HALVINGS = 64
+#: Most coefficients per curve component (degree 5), and most characters in
+#: a rational literal of a curve spec, ``--ts`` or ``--epsilon``.  At both
+#: caps ``convexity-check --grid 32`` takes under 2 s, as on a small quartic.
+MAX_CURVE_COEFFS = 6
+MAX_CURVE_LITERAL = 8
 #: Largest n of ``schubert_count``: counts up to n = 100 have at most 3,364
 #: decimal digits, below the 4,300 that Python prints by default.
 MAX_SCHUBERT_N = 100
@@ -51,6 +58,8 @@ class CurveSpec:
         comps = tuple(tuple(as_rat(c) for c in comp) for comp in comps)
         if len(comps) != 4:
             raise InputError("curve needs exactly 4 polynomial components")
+        if max(map(len, comps)) > MAX_CURVE_COEFFS:
+            raise InputError(f"a curve component has more than {MAX_CURVE_COEFFS} coefficients")
         object.__setattr__(self, "components", comps)
 
     @staticmethod
@@ -191,9 +200,7 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[tuple] = None) 
     )
 
 
-def _certifying_sample(
-    curve: CurveSpec, ts, max_halvings: int = 64, frames: Optional[tuple] = None
-) -> SampleReport:
+def _certifying_sample(curve: CurveSpec, ts, frames: Optional[tuple] = None) -> SampleReport:
     """Deterministic halving search; the first sample report that certifies
     the sampling lemma.
 
@@ -206,7 +213,7 @@ def _certifying_sample(
         frames = _frames(curve, ts, frenet_basis(curve))
     gaps = [ts[i + 1] - ts[i] for i in range(3)] + [Fraction(1) - ts[3]]
     eps = min(gaps) / 4
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         try:
             report = lemma_sample(curve, ts, eps, frames=frames)
             if report.ok:
@@ -214,12 +221,12 @@ def _certifying_sample(
         except InputError:
             pass
         eps /= 2
-    raise SearchFailure(f"no certifying epsilon found after {max_halvings} halvings")
+    raise SearchFailure(f"no certifying epsilon found after {MAX_HALVINGS} halvings")
 
 
-def epsilon_threshold(curve: CurveSpec, ts, max_halvings: int = 64) -> Fraction:
+def epsilon_threshold(curve: CurveSpec, ts) -> Fraction:
     """Deterministic halving search for an epsilon certifying the sampling lemma."""
-    return _certifying_sample(curve, ts, max_halvings).epsilon
+    return _certifying_sample(curve, ts).epsilon
 
 
 def tangent_config(curve: CurveSpec, ts) -> ConfigBlocks:

@@ -19,7 +19,6 @@ from .errors import (
     SingularMatrixError,
 )
 
-Rat = Fraction
 Scalar = Union[int, Fraction, "QuadNum"]
 
 
@@ -159,8 +158,13 @@ class QuadNum:
         """(a + b sqrt d)(a - b sqrt d) = a^2 - d b^2."""
         return self.a * self.a - self.d * self.b * self.b
 
-    def approx(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(float(self.d))
+    def approx(self) -> Optional[float]:
+        """The value as a float, or None outside the float range."""
+        try:
+            value = float(self.a) + float(self.b) * math.sqrt(float(self.d))
+        except OverflowError:
+            return None
+        return value if math.isfinite(value) else None
 
     def same_value(self, other) -> bool:
         """Exact value equality across possibly different radicand contexts."""
@@ -238,11 +242,6 @@ class MatQ:
         return MatQ([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def diag(values: Sequence[Scalar]) -> "MatQ":
-        n = len(values)
-        return MatQ([[values[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def from_cols(cols: Sequence[Sequence[Scalar]]) -> "MatQ":
         n = len(cols[0])
         return MatQ([[cols[j][i] for j in range(len(cols))] for i in range(n)])
@@ -283,9 +282,6 @@ class MatQ:
             ]
         )
 
-    def scale(self, s: Scalar) -> "MatQ":
-        return MatQ([[x * s for x in row] for row in self._e])
-
     def transpose(self) -> "MatQ":
         return MatQ([self.col(j) for j in range(self.cols)])
 
@@ -302,10 +298,6 @@ class MatQ:
 
     def map(self, fn) -> "MatQ":
         return MatQ([[fn(x) for x in row] for row in self._e])
-
-    def to_quad(self, d) -> "MatQ":
-        d = as_rat(d)
-        return self.map(lambda x: x if isinstance(x, QuadNum) else QuadNum.of(x, d))
 
     def is_square(self) -> bool:
         return self.rows == self.cols

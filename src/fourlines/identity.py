@@ -9,7 +9,6 @@ certificate.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,9 +109,6 @@ class IdentityCertificate:
                 for s in self.spot_evaluations
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2)
 
 
 def verify_identity(spot_count: int = 5, seed: int = 0) -> IdentityCertificate:

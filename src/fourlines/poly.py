@@ -83,9 +83,6 @@ class Poly16:
     def __sub__(self, other) -> "Poly16":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Poly16":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "Poly16":
         other = self._coerce(other)
         t: Dict[ExpVec, int] = {}
@@ -103,18 +100,6 @@ class Poly16:
         return Poly16._of(t)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly16":
-        if n < 0:
-            raise ValueError("negative exponent")
-        out = Poly16.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     @staticmethod
     def _coerce(x) -> "Poly16":

@@ -7,7 +7,9 @@ row-major nested arrays.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -24,7 +26,13 @@ if TYPE_CHECKING:
 
 def rat_to_str(r: Fraction) -> str:
     r = Fraction(r)
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    try:
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    except ValueError as exc:  # Python prints integers of at most 4,300 digits
+        big = max(abs(r.numerator), r.denominator)
+        k = int((big.bit_length() - 1) * math.log10(2))  # big has k + 1 or k + 2 digits
+        raise InputError(f"an output number of {k + 1 + (big >= 10 ** (k + 1))} digits exceeds "
+                         f"the {sys.get_int_max_str_digits()}-digit print limit") from exc
 
 
 #: The only accepted rational literal: ``-?[0-9]+(/[0-9]+)?``, no sign on
@@ -35,14 +43,14 @@ _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 MAX_RATIONAL_LENGTH = 4096
 
 
-def rat_from_str(s) -> Fraction:
-    """Parse a rational literal of the strict grammar above (a JSON integer
-    is read as its decimal string)."""
+def rat_from_str(s, max_length: int = MAX_RATIONAL_LENGTH) -> Fraction:
+    """Parse a rational literal of the grammar above, at most ``max_length``
+    characters long (a JSON integer is read as its decimal string)."""
     s = str(s) if isinstance(s, int) and not isinstance(s, bool) else s
     if not isinstance(s, str):
         raise InputError(f"rational literal must be a string, got {type(s).__name__}")
-    if len(s) > MAX_RATIONAL_LENGTH:
-        raise InputError(f"rational literal of {len(s)} characters exceeds {MAX_RATIONAL_LENGTH}")
+    if len(s) > max_length:
+        raise InputError(f"rational literal of {len(s)} characters exceeds {max_length}")
     if not _RATIONAL.fullmatch(s):
         raise InputError(f"bad rational literal {s!r}: expected p or p/q in decimal digits")
     try:
@@ -190,7 +198,7 @@ def convexity_report_to_obj(rep: ConvexityReport) -> dict:
 
 
 def curve_spec_from_obj(obj) -> CurveSpec:
-    from .curves import POLYNOMIAL, RATIONAL_NORMAL, CurveSpec
+    from .curves import MAX_CURVE_LITERAL, POLYNOMIAL, RATIONAL_NORMAL, CurveSpec
 
     try:
         kind = obj["kind"]
@@ -206,7 +214,8 @@ def curve_spec_from_obj(obj) -> CurveSpec:
             raise InputError('"components" must be a list of coefficient lists')
         return CurveSpec(
             kind=POLYNOMIAL,
-            components=tuple(tuple(rat_from_str(c) for c in comp) for comp in comps),
+            components=tuple(tuple(rat_from_str(c, MAX_CURVE_LITERAL) for c in comp)
+                             for comp in comps),
         )
     raise InputError(f"unknown curve kind {kind!r}")
 

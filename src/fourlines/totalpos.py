@@ -14,7 +14,6 @@ from .errors import (
     DegenerateConfiguration,
     DimensionError,
     DomainError,
-    HypothesisViolation,
     InputError,
     NotTotallyPositive,
 )
@@ -138,9 +137,9 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     evaluated exactly.  The report carries that canonical form.  A
     singular [W3 W4] has none, so then the minors are scanned directly.
 
-    A TP verdict also proves what canonicalize(strict=True) checks:
-    det(g) = 1/minor_W(5,6,7,8) > 0, and each minor of X is a positive
-    multiple of a maximal minor of W.
+    A TP verdict also proves det(g) = 1/minor_W(5,6,7,8) > 0 and, since
+    each minor of X is a positive multiple of a maximal minor of W, that
+    X is totally positive.
     """
     for idx, w in enumerate(blocks.blocks(), start=1):
         if w.rank() < 2:
@@ -188,25 +187,12 @@ def check_tp_square(x: MatQ) -> TPReport:
     return TPReport(True)
 
 
-def canonicalize(blocks: ConfigBlocks, strict: bool = True) -> CanonicalForm:
+def canonicalize(blocks: ConfigBlocks) -> CanonicalForm:
     """Reduce [W1 W2 W3 W4] to the form [X Y] by g = Y*[W3 W4]^(-1).
 
-    With ``strict`` the postconditions det(g) > 0 and X totally positive
-    are enforced (hypothesis-violation error carrying the witness minor);
-    otherwise the caller is expected to inspect them.
+    Only reduces: the total-positivity verdict is ``check_tp_config``'s.
     """
-    canon, det_g = _reduce(blocks)
-    if strict:
-        if det_g <= 0:
-            raise HypothesisViolation(f"det(g) = {det_g} is not positive")
-        rep = check_tp_square(canon.x)
-        if not rep.ok:
-            raise NotTotallyPositive(
-                f"canonical X is not totally positive: minor rows {rep.witness_rows} "
-                f"cols {rep.witness_cols} = {rep.witness_minor}",
-                witness=rep,
-            )
-    return canon
+    return _reduce(blocks)[0]
 
 
 def lw_compose(params: LWParams) -> MatQ:

@@ -143,7 +143,6 @@ class TransversalSolution:
     quadratic: Quadratic
     roots: tuple
     lines: Tuple[LineRep, LineRep]
-    canonical_lines: Tuple[LineRep, LineRep]
     incidence: tuple
     warnings: Tuple[str, ...] = ()
 
@@ -203,62 +202,55 @@ def _recover_y(x_val: QuadNum, f: BilinearForm, h: BilinearForm) -> QuadNum:
     raise NonGenericConfiguration("both y-denominators vanish at a root")
 
 
-def solve_canonical(x: MatQ, forms=None, quad=None):
-    """Both (x, y) chart solutions and the two canonical lines U(x, y).
+def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
+    """Both (x, y) chart solutions and the spans of the two canonical lines U(x, y).
 
-    Returns (roots, lines, warnings); roots are pairs of QuadNums with
-    radicand D (kept unreduced).
+    Returns (roots, spans, warnings); roots are pairs of QuadNums and spans
+    4x2 matrices, all over the unreduced radicand D = quad.disc.
     """
-    if forms is None:
-        forms = bilinear_forms(x)
     f, h = forms
-    if quad is None:
-        quad = eliminate_to_quadratic(f, h)
     warnings: List[str] = []
     disc = quad.disc
     if quad.a == 0:
         if quad.b == 0:
             raise NonGenericConfiguration("quadratic degenerates to a constant")
         warnings.append("degenerate-leading-coefficient")
-        d_ctx = disc
-        x0 = QuadNum.of(Fraction(-quad.c, quad.b), d_ctx)
+        x0 = QuadNum.of(Fraction(-quad.c, quad.b), disc)
         y0 = _recover_y(x0, f, h)
         roots = [(x0, y0)]
-        lines = [LineRep.from_span(_canonical_span(x0, y0, d_ctx))]
-        limit = _limit_line(f, h, d_ctx)
+        spans = [_canonical_span(x0, y0, disc)]
+        limit = _limit_span(f, h, disc)
         if limit is not None:
             warnings.append("solution-at-infinity")
-            lines.append(limit)
+            spans.append(limit)
             roots.append((None, None))
-        return tuple(roots), tuple(lines), warnings
+        return tuple(roots), tuple(spans), warnings
     sq = _sqrt_in_context(disc)
-    d_ctx = sq.d
-    two_a = QuadNum.of(2 * quad.a, d_ctx)
-    minus_b = QuadNum.of(-quad.b, d_ctx)
+    two_a = QuadNum.of(2 * quad.a, disc)
+    minus_b = QuadNum.of(-quad.b, disc)
     roots = []
-    lines = []
+    spans = []
     for sgn in (1, -1):
         x_val = (minus_b + (sq if sgn == 1 else -sq)) / two_a
         y_val = _recover_y(x_val, f, h)
         if f.eval(x_val, y_val) != 0 or h.eval(x_val, y_val) != 0:
             raise CertificateFailure(f"chart root x = {x_val!r} misses a bilinear form")
         roots.append((x_val, y_val))
-        lines.append(LineRep.from_span(_canonical_span(x_val, y_val, d_ctx)))
+        spans.append(_canonical_span(x_val, y_val, disc))
         if disc == 0:
             warnings.append("double-root")
             break
-    return tuple(roots), tuple(lines), warnings
+    return tuple(roots), tuple(spans), warnings
 
 
-def _limit_line(f: BilinearForm, h: BilinearForm, d: Fraction) -> Optional[LineRep]:
+def _limit_span(f: BilinearForm, h: BilinearForm, d: Fraction) -> Optional[MatQ]:
     # x -> infinity chart limit: direction (0,1,0,0) with y from the xy-leading part
     for form in (h, f):
         if form.c_xy:
             y_inf = QuadNum.of(Fraction(-form.c_x, form.c_xy), d)
             one = QuadNum.of(1, d)
             zero = QuadNum.of(0, d)
-            span = MatQ([[zero, zero], [one, zero], [zero, -one], [zero, y_inf]])
-            return LineRep.from_span(span)
+            return MatQ([[zero, zero], [one, zero], [zero, -one], [zero, y_inf]])
     return None
 
 
@@ -271,28 +263,28 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     """
     tp = check_tp_config(blocks)
     # Only a singular [W3 W4] leaves no canonical form; canonicalize raises for it.
-    canon = tp.canonical or canonicalize(blocks, strict=False)
+    canon = tp.canonical or canonicalize(blocks)
     warnings: List[str] = [] if tp.ok else ["hypothesis-not-verified"]
     if not tp.ok and canon.g.det() <= 0:
         warnings.append("canonical-basis-orientation-flipped")
     forms = bilinear_forms(canon.x)
     quad = eliminate_to_quadratic(*forms)
-    if tp.ok and quad.disc <= 0:
+    disc = quad.disc
+    if tp.ok and disc <= 0:
         raise NoRealSolution(
-            f"discriminant {quad.disc} not positive despite verified total positivity"
+            f"discriminant {disc} not positive despite verified total positivity"
         )
-    roots, canon_lines, w2 = solve_canonical(canon.x, forms, quad)
+    roots, spans, w2 = solve_canonical(forms, quad)
     warnings.extend(w2)
-    if len(canon_lines) != 2:
+    if len(spans) != 2:
         raise NonGenericConfiguration("expected exactly two chart solutions")
-    d_ctx = _context_radicand(canon_lines)
     # g = Y [W3 W4]^(-1) and Y is a signed permutation, so g^(-1) = [W3 W4] Y^T.
     g_inv = blocks.w3.hstack(blocks.w4) @ Y_SIGN.transpose()
-    lines = tuple(LineRep.from_span(_map_span(g_inv, ln.span, d_ctx)) for ln in canon_lines)
+    lines = tuple(LineRep.from_span(_map_span(g_inv, span, disc)) for span in spans)
     if lines[0].proportional(lines[1]):
         raise NonGenericConfiguration("the two solution lines coincide")
     incidence = tuple(
-        tuple(_rational_meet(ell, ln.plucker, d_ctx) for ln in lines)
+        tuple(_rational_meet(ell, ln.plucker, disc) for ln in lines)
         for ell in map(plucker_of_span, blocks.blocks())
     )
     if any(v != 0 for row in incidence for v in row):
@@ -303,7 +295,6 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
         quadratic=quad,
         roots=roots,
         lines=lines,
-        canonical_lines=canon_lines,
         incidence=incidence,
         warnings=tuple(warnings),
     )
@@ -323,14 +314,6 @@ def _rational_meet(ell: tuple, p: tuple, d: Fraction) -> QuadNum:
     return QuadNum(
         plucker_meet(ell, tuple(q.a for q in p)), plucker_meet(ell, tuple(q.b for q in p)), d
     )
-
-
-def _context_radicand(lines) -> Fraction:
-    for ln in lines:
-        for v in ln.plucker:
-            if isinstance(v, QuadNum):
-                return v.d
-    return Fraction(0)
 
 
 def span_from_plucker(p: tuple) -> MatQ:

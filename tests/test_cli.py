@@ -1,10 +1,12 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from fourlines import (
     CertificateFailure,
+    ConfigBlocks,
     MatQ,
     SingularMatrixError,
     Y_SIGN,
@@ -12,7 +14,7 @@ from fourlines import (
     random_tp_instance,
 )
 from fourlines import transversal
-from fourlines.curves import MAX_GRID, MAX_SCHUBERT_N
+from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N
 from fourlines.identity import MAX_SPOTS
 from fourlines.totalpos import MAX_BOUND
 from fourlines import serialize as ser
@@ -24,6 +26,20 @@ from conftest import X1_ENTRIES
 def write_x1_config(path):
     blocks = blocks_of_canonical(MatQ(X1_ENTRIES))
     path.write_text(ser.dumps(ser.blocks_to_obj(blocks)))
+
+
+def write_scaled_instance(path, block, factor):
+    """random_tp_instance(0) with every entry of one block multiplied by factor."""
+    ws = list(random_tp_instance(0)[1].blocks())
+    ws[block] = ws[block].map(lambda v: v * factor)
+    obj = ser.blocks_to_obj(ConfigBlocks(*ws))
+    assert max(len(x) for w in obj["blocks"] for row in w for x in row) <= ser.MAX_RATIONAL_LENGTH
+    path.write_text(ser.dumps(obj))
+
+
+#: Numerator and denominator of 2,000 digits each: the input literals stay
+#: under 4,096 characters, but the solution holds numbers of 8,006 digits.
+LONG = Fraction(10**1999 + 7, 10**1999 + 3)
 
 
 class TestCheckTP:
@@ -110,6 +126,39 @@ class TestSolve:
     def test_no_input(self, capsys):
         assert run(["solve"]) == 2
 
+    def test_output_number_over_the_print_limit_exits_2(self, tmp_path, capsys):
+        inp, out = tmp_path / "cfg.json", tmp_path / "sol.json"
+        write_scaled_instance(inp, 0, LONG)
+        start = time.perf_counter()
+        assert run(["solve", "--input", str(inp), "--output", str(out)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "output number of 8006 digits exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_reports_an_unprintable_solution_and_goes_on(self, tmp_path, capsys):
+        indir = tmp_path / "batch"
+        indir.mkdir()
+        write_scaled_instance(indir / "inst1.json", 0, LONG)
+        write_scaled_instance(indir / "inst2.json", 0, 1)
+        outdir = tmp_path / "out"
+        assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 2
+        assert [p.name for p in outdir.glob("*.solution.json")] == ["inst2.solution.json"]
+        assert "inst1.json: an output number of 8006 digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [0, 2])
+    def test_approx_outside_the_float_range_is_null(self, tmp_path, capsys, block):
+        inp = tmp_path / "cfg.json"
+        write_scaled_instance(inp, block, 10**400)
+        start = time.perf_counter()
+        assert run(["solve", "--input", str(inp)]) == 0
+        assert time.perf_counter() - start < 1
+        obj = json.loads(capsys.readouterr().out)
+        sol = transversal.solve_transversals(ser.blocks_from_obj(json.loads(inp.read_text())))
+        for line, ln in zip(obj["lines"], sol.lines):
+            assert None in line["approx"]
+            assert line["plucker"] == [ser.quad_to_obj(v) for v in ln.plucker]
+            assert line["span"] == ser.quad_mat_to_obj(ln.span)
+
 
 class TestVerifyIdentity:
     def test_certificate(self, capsys):
@@ -154,6 +203,40 @@ class TestCurveSample:
         assert run(["curve-sample", "--ts", "1/10,3/10,5/10,7/10", "--epsilon", literal]) == 2
         assert time.perf_counter() - start < 2
         assert "rational literal" in capsys.readouterr().err
+
+    def test_long_ts_exit_2_quickly(self, capsys):
+        # four 801-character rationals: once a traceback from printing the
+        # sample, now refused by the literal cap
+        ts = ",".join(f"{k * 10**399 + 1}/{10**400 - k}" for k in (3, 5, 7, 9))
+        start = time.perf_counter()
+        assert run(["curve-sample", "--ts", ts]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"rational literal of 801 characters exceeds {MAX_CURVE_LITERAL}" in capsys.readouterr().err
+
+    def test_curve_caps(self, tmp_path, capsys):
+        # The quartic (1, t, t^2, t^3 + c t^4), each component padded with
+        # zeros to n coefficients; c, each t and epsilon have
+        # MAX_CURVE_LITERAL characters, plus `extra`.
+        def curve_sample(n=MAX_CURVE_COEFFS, extra=(0, 0, 0)):
+            c = "-1/1" + "0" * (MAX_CURVE_LITERAL - 4 + extra[0])
+            ts = ",".join(f"{k}/1" + "0" * (MAX_CURVE_LITERAL - 3 + extra[1]) for k in (1, 3, 5, 7))
+            eps = "1/" + "9" * (MAX_CURVE_LITERAL - 2 + extra[2])
+            comps = [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1", c]]
+            path = tmp_path / "curve.json"
+            path.write_text(json.dumps({"kind": "polynomial",
+                                        "components": [cs + ["0"] * (n - len(cs)) for cs in comps]}))
+            start = time.perf_counter()
+            code = run(["curve-sample", "--ts", ts, "--epsilon", eps, "--curve", str(path)])
+            assert time.perf_counter() - start < 1
+            return code
+
+        assert curve_sample() == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        for extra in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            assert curve_sample(extra=extra) == 2
+            assert f"of {MAX_CURVE_LITERAL + 1} characters exceeds" in capsys.readouterr().err
+        assert curve_sample(n=MAX_CURVE_COEFFS + 1) == 2
+        assert f"more than {MAX_CURVE_COEFFS} coefficients" in capsys.readouterr().err
 
     def test_hostile_literal_in_json(self, tmp_path, capsys):
         spec = {"kind": "polynomial",

@@ -25,6 +25,7 @@ from fourlines import (
     tangent_block,
     tangent_config,
 )
+from fourlines import curves
 from fourlines.curves import POLYNOMIAL
 
 TS = (Fraction(1, 10), Fraction(3, 10), Fraction(5, 10), Fraction(7, 10))
@@ -60,7 +61,7 @@ class TestCurveEval:
 class TestFrenet:
     def test_moment_basis_is_diagonal(self):
         fb = frenet_basis(CurveSpec.moment())
-        assert fb == MatQ.diag([Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6)])
+        assert fb == MatQ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(1, 2), 0], [0, 0, 0, Fraction(1, 6)]])
 
     def test_degenerate(self):
         flat = poly_curve((1,), (0, 1), (0, 0, 1), (0, 0, 1))
@@ -131,9 +132,10 @@ class TestEpsilonThreshold:
         eps = epsilon_threshold(CurveSpec.moment(), ts)
         assert lemma_sample(CurveSpec.moment(), ts, eps).ok
 
-    def test_search_failure(self):
+    def test_search_failure(self, monkeypatch):
+        monkeypatch.setattr(curves, "MAX_HALVINGS", 0)
         with pytest.raises(SearchFailure):
-            epsilon_threshold(CurveSpec.moment(), TS, max_halvings=0)
+            epsilon_threshold(CurveSpec.moment(), TS)
 
 
 class TestTangentConfig:

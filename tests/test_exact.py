@@ -115,9 +115,10 @@ class TestInverse:
         assert Y_SIGN @ inv == MatQ.identity(4)
 
     def test_diagonal(self):
-        d = MatQ.diag([Fraction(2), Fraction(3), Fraction(5), Fraction(7)])
-        assert d.inverse() == MatQ.diag(
-            [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)]
+        d = MatQ([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
+        assert d.inverse() == MatQ(
+            [[Fraction(1, 2), 0, 0, 0], [0, Fraction(1, 3), 0, 0],
+             [0, 0, Fraction(1, 5), 0], [0, 0, 0, Fraction(1, 7)]]
         )
 
     def test_round_trip(self):
@@ -198,6 +199,11 @@ class TestQuadNum:
 
     def test_approx(self):
         assert abs(q(0, 1, 2).approx() - 2 ** 0.5) < 1e-12
+
+    def test_approx_outside_the_float_range_is_none(self):
+        assert q(10**400, 0, 0).approx() is None  # float(a) overflows
+        assert q(1, 10**300, 10**300).approx() is None  # b * sqrt(d) is inf
+        assert q(10**300, 0, 0).approx() == 1e300
 
 
 def test_rational_sqrt():

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from fourlines import (ConfigBlocks, CurveSpec, InputError, LWParams, MatQ, QuadNum, lemma_sample,
                        random_tp_instance, solve_transversals)
 from fourlines import serialize as ser
+from fourlines.curves import MAX_CURVE_COEFFS, _certifying_sample
 from fourlines.totalpos import MAX_BOUND
 
 from conftest import rand_frac
@@ -21,6 +23,26 @@ class TestScalars:
             assert ser.rat_from_str(ser.rat_to_str(r)) == r
         assert ser.rat_to_str(Fraction(3)) == "3"
         assert ser.rat_to_str(Fraction(-2, 7)) == "-2/7"
+
+    def test_rat_over_the_print_limit(self):
+        # Python prints integers of at most 4,300 digits; 10^4300 has 4,301
+        for r in (Fraction(10**4300), Fraction(-1, 10**4300), Fraction(10**4300 + 1, 3)):
+            with pytest.raises(InputError, match="output number of 4301 digits exceeds"):
+                ser.rat_to_str(r)
+
+    def test_digit_count_in_the_message(self):
+        rng = random.Random(131)
+        numbers = [n for k in range(641, 700) for n in (10**k - 1, 10**k, rng.randrange(10**k))]
+        digits = [len(str(n)) for n in numbers]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+        try:
+            for n, d in zip(numbers, digits):
+                if d > 640:
+                    with pytest.raises(InputError, match=f"of {d} digits exceeds the 640-digit"):
+                        ser.rat_to_str(Fraction(1, n))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_bad_rat(self):
         with pytest.raises(InputError):
@@ -130,6 +152,14 @@ class TestReports:
         assert obj["warnings"] == []
         ser.loads(ser.dumps(obj))  # valid JSON
 
+    def test_sample_report_over_the_print_limit(self):
+        # the certified sample of four 801-character ts holds a number of 4,399 digits
+        ts = tuple(Fraction(k * 10**399 + 1, 10**400 - k) for k in (3, 5, 7, 9))
+        assert [len(ser.rat_to_str(t)) for t in ts] == [801] * 4
+        rep = _certifying_sample(CurveSpec.moment(), ts)
+        with pytest.raises(InputError, match="4399 digits exceeds"):
+            ser.sample_report_to_obj(rep)
+
     def test_sample_report_shape(self):
         ts = (Fraction(1, 10), Fraction(3, 10), Fraction(5, 10), Fraction(7, 10))
         obj = ser.sample_report_to_obj(lemma_sample(CurveSpec.moment(), ts, Fraction(1, 20)))
@@ -151,8 +181,10 @@ quads = st.builds(QuadNum, rationals, rationals,
                   st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40)))
 blocks = st.lists(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=4, max_size=4),
                   min_size=4, max_size=4).map(lambda ws: ConfigBlocks(*map(MatQ, ws)))
+#: Curve-spec literals have at most curves.MAX_CURVE_LITERAL (8) characters.
+curve_rationals = st.builds(Fraction, st.integers(-999, 999), st.integers(1, 999))
 curves = st.just(CurveSpec.moment()) | st.lists(
-    st.lists(rationals, max_size=6).map(tuple), min_size=4, max_size=4,
+    st.lists(curve_rationals, max_size=MAX_CURVE_COEFFS).map(tuple), min_size=4, max_size=4,
 ).map(lambda comps: CurveSpec(kind="polynomial", components=tuple(comps)))
 
 

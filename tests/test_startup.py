@@ -22,7 +22,7 @@ EXPORTS = {
               "DimensionError DomainError FourLinesError HypothesisViolation InputError "
               "NoRealSolution NonGenericConfiguration NotConvex NotTotallyPositive "
               "RadicandMismatch SearchFailure SingularMatrixError",
-    "exact": "IndexSet MatQ QuadNum Rat",
+    "exact": "IndexSet MatQ QuadNum",
     "poly": "Poly16 poly_equal",
     "totalpos": "CanonicalForm ConfigBlocks LWParams TPReport Y_SIGN blocks_of_canonical "
                 "canonicalize check_tp_config check_tp_square lw_compose lw_factor "
@@ -67,6 +67,7 @@ class TestPackageNames:
         with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
             fourlines.frobnicate
         assert not hasattr(fourlines, "_certifying_sample")
+        assert not hasattr(fourlines, "Rat")
         with pytest.raises(ImportError):
             from fourlines import frobnicate  # noqa: F401
 

@@ -165,13 +165,6 @@ class TestCanonicalize:
         with pytest.raises(DegenerateConfiguration):
             canonicalize(bad)
 
-    def test_strict_rejects_non_tp(self, blocks_x1):
-        bad = ConfigBlocks(blocks_x1.w2, blocks_x1.w1, blocks_x1.w3, blocks_x1.w4)
-        with pytest.raises(NotTotallyPositive):
-            canonicalize(bad)
-        canon = canonicalize(bad, strict=False)
-        assert not check_tp_square(canon.x).ok
-
 
 class TestRandomInstance:
     def test_deterministic(self):

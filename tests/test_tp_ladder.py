@@ -16,6 +16,7 @@ from fourlines import (
     ConfigBlocks,
     CurveSpec,
     MatQ,
+    QuadNum,
     Y_SIGN,
     canonicalize,
     check_tp_config,
@@ -281,10 +282,33 @@ class TestCheckTpConfig:
             permuted = ConfigBlocks(*(blocks.blocks()[j] for j in order))
             assert as_tuple(check_tp_config(permuted)) == oracle_config(permuted)
 
+    def test_verdict_is_positive_det_g_and_tp_x(self, blocks_x1):
+        # The TP verdict of a configuration says exactly that its canonical
+        # form has det g > 0 and a totally positive X.
+        rng = random.Random(37)
+        cases = perturbed_instances()
+        for seed in range(20):
+            _, blocks = random_tp_instance(seed)
+            order = [0, 1, 2, 3]
+            while order == sorted(order):
+                rng.shuffle(order)
+            cases.append(ConfigBlocks(*(blocks.blocks()[j] for j in order)))
+            cases.append(premultiply(blocks, rand_pos_det(rng)))
+        tp = 0
+        for blocks in cases:
+            canon = canonicalize(blocks)
+            verdict = canon.g.det() > 0 and check_tp_square(canon.x).ok
+            assert check_tp_config(blocks).ok == verdict
+            tp += verdict
+        assert len(cases) == 85 and tp == 25
+        swapped = ConfigBlocks(blocks_x1.w2, blocks_x1.w1, blocks_x1.w3, blocks_x1.w4)
+        assert not check_tp_config(swapped).ok
+        assert not check_tp_square(canonicalize(swapped).x).ok
+
     def test_singular_w34(self):
         for seed in range(3):
             _, b = random_tp_instance(seed)
-            w4 = b.w3.scale(Fraction(2))
+            w4 = b.w3.map(lambda v: 2 * v)
             singular = ConfigBlocks(b.w1, b.w2, b.w3, MatQ([[r[1], r[0]] for r in w4.entries()]))
             rep = check_tp_config(singular)
             assert as_tuple(rep) == oracle_config(singular)
@@ -315,7 +339,7 @@ class TestCheckTpSquare:
 
     def test_canonical_x_of_perturbed_instances(self):
         for blocks in perturbed_instances()[:10]:
-            x = canonicalize(blocks, strict=False).x
+            x = canonicalize(blocks).x
             assert as_tuple(check_tp_square(x)) == oracle_square(x)
 
 
@@ -328,7 +352,7 @@ class TestIncidenceCertificate:
             d = sol.quadratic.disc
             for w, row in zip(blocks.blocks(), sol.incidence):
                 for ln, value in zip(sol.lines, row):
-                    det = w.to_quad(d).hstack(ln.span).det()
+                    det = w.map(lambda v: QuadNum.of(v, d)).hstack(ln.span).det()
                     assert value == det == 0 and value.d == det.d == d
 
     def test_pairing_is_the_determinant_off_the_lines(self):
@@ -340,7 +364,7 @@ class TestIncidenceCertificate:
         d = sol.quadratic.disc
         for w in other.blocks():
             for ln in sol.lines:
-                det = w.to_quad(d).hstack(ln.span).det()
+                det = w.map(lambda v: QuadNum.of(v, d)).hstack(ln.span).det()
                 value = plucker_meet(plucker_of_span(w), ln.plucker)
                 assert value == det != 0 and value.d == det.d == d
 

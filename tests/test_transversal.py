@@ -109,7 +109,7 @@ class TestElimination:
             x = lw_compose(rand_params(rng))
             f, h = bilinear_forms(x)
             quad = eliminate_to_quadratic(f, h)
-            roots, _, _ = solve_canonical(x, (f, h), quad)
+            roots, _, _ = solve_canonical((f, h), quad)
             for xv, yv in roots:
                 if xv is None:
                     continue
@@ -138,9 +138,11 @@ class TestElimination:
 
 class TestSolveCanonical:
     def test_x1_roots(self, x1):
-        roots, lines, warnings = solve_canonical(x1)
+        forms = bilinear_forms(x1)
+        roots, spans, warnings = solve_canonical(forms, eliminate_to_quadratic(*forms))
         assert warnings == []
-        assert len(roots) == len(lines) == 2
+        assert len(roots) == len(spans) == 2
+        assert all(LineRep.from_span(s).plucker[0].d == 320 for s in spans)
         (xp, yp), (xm, ym) = roots
         assert xp == QuadNum(Fraction(-5, 2), Fraction(1, 16), Fraction(320))
         assert xm == QuadNum(Fraction(-5, 2), Fraction(-1, 16), Fraction(320))
@@ -154,22 +156,22 @@ class TestSolveCanonical:
         h = BilinearForm(Fraction(0), Fraction(1), Fraction(-1), Fraction(0))
         assert eliminate_to_quadratic(f, h).disc == -4
         with pytest.raises(NoRealSolution):
-            solve_canonical(MatQ.identity(4), (f, h))
+            solve_canonical((f, h), eliminate_to_quadratic(f, h))
 
     def test_double_root(self):
         f = BilinearForm(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
         h = BilinearForm(Fraction(0), Fraction(1), Fraction(1), Fraction(0))
-        roots, lines, warnings = solve_canonical(MatQ.identity(4), (f, h))
+        roots, spans, warnings = solve_canonical((f, h), eliminate_to_quadratic(f, h))
         assert "double-root" in warnings
-        assert len(lines) == 1
+        assert len([LineRep.from_span(s) for s in spans]) == 1
         assert roots[0][0] == 0 and roots[0][1] == 0
 
     def test_linear_degeneration(self):
         f = BilinearForm(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
         h = BilinearForm(Fraction(0), Fraction(0), Fraction(1), Fraction(1))
-        roots, lines, warnings = solve_canonical(MatQ.identity(4), (f, h))
+        roots, spans, warnings = solve_canonical((f, h), eliminate_to_quadratic(f, h))
         assert "degenerate-leading-coefficient" in warnings
-        assert len(lines) == 1
+        assert len([LineRep.from_span(s) for s in spans]) == 1
         assert roots[0][0] == -1 and roots[0][1] == -1
 
     def test_perfect_square_discriminant_stays_rational(self):
@@ -179,7 +181,7 @@ class TestSolveCanonical:
         h = BilinearForm(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
         quad = eliminate_to_quadratic(f, h)
         assert (quad.a, quad.b, quad.c) == (-1, 3, -2) and quad.disc == 1
-        roots, _, _ = solve_canonical(MatQ.identity(4), (f, h), quad)
+        roots, _, _ = solve_canonical((f, h), quad)
         xs = sorted(r[0].a for r in roots)
         assert xs == [1, 2]
         assert all(r[0].b == 0 for r in roots)
@@ -230,7 +232,7 @@ class TestSolveTransversals:
             assert sol.canonical.x == base.canonical.x
             assert sol.quadratic == base.quadratic
             d = base.lines[0].plucker[0].d
-            hq = h.to_quad(d)
+            hq = h.map(lambda v: QuadNum.of(v, d))
             for ln in base.lines:
                 mapped = LineRep.from_span(hq @ ln.span)
                 assert any(mapped.same_line(s) for s in sol.lines)
