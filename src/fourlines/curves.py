@@ -130,6 +130,34 @@ _SAMPLE_ROWS = tuple(IndexSet(rows) for rows in combinations(range(1, 9), 4))
 _SAMPLE_KAPPAS = tuple(kappa_of(rows) for rows in _SAMPLE_ROWS)
 
 
+def _epsilon_terms() -> tuple:
+    """For each sample row set I, the positions (in lexicographic order) of
+    the maximal minors of the (v, d) matrix that sum to each coefficient of
+    the epsilon-polynomial P_I.
+
+    The (v, d) matrix has rows v_1, d_1, ..., v_4, d_4.  In the sample, a
+    full pair {2k-1, 2k} of I has rows v_k and v_k + eps*d_k, worth v_k and
+    eps*d_k: the factor eps^kappa_I.  A lone even row 2k is v_k + eps*d_k
+    and splits into v_k, on row 2k-1, which I lacks, so the row order and
+    the sign stay, plus eps*d_k.  The coefficient of eps^j sums over the
+    ways to keep j lone even rows as d.
+    """
+    position = {rows: k for k, rows in enumerate(combinations(range(1, 9), 4))}
+    table = []
+    for rows in position:
+        lone = [r for r in rows if r % 2 == 0 and r - 1 not in rows]
+        table.append(tuple(
+            tuple(position[tuple(r - 1 if r in lone and r not in kept else r for r in rows)]
+                  for kept in combinations(lone, j))
+            for j in range(len(lone) + 1)
+        ))
+    return tuple(table)
+
+
+#: Per sample row set, the (v, d) minors feeding each power of epsilon.
+_EPSILON_TERMS = _epsilon_terms()
+
+
 def _maximal_minors(m: MatQ) -> list:
     """Exact maximal minors of a k x 4 rational matrix.
 
@@ -200,26 +228,63 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[tuple] = None) 
     )
 
 
+def _epsilon_polynomials(frames: tuple) -> tuple:
+    """Coefficients, ascending, of the 70 polynomials P_I with sample minor
+    ``eps**kappa_I * P_I(eps)``, in the order of ``_SAMPLE_ROWS``.
+
+    All of them come from one minor ladder of the (v, d) matrix.
+    """
+    base = _maximal_minors(MatQ([row for frame in frames for row in frame]))
+    return tuple(
+        tuple(sum(base[k] for k in terms) for terms in degrees)
+        for degrees in _EPSILON_TERMS
+    )
+
+
+def _nonpositive_below(poly: tuple, eps: Fraction) -> bool:
+    """True when the polynomial is zero or negative at every eps' in (0, eps].
+
+    With c the lowest nonzero coefficient, of degree m, and eps <= 1,
+    |poly(eps') / eps'^m - c| <= eps * (sum of |higher coefficients|); so
+    when that bound is below -c, poly(eps') < 0 throughout.
+    """
+    low = next((m for m, c in enumerate(poly) if c), None)
+    if low is None:
+        return True
+    c = poly[low]
+    return c < 0 and eps <= 1 and eps * sum(abs(h) for h in poly[low + 1:]) < -c
+
+
 def _certifying_sample(curve: CurveSpec, ts, frames: Optional[tuple] = None) -> SampleReport:
     """Deterministic halving search; the first sample report that certifies
     the sampling lemma.
 
     The frames (as in ``lemma_sample``) are computed once, when not given;
     each halving only forms the shifted rows and reads their 70 minors
-    from the integer ladder.
+    from the integer ladder.  eps0 = min gap / 4 and its halvings keep every
+    shifted sample inside its gap, so ``lemma_sample`` accepts each of them.
+
+    After the first failed halving the search reads the 70
+    epsilon-polynomials once, and stops as soon as one of them is provably
+    non-positive at the next eps and every smaller one: no later halving
+    could certify, so it raises the ``SearchFailure`` that running them out
+    would raise.  The constant term of each P_I is itself a sample minor
+    free of eps, so this happens before the second halving or never.
     """
     ts = _validate_ts(ts)
     if frames is None:
         frames = _frames(curve, ts, frenet_basis(curve))
     gaps = [ts[i + 1] - ts[i] for i in range(3)] + [Fraction(1) - ts[3]]
     eps = min(gaps) / 4
+    polys = None
     for _ in range(MAX_HALVINGS):
-        try:
-            report = lemma_sample(curve, ts, eps, frames=frames)
-            if report.ok:
-                return report
-        except InputError:
-            pass
+        if polys is not None and any(_nonpositive_below(p, eps) for p in polys):
+            break
+        report = lemma_sample(curve, ts, eps, frames=frames)
+        if report.ok:
+            return report
+        if polys is None:
+            polys = _epsilon_polynomials(frames)
         eps /= 2
     raise SearchFailure(f"no certifying epsilon found after {MAX_HALVINGS} halvings")
 

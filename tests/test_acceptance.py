@@ -16,6 +16,7 @@ from fourlines import (
     check_tp_square,
     discriminant_from_minors,
     epsilon_threshold,
+    frenet_basis,
     lemma_sample,
     lw_compose,
     lw_factor,
@@ -27,6 +28,7 @@ from fourlines import (
     tangent_config,
     verify_identity,
 )
+from fourlines import curves
 from fourlines.transversal import quadric_value
 
 from conftest import ACCEPTANCE_LINES, X1_ENTRIES, rand_params
@@ -179,8 +181,12 @@ def test_criterion_6_sampling_lemma():
         target = Fraction(1, 2 ** kappa)
         if not Fraction(1, 2) <= ratio / target <= 2:
             scaling_ok = False
-    ok = rep.ok and all(v > 0 for _, v in rep.minors) and len(rep.minors) == 70 and scaling_ok
-    _report(6, ok, f"ε = {eps}: all 70 sample minors positive, halving ratios track 2^(−κ) within factor 2")
+    # each minor is eps^kappa_I * P_I(eps); P_I(0) > 0 makes its eps-order exactly kappa_I
+    polys = curves._epsilon_polynomials(curves._frames(curve, ts, frenet_basis(curve)))
+    order_ok = all(p[0] > 0 for p in polys)
+    ok = rep.ok and all(v > 0 for _, v in rep.minors) and len(rep.minors) == 70 and scaling_ok and order_ok
+    _report(6, ok, f"ε = {eps}: all 70 sample minors positive, of ε-order exactly κ, "
+                   "halving ratios track 2^(−κ) within factor 2")
 
 
 @criterion(7)

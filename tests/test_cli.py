@@ -13,8 +13,8 @@ from fourlines import (
     blocks_of_canonical,
     random_tp_instance,
 )
-from fourlines import transversal
-from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N
+from fourlines import curves, transversal
+from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N, lemma_sample
 from fourlines.identity import MAX_SPOTS
 from fourlines.totalpos import MAX_BOUND
 from fourlines import serialize as ser
@@ -253,6 +253,28 @@ class TestCurveSample:
         path.write_text(json.dumps(spec))
         assert run(["curve-sample", "--ts", "1/10,3/10,5/10,9/10", "--curve", str(path)]) == 3
         assert "no certifying epsilon" in capsys.readouterr().err
+
+    def test_refused_search_stops_early(self, tmp_path, capsys, monkeypatch):
+        # the golden refused case: (1, t, t^2, t^3 - t^4) at 1/10,3/10,5/10,9/10
+        spec = {"kind": "polynomial",
+                "components": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1", "-1"]]}
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(spec))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lemma_sample(*args, **kwargs)
+
+        monkeypatch.setattr(curves, "lemma_sample", counted)
+        out = tmp_path / "out.json"
+        argv = ["curve-sample", "--ts", "1/10,3/10,5/10,9/10", "--epsilon", "auto",
+                "--curve", str(path), "--output", str(out)]
+        assert run(argv) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: no certifying epsilon found after 64 halvings\n"
+        # a P_I(0) <= 0 refuses before the second halving
+        assert len(calls) == 1
 
     def test_custom_curve(self, tmp_path, capsys):
         spec = {"kind": "polynomial", "components": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]}
