@@ -1,4 +1,5 @@
-"""The factorization chart and the discriminant chain, once, over any ring.
+"""The factorization chart, the discriminant chain and the 2x2 minors of a
+4x2 span, once, over any ring.
 
 Every function here uses only ``+``, ``-`` and ``*`` (and multiplication by
 the integer 4), so the same code runs on ``Fraction`` entries, where the
@@ -20,6 +21,11 @@ unitriangular factor with rows (1, f+d+a, ab+ae+de, abc), (0, 1, b+e, bc),
 (0, 0, 1, c), so every positive parameter choice yields a totally positive
 product.
 """
+from itertools import combinations
+
+#: The row pairs (0-based) of the six Pluecker coordinates p12, p13, p14,
+#: p23, p24, p34 of a 4x2 span.
+_PLUCKER_ROWS = tuple(combinations(range(4), 2))
 
 
 def lw_product(params) -> tuple:
@@ -66,3 +72,10 @@ def discriminant(a, b, c):
 def discriminant_of(x):
     """The discriminant of the quadratic that the chart line of X solves."""
     return discriminant(*resultant(*bilinear_forms(x)))
+
+
+def wedge(s, t) -> tuple:
+    """The six 2x2 minors, in the order p12..p34, of column 0 of the 4x2 matrix
+    s beside column 1 of t.  wedge(s, s) is the Pluecker vector of the span of
+    s, and wedge(s, t) + wedge(t, s) is bilinear in s and t."""
+    return tuple(s[r][0] * t[q][1] - s[q][0] * t[r][1] for r, q in _PLUCKER_ROWS)

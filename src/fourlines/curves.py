@@ -267,9 +267,10 @@ def _certifying_sample(curve: CurveSpec, ts, frames: Optional[tuple] = None) -> 
     After the first failed halving the search reads the 70
     epsilon-polynomials once, and stops as soon as one of them is provably
     non-positive at the next eps and every smaller one: no later halving
-    could certify, so it raises the ``SearchFailure`` that running them out
-    would raise.  The constant term of each P_I is itself a sample minor
-    free of eps, so this happens before the second halving or never.
+    could certify, so it raises a ``SearchFailure`` that names that sample
+    minor I and the sign of P_I(0).  The constant term of each P_I is
+    itself a sample minor free of eps, so this happens before the second
+    halving or never.
     """
     ts = _validate_ts(ts)
     if frames is None:
@@ -278,8 +279,12 @@ def _certifying_sample(curve: CurveSpec, ts, frames: Optional[tuple] = None) -> 
     eps = min(gaps) / 4
     polys = None
     for _ in range(MAX_HALVINGS):
-        if polys is not None and any(_nonpositive_below(p, eps) for p in polys):
-            break
+        for rows, kappa, poly in zip(_SAMPLE_ROWS, _SAMPLE_KAPPAS, polys or ()):
+            if _nonpositive_below(poly, eps):
+                raise SearchFailure(
+                    f"no certifying epsilon: sample minor {rows} is eps^{kappa} * P(eps) "
+                    f"with P(0) {'< 0' if poly[0] < 0 else '= 0'}, and P <= 0 on (0, {eps}]"
+                )
         report = lemma_sample(curve, ts, eps, frames=frames)
         if report.ok:
             return report

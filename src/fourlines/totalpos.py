@@ -17,7 +17,7 @@ from .errors import (
     InputError,
     NotTotallyPositive,
 )
-from .chart import lw_product
+from .chart import lw_product, wedge
 from .exact import IndexSet, MatQ, as_rat, minor_ladder
 
 #: The fixed anti-diagonal sign matrix of the canonical form [X Y].
@@ -29,6 +29,22 @@ Y_SIGN = MatQ(
         [1, 0, 0, 0],
     ]
 )
+
+#: Y_SIGN as a signed permutation: row i of Y_SIGN is unit row k, negated
+#: unless positive, for (k, positive) = _Y_MOVES[i].
+_Y_MOVES = tuple(next((k, v > 0) for k, v in enumerate(row) if v) for row in Y_SIGN.entries())
+
+
+def y_sign_times(m: MatQ) -> MatQ:
+    """Y_SIGN @ m, by moving and negating the rows of m."""
+    return MatQ([[x if positive else -x for x in m.row(k)] for k, positive in _Y_MOVES])
+
+
+def times_y_sign_transpose(m: MatQ) -> MatQ:
+    """m @ Y_SIGN.T, by moving and negating the columns of m."""
+    return MatQ([[row[k] if positive else -row[k] for k, positive in _Y_MOVES]
+                 for row in m.entries()])
+
 
 PARAM_NAMES = "abcdefghijklmnop"
 #: Largest ``random_tp_instance`` bound.  The entries of a bound-10^100
@@ -124,7 +140,7 @@ def _reduce(blocks: ConfigBlocks):
     det34 = w34.det()
     if det34 == 0:
         raise DegenerateConfiguration("[W3 W4] is singular: degenerate configuration")
-    g = Y_SIGN @ w34.inverse()
+    g = y_sign_times(w34.inverse())
     return CanonicalForm(g=g, x=g @ blocks.w1.hstack(blocks.w2), y=Y_SIGN), 1 / det34
 
 
@@ -142,7 +158,7 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     X is totally positive.
     """
     for idx, w in enumerate(blocks.blocks(), start=1):
-        if w.rank() < 2:
+        if not any(wedge(w.entries(), w.entries())):
             raise InputError(f"block W{idx} is rank-deficient")
     try:
         canon, det_g = _reduce(blocks)

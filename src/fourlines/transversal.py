@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -23,7 +24,13 @@ from .errors import (
 )
 from . import chart
 from .exact import MatQ, QuadNum, rational_sqrt
-from .totalpos import Y_SIGN, CanonicalForm, ConfigBlocks, canonicalize, check_tp_config
+from .totalpos import (
+    CanonicalForm,
+    ConfigBlocks,
+    canonicalize,
+    check_tp_config,
+    times_y_sign_transpose,
+)
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,7 @@ def plucker_of_span(span: MatQ) -> tuple:
     """The six 2x2 row-minors of a 4x2 span, in order (12,13,14,23,24,34)."""
     if span.rows != 4 or span.cols != 2:
         raise DegenerateLine(f"span must be 4x2, got {span.rows}x{span.cols}")
-    p = tuple(
-        span[r - 1, 0] * span[s - 1, 1] - span[s - 1, 0] * span[r - 1, 1]
-        for r, s in PLUCKER_PAIRS
-    )
+    p = chart.wedge(span.entries(), span.entries())
     if not any(p):
         raise DegenerateLine("span has rank < 2")
     return p
@@ -231,8 +235,13 @@ def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
     roots = []
     spans = []
     for sgn in (1, -1):
-        x_val = (minus_b + (sq if sgn == 1 else -sq)) / two_a
-        y_val = _recover_y(x_val, f, h)
+        if roots and sq.b:
+            # sqrt D is irrational and every other step is rational, so the
+            # second root is the Galois conjugate of the first
+            x_val, y_val = x_val.conjugate(), y_val.conjugate()
+        else:
+            x_val = (minus_b + (sq if sgn == 1 else -sq)) / two_a
+            y_val = _recover_y(x_val, f, h)
         if f.eval(x_val, y_val) != 0 or h.eval(x_val, y_val) != 0:
             raise CertificateFailure(f"chart root x = {x_val!r} misses a bilinear form")
         roots.append((x_val, y_val))
@@ -279,14 +288,20 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     if len(spans) != 2:
         raise NonGenericConfiguration("expected exactly two chart solutions")
     # g = Y [W3 W4]^(-1) and Y is a signed permutation, so g^(-1) = [W3 W4] Y^T.
-    g_inv = blocks.w3.hstack(blocks.w4) @ Y_SIGN.transpose()
-    lines = tuple(LineRep.from_span(_map_span(g_inv, span, disc)) for span in spans)
-    if lines[0].proportional(lines[1]):
-        raise NonGenericConfiguration("the two solution lines coincide")
-    incidence = tuple(
-        tuple(_rational_meet(ell, ln.plucker, disc) for ln in lines)
-        for ell in map(plucker_of_span, blocks.blocks())
-    )
+    g_inv = times_y_sign_transpose(blocks.w3.hstack(blocks.w4))
+    ells = [plucker_of_span(w) for w in blocks.blocks()]
+    if roots[0][0].b:
+        # an irrational root: the second root is its conjugate (solve_canonical),
+        # and the rational g^(-1) commutes with conjugation
+        lines = _conjugate_lines(_map_span(g_inv, spans[0], disc), disc)
+        incidence = _conjugate_incidence(lines, ells, disc)
+    else:
+        lines = tuple(LineRep.from_span(_map_span(g_inv, span, disc)) for span in spans)
+        if lines[0].proportional(lines[1]):
+            raise NonGenericConfiguration("the two solution lines coincide")
+        incidence = tuple(
+            tuple(_rational_meet(ell, ln.plucker, disc) for ln in lines) for ell in ells
+        )
     if any(v != 0 for row in incidence for v in row):
         raise CertificateFailure("a solution line misses an input line")
     return TransversalSolution(
@@ -306,6 +321,50 @@ def _map_span(m: MatQ, span: MatQ, d: Fraction) -> MatQ:
     a = (m @ span.map(lambda q: q.a)).entries()
     b = (m @ span.map(lambda q: q.b)).entries()
     return MatQ([[QuadNum(x, y, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+
+
+def _conjugate_lines(span: MatQ, d: Fraction) -> Tuple[LineRep, LineRep]:
+    """The line of span = A + sqrt(d)*B (A, B rational, sqrt(d) irrational)
+    and its Galois conjugate A - sqrt(d)*B.
+
+    The Pluecker vector of the first is pa + sqrt(d)*pb, with pa = A^A + d*B^B
+    and pb = A^B + B^A rational; that of the conjugate is pa - sqrt(d)*pb.
+    """
+    a = [[q.a for q in row] for row in span.entries()]
+    b = [[q.b for q in row] for row in span.entries()]
+    pa = [u + d * v for u, v in zip(chart.wedge(a, a), chart.wedge(b, b))]
+    pb = [u + v for u, v in zip(chart.wedge(a, b), chart.wedge(b, a))]
+    return (
+        LineRep(span, tuple(QuadNum(u, v, d) for u, v in zip(pa, pb))),
+        LineRep(span.map(QuadNum.conjugate), tuple(QuadNum(u, -v, d) for u, v in zip(pa, pb))),
+    )
+
+
+def _conjugate_incidence(lines: Tuple[LineRep, LineRep], ells: list, d: Fraction) -> tuple:
+    """The incidence rows of the lines pa + sqrt(d)*pb and pa - sqrt(d)*pb, from
+    the pairings of each rational ell with pa and with pb.
+
+    First certifies what makes each value of the second line the conjugate
+    of the first's: its stored span and Pluecker vector are the conjugates,
+    both lines lie on the Pluecker quadric, and they differ.
+    """
+    first, second = ((*ln.plucker, *(x for row in ln.span.entries() for x in row)) for ln in lines)
+    if any(u.a != v.a or u.b != -v.b for u, v in zip(first, second)):
+        raise CertificateFailure("solution line 2 is not the conjugate of line 1")
+    pa, pb = tuple(u.a for u in first[:6]), tuple(u.b for u in first[:6])
+    # Q(pa + sqrt(d) pb) = Q(pa) + d Q(pb) + sqrt(d) <pa, pb>: the pairing is
+    # the polar form of the quadric Q
+    if quadric_value(pa) + d * quadric_value(pb) or plucker_meet(pa, pb):
+        raise CertificateFailure("a solution line is off the Pluecker quadric")
+    # sqrt(d) is irrational, so the lines coincide exactly when pa and pb are
+    # proportional; distinct conjugate roots give distinct lines
+    if all(pa[i] * pb[j] == pa[j] * pb[i] for i, j in combinations(range(6), 2)):
+        raise CertificateFailure("the two conjugate solution lines coincide")
+    rows = []
+    for ell in ells:
+        u, v = plucker_meet(ell, pa), plucker_meet(ell, pb)
+        rows.append((QuadNum(u, v, d), QuadNum(u, -v, d)))
+    return tuple(rows)
 
 
 def _rational_meet(ell: tuple, p: tuple, d: Fraction) -> QuadNum:

@@ -98,3 +98,79 @@ def premultiply(blocks, h: MatQ):
     from fourlines import ConfigBlocks
 
     return ConfigBlocks(*(h @ w for w in blocks.blocks()))
+
+
+def two_root_solve(blocks):
+    """The solver with both lines built in full over Q(sqrt D), as a test-only
+    oracle for the conjugate-pair path: each root by the quadratic formula
+    and ``_recover_y``, each line by ``LineRep.from_span(_map_span(...))``
+    with g^(-1) = [W3 W4] Y^T as a matrix product, then ``proportional``
+    and ``_rational_meet`` on each line."""
+    from fourlines import CertificateFailure, NonGenericConfiguration, QuadNum, Y_SIGN, check_tp_config
+    from fourlines import transversal as T
+
+    tp = check_tp_config(blocks)
+    canon = tp.canonical or T.canonicalize(blocks)
+    warnings = [] if tp.ok else ["hypothesis-not-verified"]
+    if not tp.ok and canon.g.det() <= 0:
+        warnings.append("canonical-basis-orientation-flipped")
+    forms = T.bilinear_forms(canon.x)
+    quad = T.eliminate_to_quadratic(*forms)
+    disc = quad.disc
+    if quad.a == 0:
+        warnings.append("degenerate-leading-coefficient")
+        x = QuadNum.of(-quad.c / quad.b, disc)
+        roots = [(x, T._recover_y(x, *forms))]
+        spans = [T._canonical_span(*roots[0], disc)]
+        limit = T._limit_span(*forms, disc)
+        if limit is not None:
+            warnings.append("solution-at-infinity")
+            roots.append((None, None))
+            spans.append(limit)
+    else:
+        sq = T._sqrt_in_context(disc)
+        roots, spans = [], []
+        for root_sq in (sq, -sq):
+            x = (QuadNum.of(-quad.b, disc) + root_sq) / QuadNum.of(2 * quad.a, disc)
+            y = T._recover_y(x, *forms)
+            if any(form.eval(x, y) != 0 for form in forms):
+                raise CertificateFailure("a chart root misses a bilinear form")
+            roots.append((x, y))
+            spans.append(T._canonical_span(x, y, disc))
+            if disc == 0:
+                warnings.append("double-root")
+                break
+    if len(spans) != 2:
+        raise NonGenericConfiguration("expected exactly two chart solutions")
+    g_inv = blocks.w3.hstack(blocks.w4) @ Y_SIGN.transpose()
+    lines = tuple(T.LineRep.from_span(T._map_span(g_inv, span, disc)) for span in spans)
+    if lines[0].proportional(lines[1]):
+        raise NonGenericConfiguration("the two solution lines coincide")
+    incidence = tuple(tuple(T._rational_meet(T.plucker_of_span(w), ln.plucker, disc) for ln in lines)
+                      for w in blocks.blocks())
+    if any(v != 0 for row in incidence for v in row):
+        raise CertificateFailure("a solution line misses an input line")
+    return T.TransversalSolution(canon, forms, quad, tuple(roots), lines, incidence, tuple(warnings))
+
+
+def exact_fields(sol) -> dict:
+    """Every field of a TransversalSolution, each QuadNum as its (a, b, d)."""
+    from fourlines import QuadNum
+
+    def parts(v):
+        if isinstance(v, QuadNum):
+            return (v.a, v.b, v.d)
+        if isinstance(v, (tuple, list)):
+            return tuple(parts(u) for u in v)
+        return v
+
+    return {
+        "canonical": (sol.canonical.g, sol.canonical.x, sol.canonical.y),
+        "forms": sol.forms,
+        "quadratic": sol.quadratic,
+        "roots": parts(sol.roots),
+        "spans": tuple(parts(ln.span.entries()) for ln in sol.lines),
+        "plucker": tuple(parts(ln.plucker) for ln in sol.lines),
+        "incidence": parts(sol.incidence),
+        "warnings": sol.warnings,
+    }

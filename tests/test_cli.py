@@ -272,8 +272,10 @@ class TestCurveSample:
                 "--curve", str(path), "--output", str(out)]
         assert run(argv) == 3
         assert not out.exists()
-        assert capsys.readouterr().err == "error: no certifying epsilon found after 64 halvings\n"
-        # a P_I(0) <= 0 refuses before the second halving
+        # a P_I(0) <= 0 refuses before the second halving, naming that sample minor
+        assert capsys.readouterr().err == (
+            "error: no certifying epsilon: sample minor {1,2,3,5} is eps^1 * P(eps) "
+            "with P(0) = 0, and P <= 0 on (0, 1/80]\n")
         assert len(calls) == 1
 
     def test_custom_curve(self, tmp_path, capsys):

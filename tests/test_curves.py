@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -140,8 +141,9 @@ class TestEpsilonThreshold:
         assert lemma_sample(CurveSpec.moment(), ts, eps).ok
 
     def test_search_failure(self, monkeypatch):
+        # a search that runs out of halvings says so
         monkeypatch.setattr(curves, "MAX_HALVINGS", 0)
-        with pytest.raises(SearchFailure):
+        with pytest.raises(SearchFailure, match="^no certifying epsilon found after 0 halvings$"):
             epsilon_threshold(CurveSpec.moment(), TS)
 
 
@@ -159,7 +161,7 @@ def halving_oracle(curve, ts, frames) -> tuple:
 
 
 def search(curve, ts, frames, tried) -> tuple:
-    """The library search: its report or None, and the epsilons it passed to
+    """The library search: its report or its SearchFailure, and the epsilons it passed to
     ``lemma_sample``.  That function is pure, so each epsilon the oracle
     tried is answered with the oracle's report."""
     known = {rep.epsilon: rep for rep in tried}
@@ -174,8 +176,8 @@ def search(curve, ts, frames, tried) -> tuple:
         mp.setattr(curves, "lemma_sample", counted)
         try:
             return curves._certifying_sample(curve, ts, frames), calls
-        except SearchFailure:
-            return None, calls
+        except SearchFailure as exc:
+            return exc, calls
 
 
 def horner(poly, x):
@@ -188,13 +190,22 @@ def horner(poly, x):
 def assert_search_matches_oracle(curve, ts, frames) -> None:
     tried, certified = halving_oracle(curve, ts, frames)
     report, calls = search(curve, ts, frames, tried)
+    polys = curves._epsilon_polynomials(frames)
     if certified is None:
-        assert report is None
+        # the refusal names a sample minor I with P_I(0) <= 0, its kappa_I and the sign
+        witness = re.fullmatch(r"no certifying epsilon: sample minor \{([1-8,]+)\} is eps\^(\d) "
+                               r"\* P\(eps\) with P\(0\) (< 0|= 0), and P <= 0 on \(0, (\S+)\]",
+                               str(report))
+        assert witness is not None, str(report)
+        rows = tuple(int(r) for r in witness[1].split(","))
+        k = [tuple(r) for r in curves._SAMPLE_ROWS].index(rows)
+        assert int(witness[2]) == kappa_of(rows)
+        assert witness[3] == ("< 0" if polys[k][0] < 0 else "= 0") and polys[k][0] <= 0
+        assert Fraction(witness[4]) == tried[0].epsilon / 2
     else:
         assert (report.epsilon, report.minors) == (certified.epsilon, certified.minors)
-    assert calls == [rep.epsilon for rep in tried[:1 if report is None else len(tried)]]
+    assert calls == [rep.epsilon for rep in tried[:1 if certified is None else len(tried)]]
     # P_I(eps) * eps^kappa_I is the sample minor at every epsilon the search tried
-    polys = curves._epsilon_polynomials(frames)
     for rep in tried[:len(calls)]:
         eps = rep.epsilon
         assert [horner(p, eps) * eps**k for p, k in zip(polys, rep.kappas)] == [m for _, m in rep.minors]

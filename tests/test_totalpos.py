@@ -23,7 +23,9 @@ from fourlines import (
     random_tp_instance,
 )
 
-from conftest import X1_ENTRIES, premultiply, rand_params, rand_pos_det
+from fourlines.totalpos import times_y_sign_transpose, y_sign_times
+
+from conftest import X1_ENTRIES, premultiply, rand_mat, rand_params, rand_pos_det
 
 
 class TestParams:
@@ -129,8 +131,16 @@ class TestChecks:
 
     def test_rank_deficient_block(self, blocks_x1):
         flat = MatQ([[1, 2], [2, 4], [3, 6], [4, 8]])
-        with pytest.raises(InputError):
-            check_tp_config(ConfigBlocks(blocks_x1.w1, flat, blocks_x1.w3, blocks_x1.w4))
+        zero_col = MatQ([[0, 1], [0, 2], [0, 3], [0, 4]])
+        for idx in range(4):
+            for bad in (flat, zero_col, MatQ([[0, 0]] * 4)):
+                blocks = list(blocks_x1.blocks())
+                blocks[idx] = bad
+                with pytest.raises(InputError, match=f"^block W{idx + 1} is rank-deficient$"):
+                    check_tp_config(ConfigBlocks(*blocks))
+        # only the 2x2 minor on rows 3, 4 is nonzero: rank 2, so the check goes on
+        thin = MatQ([[0, 0], [0, 0], [1, 0], [0, 1]])
+        assert not check_tp_config(ConfigBlocks(blocks_x1.w1, thin, blocks_x1.w3, blocks_x1.w4)).ok
 
 
 class TestCanonicalize:
@@ -180,6 +190,14 @@ class TestRandomInstance:
     def test_bad_bound(self):
         with pytest.raises(DomainError):
             random_tp_instance(1, bound=0)
+
+
+def test_y_sign_moves_equal_the_products():
+    rng = random.Random(53)
+    for _ in range(20):
+        m = rand_mat(rng)
+        assert y_sign_times(m) == Y_SIGN @ m
+        assert times_y_sign_transpose(m) == m @ Y_SIGN.transpose()
 
 
 def test_blocks_of_canonical_layout(x1):

@@ -385,6 +385,55 @@ class TestCertificatesRaise:
         with pytest.raises(CertificateFailure, match="misses an input line"):
             solve_transversals(blocks)
 
+    def test_tampered_sqrt_part_of_line(self, monkeypatch):
+        _, blocks = random_tp_instance(0)
+        assert solve_transversals(blocks).roots[0][0].b != 0  # the conjugate-pair path
+        original = transversal._map_span
+
+        def tampered(m, span, d):
+            rows = [list(r) for r in original(m, span, d).entries()]
+            rows[0][0] += QuadNum(Fraction(0), Fraction(1), d)
+            return MatQ(rows)
+
+        monkeypatch.setattr(transversal, "_map_span", tampered)
+        with pytest.raises(CertificateFailure, match="misses an input line"):
+            solve_transversals(blocks)
+
+    @pytest.mark.parametrize("flipped", [range(6), range(3, 4)], ids=["all", "p23"])
+    def test_tampered_conjugate_line(self, monkeypatch, flipped):
+        # line 2 stored with the sign of (some of) its sqrt(d) parts not flipped
+        _, blocks = random_tp_instance(0)
+        original = transversal._conjugate_lines
+
+        def tampered(span, d):
+            one, two = original(span, d)
+            p = tuple(v.conjugate() if k in flipped else v for k, v in enumerate(two.plucker))
+            return one, transversal.LineRep(two.span, p)
+
+        monkeypatch.setattr(transversal, "_conjugate_lines", tampered)
+        with pytest.raises(CertificateFailure, match="not the conjugate of line 1"):
+            solve_transversals(blocks)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda pa, pb: ((pa[0], pa[1] + 1, *pa[2:]), pb), "off the Pluecker quadric"),
+        # the line spanned by e1, e2, written as (1 + 2 sqrt(d)) * p
+        (lambda pa, pb: ((1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)), "conjugate solution lines coincide"),
+    ], ids=["quadric", "coincident"])
+    def test_tampered_conjugate_pair(self, monkeypatch, change, message):
+        # both lines stay conjugate, with the parts (pa, pb) changed
+        _, blocks = random_tp_instance(0)
+        original = transversal._conjugate_lines
+
+        def tampered(span, d):
+            one, two = original(span, d)
+            pa, pb = change(tuple(v.a for v in one.plucker), tuple(v.b for v in one.plucker))
+            return (transversal.LineRep(one.span, tuple(QuadNum(u, v, d) for u, v in zip(pa, pb))),
+                    transversal.LineRep(two.span, tuple(QuadNum(u, -v, d) for u, v in zip(pa, pb))))
+
+        monkeypatch.setattr(transversal, "_conjugate_lines", tampered)
+        with pytest.raises(CertificateFailure, match=message):
+            solve_transversals(blocks)
+
     def test_tampered_root(self, monkeypatch):
         _, blocks = random_tp_instance(0)
         original = transversal._recover_y

@@ -1,17 +1,28 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fourlines import (
     BilinearForm,
+    ConfigBlocks,
+    CurveSpec,
     DegenerateLine,
     DegeneratePencil,
+    FourLinesError,
+    LWParams,
     LineRep,
     MatQ,
     NoRealSolution,
     QuadNum,
+    SearchFailure,
     bilinear_forms,
+    blocks_of_canonical,
+    check_tp_config,
     discriminant_from_minors,
     eliminate_to_quadratic,
     lw_compose,
@@ -21,10 +32,22 @@ from fourlines import (
     random_tp_instance,
     solve_canonical,
     solve_transversals,
+    tangent_config,
 )
+from fourlines.curves import POLYNOMIAL
+from fourlines.exact import minor_ladder
 from fourlines.transversal import Quadratic, quadric_value, span_from_plucker
 
-from conftest import premultiply, rand_frac, rand_mat, rand_params, rand_pos_det
+from conftest import (
+    X1_ENTRIES,
+    exact_fields,
+    premultiply,
+    rand_frac,
+    rand_mat,
+    rand_params,
+    rand_pos_det,
+    two_root_solve,
+)
 
 
 def rand_span(rng):
@@ -236,6 +259,153 @@ class TestSolveTransversals:
             for ln in base.lines:
                 mapped = LineRep.from_span(hq @ ln.span)
                 assert any(mapped.same_line(s) for s in sol.lines)
+
+
+#: A totally positive X (the chart at small integer parameters) with
+#: D = 966^2: both roots and both lines are rational.
+SQUARE_X = [[1, 7, 10, 6], [7, 52, 79, 51], [7, 61, 107, 81], [3, 30, 58, 50]]
+#: An X, not totally positive, whose quadratic has A = 0: the second line is
+#: the chart's limit as x -> infinity.
+AT_INFINITY_X = [[3, 2, 0, 3], [3, 1, -2, 3], [0, -1, -1, -2], [0, -2, -2, 0]]
+
+
+def tangent_configs(count: int) -> list:
+    """Tangent configurations of the moment curve and two convex quartics at
+    seeded parameters, skipping those the epsilon search refuses."""
+    quartic = lambda c: CurveSpec(POLYNOMIAL, ((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1, c)))
+    curves = (CurveSpec.moment(), quartic(Fraction(-1, 10)), quartic(Fraction(-1, 4)))
+    rng = random.Random(43)
+    configs = []
+    while len(configs) < count:
+        ts = tuple(Fraction(k, 100) for k in sorted(rng.sample(range(1, 100), 4)))
+        try:
+            configs.append(tangent_config(curves[len(configs) % 3], ts))
+        except SearchFailure:
+            pass
+    return configs
+
+
+class TestConjugatePair:
+    """The solver against the two-root solve that builds both lines in full."""
+
+    def assert_matches(self, blocks):
+        sol = solve_transversals(blocks)
+        assert exact_fields(sol) == exact_fields(two_root_solve(blocks))
+        return sol
+
+    @pytest.mark.parametrize("bound, seeds", [(10, range(50)), (10**30, range(10))],
+                             ids=["bound-10", "bound-1e30"])
+    def test_random_instances(self, bound, seeds):
+        for seed in seeds:
+            sol = self.assert_matches(random_tp_instance(seed, bound)[1])
+            assert sol.roots[0][0].b != 0  # an irrational D: the conjugate-pair path
+
+    def test_x1(self):
+        sol = self.assert_matches(blocks_of_canonical(MatQ(X1_ENTRIES)))
+        assert sol.quadratic.disc == 320
+
+    def test_tangent_configurations(self):
+        for blocks in tangent_configs(20):
+            sol = self.assert_matches(blocks)
+            assert "hypothesis-not-verified" in sol.warnings
+
+    def test_perfect_square_discriminant(self):
+        sol = self.assert_matches(blocks_of_canonical(MatQ(SQUARE_X)))
+        assert sol.quadratic.disc == 966**2 and sol.warnings == ()
+        assert all(v.b == 0 for root in sol.roots for v in root)
+        assert all(v.b == 0 for ln in sol.lines for v in ln.plucker)
+        assert not sol.lines[0].proportional(sol.lines[1])
+
+    def test_solution_at_infinity(self):
+        sol = self.assert_matches(blocks_of_canonical(MatQ(AT_INFINITY_X)))
+        assert sol.warnings == ("hypothesis-not-verified", "degenerate-leading-coefficient",
+                                "solution-at-infinity")
+        assert sol.roots[1] == (None, None)
+
+
+def positive_fractions(lo: int, hi: int):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(lo, hi))
+
+
+#: LW parameters by regime: small heights; 10^30-size numerators and
+#: denominators; and near the boundary of the chart, where some parameters
+#: are 10^-6 to 10^-30 beside ordinary ones.
+LW_REGIMES = {
+    "tiny": positive_fractions(1, 4),
+    "1e30": positive_fractions(1, 10**30),
+    "boundary": st.one_of(positive_fractions(1, 9),
+                          st.integers(6, 30).map(lambda k: Fraction(1, 10**k))),
+}
+
+
+@st.composite
+def positive_det_matrices(draw):
+    """Integer 4x4 matrices g with det g > 0."""
+    g = MatQ([draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4)) for _ in range(4)])
+    assume(g.det() != 0)
+    if g.det() < 0:
+        rows = list(g.entries())
+        rows[0], rows[1] = rows[1], rows[0]
+        g = MatQ(rows)
+    return g
+
+
+@st.composite
+def configurations(draw):
+    """Totally positive configurations, and some with their blocks reordered,
+    which are mostly not."""
+    _, blocks = random_tp_instance(draw(st.integers(0, 10**6)), bound=draw(st.sampled_from((10, 10**6))))
+    order = draw(st.one_of(st.just((0, 1, 2, 3)), st.permutations(range(4))))
+    return ConfigBlocks(*(blocks.blocks()[i] for i in order))
+
+
+def maximal_minors(m: MatQ) -> list:
+    """The 70 maximal minors of a 4x8 matrix, read from the integer ladder."""
+    minors, scales = minor_ladder(m)
+    den = math.prod(scales)
+    return [Fraction(minors[(0, 1, 2, 3), cols], den) for cols in combinations(range(8), 4)]
+
+
+def solve_outcome(blocks):
+    try:
+        return solve_transversals(blocks)
+    except FourLinesError as exc:
+        return type(exc)
+
+
+class TestProperties:
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(configurations(), positive_det_matrices())
+    def test_gl4_plus_equivariance(self, blocks, g):
+        moved, det_g = premultiply(blocks, g), g.det()
+        assert maximal_minors(moved.concat()) == [det_g * m for m in maximal_minors(blocks.concat())]
+        rep, moved_rep = check_tp_config(blocks), check_tp_config(moved)
+        assert moved_rep.ok == rep.ok and moved_rep.witness_cols == rep.witness_cols
+        sol, moved_sol = solve_outcome(blocks), solve_outcome(moved)
+        if isinstance(sol, type):
+            assert moved_sol is sol
+            return
+        assert moved_sol.warnings == sol.warnings and moved_sol.quadratic == sol.quadratic
+        d = sol.quadratic.disc
+        gq = g.map(lambda v: QuadNum.of(v, d))
+        for ln in sol.lines:
+            mapped = LineRep.from_span(gq @ ln.span)
+            assert any(mapped.same_line(other) for other in moved_sol.lines)
+
+    @pytest.mark.parametrize("regime", sorted(LW_REGIMES))
+    def test_solver_matches_oracle(self, regime):
+        @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+        @given(st.lists(LW_REGIMES[regime], min_size=16, max_size=16))
+        def check(values):
+            blocks = blocks_of_canonical(lw_compose(LWParams(tuple(values))))
+            sol = solve_transversals(blocks)
+            assert sol.warnings == () and sol.quadratic.disc > 0
+            oracle = oracle_plucker_solve(blocks)
+            assert len(oracle) == 2
+            for ln in sol.lines:
+                assert any(ln.same_line(o) for o in oracle)
+
+        check()
 
 
 def test_quadratic_disc():
