@@ -18,6 +18,7 @@ from .errors import (
     NotConvex,
     SearchFailure,
 )
+from .chart import wedge
 from .exact import IndexSet, MatQ, as_rat, minor_ladder
 from .totalpos import ConfigBlocks
 
@@ -114,7 +115,7 @@ def tangent_block(curve: CurveSpec, t) -> MatQ:
 
 def _block(frame: tuple, t) -> MatQ:
     block = MatQ.from_cols(frame)
-    if block.rank() < 2:
+    if not any(wedge(block.entries(), block.entries())):
         raise DegenerateConfiguration(f"cusp at t = {t}: value and derivative dependent")
     return block
 

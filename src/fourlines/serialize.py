@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 
 def rat_to_str(r: Fraction) -> str:
-    r = Fraction(r)
+    """An int or Fraction as "p/q", or "p" when the denominator is 1."""
     try:
         return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
     except ValueError as exc:  # Python prints integers of at most 4,300 digits
@@ -134,13 +134,10 @@ def params_from_obj(obj) -> LWParams:
 
 
 def _line_to_obj(line: LineRep) -> dict:
-    from .exact import QuadNum
-
-    plucker = [x if isinstance(x, QuadNum) else QuadNum.of(x, 0) for x in line.plucker]
     return {
         "span": quad_mat_to_obj(line.span),
-        "plucker": [quad_to_obj(x) for x in plucker],
-        "approx": [x.approx() for x in plucker],
+        "plucker": [quad_to_obj(x) for x in line.plucker],
+        "approx": [x.approx() for x in line.plucker],
     }
 
 

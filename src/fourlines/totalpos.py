@@ -40,12 +40,6 @@ def y_sign_times(m: MatQ) -> MatQ:
     return MatQ([[x if positive else -x for x in m.row(k)] for k, positive in _Y_MOVES])
 
 
-def times_y_sign_transpose(m: MatQ) -> MatQ:
-    """m @ Y_SIGN.T, by moving and negating the columns of m."""
-    return MatQ([[row[k] if positive else -row[k] for k, positive in _Y_MOVES]
-                 for row in m.entries()])
-
-
 PARAM_NAMES = "abcdefghijklmnop"
 #: Largest ``random_tp_instance`` bound.  The entries of a bound-10^100
 #: instance reach about 2,200 characters, so every generated instance reads

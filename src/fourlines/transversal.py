@@ -1,18 +1,18 @@
 """Solver for the two transversal lines of a totally positive configuration.
 
 Pipeline: canonical reduction, the two bilinear incidence equations from
-2x2 minors of X, elimination to a quadratic in x, exact roots over
-Q(sqrt D), reconstruction of both lines and back-mapping to the original
-coordinates, with exact certificates that raise CertificateFailure.  An
-independent oracle solves the same problem directly in Pluecker
-coordinates.
+2x2 minors of X, elimination to a quadratic in x, exact roots (x, y) over
+Q(sqrt D), and each line built from the input blocks as the span of its
+points on W4 and on W3, which x and y locate, with exact certificates that
+raise CertificateFailure.  An independent oracle solves the same problem
+directly in Pluecker coordinates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import (
     CertificateFailure,
@@ -29,7 +29,6 @@ from .totalpos import (
     ConfigBlocks,
     canonicalize,
     check_tp_config,
-    times_y_sign_transpose,
 )
 
 
@@ -160,9 +159,10 @@ def bilinear_forms(x: MatQ) -> Tuple[BilinearForm, BilinearForm]:
 def eliminate_to_quadratic(f: BilinearForm, h: BilinearForm) -> Quadratic:
     """Resultant of f and h with respect to y (both are linear in y)."""
     quad = Quadratic(*chart.resultant(f.coeffs(), h.coeffs()))
-    # A and C are two of the 2x2 minors of the coefficient rows, which all
-    # vanish exactly when the forms are proportional
-    if quad.a == 0 == quad.c and MatQ([f.coeffs(), h.coeffs()]).rank() < 2:
+    # A and C are two of the six 2x2 minors of the coefficients of f and h
+    # side by side, which all vanish exactly when the forms are proportional
+    m = tuple(zip(f.coeffs(), h.coeffs()))
+    if quad.a == 0 == quad.c and not any(chart.wedge(m, m)):
         raise DegeneratePencil("the two bilinear forms are proportional")
     return quad
 
@@ -183,19 +183,6 @@ def _sqrt_in_context(disc: Fraction) -> QuadNum:
     return QuadNum(Fraction(0), Fraction(1), disc)
 
 
-def _canonical_span(x_val: QuadNum, y_val: QuadNum, d: Fraction) -> MatQ:
-    one = QuadNum.of(1, d)
-    zero = QuadNum.of(0, d)
-    return MatQ(
-        [
-            [one, zero],
-            [-x_val, zero],
-            [zero, -one],
-            [zero, y_val],
-        ]
-    )
-
-
 def _recover_y(x_val: QuadNum, f: BilinearForm, h: BilinearForm) -> QuadNum:
     """Solve for y at the root x, preferring h, falling back to f."""
     for form in (h, f):
@@ -207,10 +194,10 @@ def _recover_y(x_val: QuadNum, f: BilinearForm, h: BilinearForm) -> QuadNum:
 
 
 def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
-    """Both (x, y) chart solutions and the spans of the two canonical lines U(x, y).
+    """Both (x, y) chart solutions, over the unreduced radicand D = quad.disc.
 
-    Returns (roots, spans, warnings); roots are pairs of QuadNums and spans
-    4x2 matrices, all over the unreduced radicand D = quad.disc.
+    Returns (roots, warnings); a root is a pair of QuadNums, or (None, y)
+    for the chart's limit line as x -> infinity.
     """
     f, h = forms
     warnings: List[str] = []
@@ -220,20 +207,18 @@ def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
             raise NonGenericConfiguration("quadratic degenerates to a constant")
         warnings.append("degenerate-leading-coefficient")
         x0 = QuadNum.of(Fraction(-quad.c, quad.b), disc)
-        y0 = _recover_y(x0, f, h)
-        roots = [(x0, y0)]
-        spans = [_canonical_span(x0, y0, disc)]
-        limit = _limit_span(f, h, disc)
-        if limit is not None:
-            warnings.append("solution-at-infinity")
-            spans.append(limit)
-            roots.append((None, None))
-        return tuple(roots), tuple(spans), warnings
+        roots = [(x0, _recover_y(x0, f, h))]
+        # as x -> infinity, the form's xy-leading part fixes y = -c_x / c_xy
+        for form in (h, f):
+            if form.c_xy:
+                warnings.append("solution-at-infinity")
+                roots.append((None, QuadNum.of(Fraction(-form.c_x, form.c_xy), disc)))
+                break
+        return tuple(roots), warnings
     sq = _sqrt_in_context(disc)
     two_a = QuadNum.of(2 * quad.a, disc)
     minus_b = QuadNum.of(-quad.b, disc)
     roots = []
-    spans = []
     for sgn in (1, -1):
         if roots and sq.b:
             # sqrt D is irrational and every other step is rational, so the
@@ -245,22 +230,10 @@ def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
         if f.eval(x_val, y_val) != 0 or h.eval(x_val, y_val) != 0:
             raise CertificateFailure(f"chart root x = {x_val!r} misses a bilinear form")
         roots.append((x_val, y_val))
-        spans.append(_canonical_span(x_val, y_val, disc))
         if disc == 0:
             warnings.append("double-root")
             break
-    return tuple(roots), tuple(spans), warnings
-
-
-def _limit_span(f: BilinearForm, h: BilinearForm, d: Fraction) -> Optional[MatQ]:
-    # x -> infinity chart limit: direction (0,1,0,0) with y from the xy-leading part
-    for form in (h, f):
-        if form.c_xy:
-            y_inf = QuadNum.of(Fraction(-form.c_x, form.c_xy), d)
-            one = QuadNum.of(1, d)
-            zero = QuadNum.of(0, d)
-            return MatQ([[zero, zero], [one, zero], [zero, -one], [zero, y_inf]])
-    return None
+    return tuple(roots), warnings
 
 
 def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
@@ -283,20 +256,19 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
         raise NoRealSolution(
             f"discriminant {disc} not positive despite verified total positivity"
         )
-    roots, spans, w2 = solve_canonical(forms, quad)
+    roots, w2 = solve_canonical(forms, quad)
     warnings.extend(w2)
-    if len(spans) != 2:
+    if len(roots) != 2:
         raise NonGenericConfiguration("expected exactly two chart solutions")
-    # g = Y [W3 W4]^(-1) and Y is a signed permutation, so g^(-1) = [W3 W4] Y^T.
-    g_inv = times_y_sign_transpose(blocks.w3.hstack(blocks.w4))
     ells = [plucker_of_span(w) for w in blocks.blocks()]
     if roots[0][0].b:
         # an irrational root: the second root is its conjugate (solve_canonical),
-        # and the rational g^(-1) commutes with conjugation
-        lines = _conjugate_lines(_map_span(g_inv, spans[0], disc), disc)
+        # and the meeting points are rational in x and y
+        lines = _conjugate_lines(*_meeting_span(blocks, *roots[0]), disc)
         incidence = _conjugate_incidence(lines, ells, disc)
     else:
-        lines = tuple(LineRep.from_span(_map_span(g_inv, span, disc)) for span in spans)
+        lines = tuple(LineRep.from_span(_quad_span(*_meeting_span(blocks, x, y), disc))
+                      for x, y in roots)
         if lines[0].proportional(lines[1]):
             raise NonGenericConfiguration("the two solution lines coincide")
         incidence = tuple(
@@ -315,23 +287,41 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     )
 
 
-def _map_span(m: MatQ, span: MatQ, d: Fraction) -> MatQ:
-    """m @ span for a rational m and a span over Q(sqrt d), as two rational
-    products: one of the rational parts, one of the sqrt(d) parts."""
-    a = (m @ span.map(lambda q: q.a)).entries()
-    b = (m @ span.map(lambda q: q.b)).entries()
-    return MatQ([[QuadNum(x, y, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+def _meeting_span(blocks: ConfigBlocks, x, y: QuadNum) -> tuple:
+    """The rational part A and the sqrt(d) part B, each 4x2 and row-major,
+    of a span of the solution line at the chart root (x, y): its points on
+    W4 and on W3.
+
+    With W3 = [w3a w3b] and W4 = [w4a w4b], g^(-1) = [W3 W4] Y^T has the
+    columns -w4b, w4a, -w3b, w3a, so it maps the chart line's columns
+    e1 - x e2 and -e3 + y e4 to -w4b - x w4a and w3b + y w3a.  The limit
+    line (x None) has the column e2 instead, which maps to w4a.
+    """
+    w3a, w3b = blocks.w3.col(0), blocks.w3.col(1)
+    w4a, w4b = blocks.w4.col(0), blocks.w4.col(1)
+    if x is None:
+        a4, b4 = w4a, (Fraction(0),) * 4
+    else:
+        a4 = [-v - x.a * u for u, v in zip(w4a, w4b)]
+        b4 = [-x.b * u for u in w4a]
+    a3 = [v + y.a * u for u, v in zip(w3a, w3b)]
+    b3 = [y.b * u for u in w3a]
+    return tuple(zip(a4, a3)), tuple(zip(b4, b3))
 
 
-def _conjugate_lines(span: MatQ, d: Fraction) -> Tuple[LineRep, LineRep]:
-    """The line of span = A + sqrt(d)*B (A, B rational, sqrt(d) irrational)
+def _quad_span(a, b, d: Fraction) -> MatQ:
+    """The span A + sqrt(d)*B over Q(sqrt d) of rational 4x2 parts A and B."""
+    return MatQ([[QuadNum(u, v, d) for u, v in zip(ra, rb)] for ra, rb in zip(a, b)])
+
+
+def _conjugate_lines(a, b, d: Fraction) -> Tuple[LineRep, LineRep]:
+    """The line of the span A + sqrt(d)*B (A, B rational, sqrt(d) irrational)
     and its Galois conjugate A - sqrt(d)*B.
 
     The Pluecker vector of the first is pa + sqrt(d)*pb, with pa = A^A + d*B^B
     and pb = A^B + B^A rational; that of the conjugate is pa - sqrt(d)*pb.
     """
-    a = [[q.a for q in row] for row in span.entries()]
-    b = [[q.b for q in row] for row in span.entries()]
+    span = _quad_span(a, b, d)
     pa = [u + d * v for u, v in zip(chart.wedge(a, a), chart.wedge(b, b))]
     pb = [u + v for u, v in zip(chart.wedge(a, b), chart.wedge(b, a))]
     return (

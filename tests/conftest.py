@@ -100,12 +100,32 @@ def premultiply(blocks, h: MatQ):
     return ConfigBlocks(*(h @ w for w in blocks.blocks()))
 
 
+def _chart_span(x, y, d):
+    """The canonical chart line U(x, y) = [e1 - x e2 | -e3 + y e4], or its
+    limit [e2 | -e3 + y e4] as x -> infinity (x None), over Q(sqrt d)."""
+    from fourlines import QuadNum
+
+    one, zero = QuadNum.of(1, d), QuadNum.of(0, d)
+    first = [zero, one] if x is None else [one, -x]
+    return MatQ([[first[0], zero], [first[1], zero], [zero, -one], [zero, y]])
+
+
+def _map_span(m, span, d):
+    """m @ span for a rational m and a span over Q(sqrt d), one product on
+    the rational parts and one on the sqrt(d) parts."""
+    from fourlines import QuadNum
+
+    a = (m @ span.map(lambda q: q.a)).entries()
+    b = (m @ span.map(lambda q: q.b)).entries()
+    return MatQ([[QuadNum(x, y, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+
+
 def two_root_solve(blocks):
     """The solver with both lines built in full over Q(sqrt D), as a test-only
     oracle for the conjugate-pair path: each root by the quadratic formula
-    and ``_recover_y``, each line by ``LineRep.from_span(_map_span(...))``
-    with g^(-1) = [W3 W4] Y^T as a matrix product, then ``proportional``
-    and ``_rational_meet`` on each line."""
+    and ``_recover_y``, each line as the chart line U(x, y) (or its limit)
+    back-mapped by g^(-1) = [W3 W4] Y^T as matrix products, then
+    ``proportional`` and ``_rational_meet`` on each line."""
     from fourlines import CertificateFailure, NonGenericConfiguration, QuadNum, Y_SIGN, check_tp_config
     from fourlines import transversal as T
 
@@ -121,29 +141,27 @@ def two_root_solve(blocks):
         warnings.append("degenerate-leading-coefficient")
         x = QuadNum.of(-quad.c / quad.b, disc)
         roots = [(x, T._recover_y(x, *forms))]
-        spans = [T._canonical_span(*roots[0], disc)]
-        limit = T._limit_span(*forms, disc)
-        if limit is not None:
+        leading = [form for form in reversed(forms) if form.c_xy]
+        if leading:
             warnings.append("solution-at-infinity")
-            roots.append((None, None))
-            spans.append(limit)
+            roots.append((None, QuadNum.of(-leading[0].c_x / leading[0].c_xy, disc)))
     else:
         sq = T._sqrt_in_context(disc)
-        roots, spans = [], []
+        roots = []
         for root_sq in (sq, -sq):
             x = (QuadNum.of(-quad.b, disc) + root_sq) / QuadNum.of(2 * quad.a, disc)
             y = T._recover_y(x, *forms)
             if any(form.eval(x, y) != 0 for form in forms):
                 raise CertificateFailure("a chart root misses a bilinear form")
             roots.append((x, y))
-            spans.append(T._canonical_span(x, y, disc))
             if disc == 0:
                 warnings.append("double-root")
                 break
-    if len(spans) != 2:
+    if len(roots) != 2:
         raise NonGenericConfiguration("expected exactly two chart solutions")
     g_inv = blocks.w3.hstack(blocks.w4) @ Y_SIGN.transpose()
-    lines = tuple(T.LineRep.from_span(T._map_span(g_inv, span, disc)) for span in spans)
+    lines = tuple(T.LineRep.from_span(_map_span(g_inv, _chart_span(x, y, disc), disc))
+                  for x, y in roots)
     if lines[0].proportional(lines[1]):
         raise NonGenericConfiguration("the two solution lines coincide")
     incidence = tuple(tuple(T._rational_meet(T.plucker_of_span(w), ln.plucker, disc) for ln in lines)

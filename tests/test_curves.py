@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fourlines import (
     ConfigBlocks,
     CurveSpec,
+    DegenerateConfiguration,
     DomainError,
     InputError,
     MatQ,
@@ -87,6 +88,16 @@ class TestFrenet:
         blk = tangent_block(c, t)
         assert blk.col(0) == (fb @ MatQ.from_cols([curve_eval(c, t, 0)])).col(0)
         assert blk.col(1) == (fb @ MatQ.from_cols([curve_eval(c, t, 1)])).col(0)
+
+    def test_tangent_block_cusp(self):
+        # (1/2 - t) * (1, t, t^2, t^3): the lift vanishes at t = 1/2, so its
+        # value and derivative there are dependent
+        half = Fraction(1, 2)
+        c = poly_curve((half, -1), (0, half, -1), (0, 0, half, -1), (0, 0, 0, half, -1))
+        with pytest.raises(DegenerateConfiguration,
+                           match=re.escape("cusp at t = 1/2: value and derivative dependent")):
+            tangent_block(c, half)
+        assert tangent_block(c, Fraction(1, 4)).rank() == 2
 
 
 class TestKappa:

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import fourlines
-from fourlines import cli
+from fourlines import MatQ, blocks_of_canonical, cli
+from fourlines import serialize as ser
+
+from conftest import X1_ENTRIES
 
 SRC = Path(fourlines.__file__).resolve().parent.parent
 PERFBENCH = SRC.parent / "perfbench"
@@ -113,6 +116,28 @@ class TestCommandImports:
             "t.restore()\n"
         )
         assert _python("-c", code).split("\n")[:2] == ["[]", "[]"]
+
+    def test_traced_commands_open_the_wrapped_spans(self, tmp_path):
+        # A library change that stops calling a name the tracer wraps fails
+        # here, instead of reading 0 in a traced benchmark run.
+        inp, out = tmp_path / "x1.json", tmp_path / "out.json"
+        inp.write_text(ser.dumps(ser.blocks_to_obj(blocks_of_canonical(MatQ(X1_ENTRIES)))))
+        code = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+            "import tracer\n"
+            "from fourlines import cli\n"
+            "t = tracer.Tracer()\n"
+            "t.install()\n"
+            f"print([cli.run([cmd, '--input', {str(inp)!r}, '--output', {str(out)!r}])\n"
+            "       for cmd in ('solve', 'check-tp')])\n"
+            "t.restore()\n"
+            "print(json.dumps(sorted({span[0] for span in t.spans})))\n"
+        )
+        codes, spans = _python("-c", code).split("\n")[:2]
+        assert codes == "[0, 0]"
+        assert {"transversal.solve", "transversal.forms", "transversal.solve_canonical",
+                "totalpos.check_tp_config", "serialize.emit"} <= set(json.loads(spans))
 
 
 class TestCachedParser:

@@ -374,28 +374,30 @@ class TestCertificatesRaise:
 
     def test_tampered_line(self, monkeypatch):
         _, blocks = random_tp_instance(0)
-        original = transversal._map_span
+        original = transversal._meeting_span
 
-        def tampered(m, span, d):
-            rows = [list(r) for r in original(m, span, d).entries()]
-            rows[0][0] += 1
-            return MatQ(rows)
+        def tampered(blocks, x, y):
+            a, b = original(blocks, x, y)
+            a = [list(r) for r in a]
+            a[0][0] += 1
+            return a, b
 
-        monkeypatch.setattr(transversal, "_map_span", tampered)
+        monkeypatch.setattr(transversal, "_meeting_span", tampered)
         with pytest.raises(CertificateFailure, match="misses an input line"):
             solve_transversals(blocks)
 
     def test_tampered_sqrt_part_of_line(self, monkeypatch):
         _, blocks = random_tp_instance(0)
         assert solve_transversals(blocks).roots[0][0].b != 0  # the conjugate-pair path
-        original = transversal._map_span
+        original = transversal._meeting_span
 
-        def tampered(m, span, d):
-            rows = [list(r) for r in original(m, span, d).entries()]
-            rows[0][0] += QuadNum(Fraction(0), Fraction(1), d)
-            return MatQ(rows)
+        def tampered(blocks, x, y):
+            a, b = original(blocks, x, y)
+            b = [list(r) for r in b]
+            b[0][0] += 1
+            return a, b
 
-        monkeypatch.setattr(transversal, "_map_span", tampered)
+        monkeypatch.setattr(transversal, "_meeting_span", tampered)
         with pytest.raises(CertificateFailure, match="misses an input line"):
             solve_transversals(blocks)
 
@@ -405,8 +407,8 @@ class TestCertificatesRaise:
         _, blocks = random_tp_instance(0)
         original = transversal._conjugate_lines
 
-        def tampered(span, d):
-            one, two = original(span, d)
+        def tampered(a, b, d):
+            one, two = original(a, b, d)
             p = tuple(v.conjugate() if k in flipped else v for k, v in enumerate(two.plucker))
             return one, transversal.LineRep(two.span, p)
 
@@ -424,8 +426,8 @@ class TestCertificatesRaise:
         _, blocks = random_tp_instance(0)
         original = transversal._conjugate_lines
 
-        def tampered(span, d):
-            one, two = original(span, d)
+        def tampered(a, b, d):
+            one, two = original(a, b, d)
             pa, pb = change(tuple(v.a for v in one.plucker), tuple(v.b for v in one.plucker))
             return (transversal.LineRep(one.span, tuple(QuadNum(u, v, d) for u, v in zip(pa, pb))),
                     transversal.LineRep(two.span, tuple(QuadNum(u, -v, d) for u, v in zip(pa, pb))))

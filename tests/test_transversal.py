@@ -132,7 +132,7 @@ class TestElimination:
             x = lw_compose(rand_params(rng))
             f, h = bilinear_forms(x)
             quad = eliminate_to_quadratic(f, h)
-            roots, _, _ = solve_canonical((f, h), quad)
+            roots, _ = solve_canonical((f, h), quad)
             for xv, yv in roots:
                 if xv is None:
                     continue
@@ -162,10 +162,10 @@ class TestElimination:
 class TestSolveCanonical:
     def test_x1_roots(self, x1):
         forms = bilinear_forms(x1)
-        roots, spans, warnings = solve_canonical(forms, eliminate_to_quadratic(*forms))
+        roots, warnings = solve_canonical(forms, eliminate_to_quadratic(*forms))
         assert warnings == []
-        assert len(roots) == len(spans) == 2
-        assert all(LineRep.from_span(s).plucker[0].d == 320 for s in spans)
+        assert len(roots) == 2
+        assert all(v.d == 320 for root in roots for v in root)
         (xp, yp), (xm, ym) = roots
         assert xp == QuadNum(Fraction(-5, 2), Fraction(1, 16), Fraction(320))
         assert xm == QuadNum(Fraction(-5, 2), Fraction(-1, 16), Fraction(320))
@@ -184,17 +184,17 @@ class TestSolveCanonical:
     def test_double_root(self):
         f = BilinearForm(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
         h = BilinearForm(Fraction(0), Fraction(1), Fraction(1), Fraction(0))
-        roots, spans, warnings = solve_canonical((f, h), eliminate_to_quadratic(f, h))
+        roots, warnings = solve_canonical((f, h), eliminate_to_quadratic(f, h))
         assert "double-root" in warnings
-        assert len([LineRep.from_span(s) for s in spans]) == 1
+        assert len(roots) == 1
         assert roots[0][0] == 0 and roots[0][1] == 0
 
     def test_linear_degeneration(self):
         f = BilinearForm(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
         h = BilinearForm(Fraction(0), Fraction(0), Fraction(1), Fraction(1))
-        roots, spans, warnings = solve_canonical((f, h), eliminate_to_quadratic(f, h))
+        roots, warnings = solve_canonical((f, h), eliminate_to_quadratic(f, h))
         assert "degenerate-leading-coefficient" in warnings
-        assert len([LineRep.from_span(s) for s in spans]) == 1
+        assert len(roots) == 1
         assert roots[0][0] == -1 and roots[0][1] == -1
 
     def test_perfect_square_discriminant_stays_rational(self):
@@ -204,7 +204,7 @@ class TestSolveCanonical:
         h = BilinearForm(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
         quad = eliminate_to_quadratic(f, h)
         assert (quad.a, quad.b, quad.c) == (-1, 3, -2) and quad.disc == 1
-        roots, _, _ = solve_canonical((f, h), quad)
+        roots, _ = solve_canonical((f, h), quad)
         xs = sorted(r[0].a for r in roots)
         assert xs == [1, 2]
         assert all(r[0].b == 0 for r in roots)
@@ -320,7 +320,7 @@ class TestConjugatePair:
         sol = self.assert_matches(blocks_of_canonical(MatQ(AT_INFINITY_X)))
         assert sol.warnings == ("hypothesis-not-verified", "degenerate-leading-coefficient",
                                 "solution-at-infinity")
-        assert sol.roots[1] == (None, None)
+        assert sol.roots[1] == (None, QuadNum.of(-2, 576))
 
 
 def positive_fractions(lo: int, hi: int):
