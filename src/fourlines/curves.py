@@ -19,7 +19,7 @@ from .errors import (
     SearchFailure,
 )
 from .chart import wedge
-from .exact import IndexSet, MatQ, as_rat, minor_ladder
+from .exact import IndexSet, MatQ, as_rat, maximal_minors
 from .totalpos import ConfigBlocks
 
 RATIONAL_NORMAL = "rational_normal"
@@ -159,19 +159,6 @@ def _epsilon_terms() -> tuple:
 _EPSILON_TERMS = _epsilon_terms()
 
 
-def _maximal_minors(m: MatQ) -> list:
-    """Exact maximal minors of a k x 4 rational matrix.
-
-    One value per 4-row set, in lexicographic order, read from the integer
-    minor ladder: each equals ``MatQ.minor`` on those rows.
-    """
-    ladder, scales = minor_ladder(m)
-    return [
-        Fraction(ladder[sub, (0, 1, 2, 3)], math.prod(scales[i] for i in sub))
-        for sub in combinations(range(m.rows), 4)
-    ]
-
-
 @dataclass(frozen=True)
 class SampleReport:
     ts: tuple
@@ -218,7 +205,7 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[tuple] = None) 
         rows.append(v)
         rows.append(tuple(a + epsilon * b for a, b in zip(v, d)))
     w = MatQ(rows)
-    values = _maximal_minors(w)
+    values = maximal_minors(w)
     return SampleReport(
         ts=ts,
         epsilon=epsilon,
@@ -235,7 +222,7 @@ def _epsilon_polynomials(frames: tuple) -> tuple:
 
     All of them come from one minor ladder of the (v, d) matrix.
     """
-    base = _maximal_minors(MatQ([row for frame in frames for row in frame]))
+    base = maximal_minors(MatQ([row for frame in frames for row in frame]))
     return tuple(
         tuple(sum(base[k] for k in terms) for terms in degrees)
         for degrees in _EPSILON_TERMS
@@ -342,7 +329,7 @@ def convexity_sample_check(curve: CurveSpec, grid_size: int) -> ConvexityReport:
     values = MatQ([(fb @ MatQ.from_cols([curve_eval(curve, t, 0)])).col(0) for t in grid])
     failures = tuple(
         (IndexSet(tuple(i + 1 for i in sub)), det)
-        for sub, det in zip(combinations(range(grid_size), 4), _maximal_minors(values))
+        for sub, det in zip(combinations(range(grid_size), 4), maximal_minors(values))
         if det <= 0
     )
     return ConvexityReport(

@@ -442,3 +442,15 @@ def minor_ladder(m: MatQ) -> tuple:
                 minors[rows, cols] = total
     return minors, scales
 
+
+def maximal_minors(m: MatQ) -> list:
+    """Exact maximal minors of a k x 4 rational matrix.
+
+    One value per 4-row set, in lexicographic order, read from the integer
+    minor ladder: each equals ``MatQ.minor`` on those rows.
+    """
+    ladder, scales = minor_ladder(m)
+    return [
+        Fraction(ladder[sub, (0, 1, 2, 3)], math.prod(scales[i] for i in sub))
+        for sub in combinations(range(m.rows), 4)
+    ]

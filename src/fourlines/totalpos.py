@@ -4,6 +4,7 @@
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +19,7 @@ from .errors import (
     NotTotallyPositive,
 )
 from .chart import lw_product, wedge
-from .exact import IndexSet, MatQ, as_rat, minor_ladder
+from .exact import IndexSet, MatQ, as_rat, maximal_minors, minor_ladder
 
 #: The fixed anti-diagonal sign matrix of the canonical form [X Y].
 Y_SIGN = MatQ(
@@ -123,6 +124,7 @@ _CONFIG_MINORS = tuple(
      tuple(c - 1 for c in cols if c <= 4))
     for cols in combinations(range(1, 9), 4)
 )
+_ROWS4 = IndexSet((1, 2, 3, 4))
 
 
 def _reduce(blocks: ConfigBlocks):
@@ -142,10 +144,11 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     """All 70 maximal minors of the 4x8 concatenation strictly positive?
 
     Reports the lexicographically first non-positive minor on failure.
-    The signs come from the integer minor ladder of the canonical X (each
-    maximal minor is a minor of X over det g); only the witness is
-    evaluated exactly.  The report carries that canonical form.  A
-    singular [W3 W4] has none, so then the minors are scanned directly.
+    Every maximal minor is a minor of the canonical X over det g, so one
+    integer minor ladder of X gives the signs, and the witness is its
+    ladder integer over the row scales, divided by det g.  The report
+    carries that canonical form.  A singular [W3 W4] has none; then the
+    minors come from one ladder of the transposed configuration.
 
     A TP verdict also proves det(g) = 1/minor_W(5,6,7,8) > 0 and, since
     each minor of X is a positive multiple of a maximal minor of W, that
@@ -158,42 +161,38 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
         canon, det_g = _reduce(blocks)
     except DegenerateConfiguration:
         return _scan_config(blocks)
-    minors, _ = minor_ladder(canon.x)
+    minors, scales = minor_ladder(canon.x)
     sign = 1 if det_g > 0 else -1
     for cols, rows, xcols in _CONFIG_MINORS:
         if sign * minors[rows, xcols] <= 0:
-            rows4 = IndexSet((1, 2, 3, 4))
-            witness = blocks.concat().minor(rows4, cols)
-            return TPReport(False, IndexSet(cols), rows4, witness, canonical=canon)
+            witness = Fraction(minors[rows, xcols], math.prod(scales[i] for i in rows)) / det_g
+            return TPReport(False, IndexSet(cols), _ROWS4, witness, canonical=canon)
     return TPReport(True, canonical=canon)
 
 
 def _scan_config(blocks: ConfigBlocks) -> TPReport:
-    a = blocks.concat()
-    rows = IndexSet((1, 2, 3, 4))
-    for cols in combinations(range(1, 9), 4):
-        m = a.minor(rows, cols)
+    for cols, m in zip(combinations(range(1, 9), 4), maximal_minors(blocks.concat().transpose())):
         if m <= 0:
-            return TPReport(False, IndexSet(cols), rows, m)
+            return TPReport(False, IndexSet(cols), _ROWS4, m)
     return TPReport(True)
 
 
 def check_tp_square(x: MatQ) -> TPReport:
     """All 69 minors of orders 1..4 of a 4x4 matrix strictly positive?
 
-    Walks the integer minor ladder by order, then rows, then columns, and
-    evaluates only the first non-positive minor exactly.
+    Walks the integer minor ladder by order, then rows, then columns; the
+    witness is the first non-positive ladder integer over its row scales.
     """
     if x.rows != 4 or x.cols != 4:
         raise DimensionError("expected a 4x4 matrix")
-    minors, _ = minor_ladder(x)
+    minors, scales = minor_ladder(x)
     for order in range(1, 5):
         for rows in combinations(range(4), order):
             for cols in combinations(range(4), order):
                 if minors[rows, cols] <= 0:
-                    rows1 = IndexSet(tuple(r + 1 for r in rows))
-                    cols1 = IndexSet(tuple(c + 1 for c in cols))
-                    return TPReport(False, cols1, rows1, x.minor(rows1, cols1))
+                    witness = Fraction(minors[rows, cols], math.prod(scales[i] for i in rows))
+                    return TPReport(False, IndexSet(tuple(c + 1 for c in cols)),
+                                    IndexSet(tuple(r + 1 for r in rows)), witness)
     return TPReport(True)
 
 

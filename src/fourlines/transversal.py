@@ -193,21 +193,30 @@ def _recover_y(x_val: QuadNum, f: BilinearForm, h: BilinearForm) -> QuadNum:
     raise NonGenericConfiguration("both y-denominators vanish at a root")
 
 
+def _root(x_val: QuadNum, f: BilinearForm, h: BilinearForm) -> tuple:
+    """The chart root (x, y) at x, certified to solve both forms."""
+    y_val = _recover_y(x_val, f, h)
+    if f.eval(x_val, y_val) != 0 or h.eval(x_val, y_val) != 0:
+        raise CertificateFailure(f"chart root x = {x_val!r} misses a bilinear form")
+    return x_val, y_val
+
+
 def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
     """Both (x, y) chart solutions, over the unreduced radicand D = quad.disc.
 
     Returns (roots, warnings); a root is a pair of QuadNums, or (None, y)
-    for the chart's limit line as x -> infinity.
+    for the chart's limit line as x -> infinity.  When sqrt D is irrational
+    the second root is stored as the conjugate of the first, which needs no
+    second chart check: the forms are rational, so f(conj x, conj y) is the
+    conjugate of f(x, y) = 0.
     """
     f, h = forms
-    warnings: List[str] = []
     disc = quad.disc
     if quad.a == 0:
         if quad.b == 0:
             raise NonGenericConfiguration("quadratic degenerates to a constant")
-        warnings.append("degenerate-leading-coefficient")
-        x0 = QuadNum.of(Fraction(-quad.c, quad.b), disc)
-        roots = [(x0, _recover_y(x0, f, h))]
+        warnings = ["degenerate-leading-coefficient"]
+        roots = [_root(QuadNum.of(Fraction(-quad.c, quad.b), disc), f, h)]
         # as x -> infinity, the form's xy-leading part fixes y = -c_x / c_xy
         for form in (h, f):
             if form.c_xy:
@@ -218,22 +227,12 @@ def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
     sq = _sqrt_in_context(disc)
     two_a = QuadNum.of(2 * quad.a, disc)
     minus_b = QuadNum.of(-quad.b, disc)
-    roots = []
-    for sgn in (1, -1):
-        if roots and sq.b:
-            # sqrt D is irrational and every other step is rational, so the
-            # second root is the Galois conjugate of the first
-            x_val, y_val = x_val.conjugate(), y_val.conjugate()
-        else:
-            x_val = (minus_b + (sq if sgn == 1 else -sq)) / two_a
-            y_val = _recover_y(x_val, f, h)
-        if f.eval(x_val, y_val) != 0 or h.eval(x_val, y_val) != 0:
-            raise CertificateFailure(f"chart root x = {x_val!r} misses a bilinear form")
-        roots.append((x_val, y_val))
-        if disc == 0:
-            warnings.append("double-root")
-            break
-    return tuple(roots), warnings
+    x_val, y_val = _root((minus_b + sq) / two_a, f, h)
+    if disc == 0:
+        return ((x_val, y_val),), ["double-root"]
+    if sq.b:
+        return ((x_val, y_val), (x_val.conjugate(), y_val.conjugate())), []
+    return ((x_val, y_val), _root((minus_b - sq) / two_a, f, h)), []
 
 
 def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
@@ -260,29 +259,22 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     warnings.extend(w2)
     if len(roots) != 2:
         raise NonGenericConfiguration("expected exactly two chart solutions")
-    ells = [plucker_of_span(w) for w in blocks.blocks()]
     if roots[0][0].b:
-        # an irrational root: the second root is its conjugate (solve_canonical),
-        # and the meeting points are rational in x and y
-        lines = _conjugate_lines(*_meeting_span(blocks, *roots[0]), disc)
-        incidence = _conjugate_incidence(lines, ells, disc)
+        # root 2 is the conjugate of root 1 and the meeting points are
+        # rational in x and y, so line 2 is the conjugate of line 1
+        line = _line(*_meeting_span(blocks, *roots[0]), disc)
+        conj = QuadNum.conjugate
+        lines = (line, LineRep(line.span.map(conj), tuple(map(conj, line.plucker))))
     else:
-        lines = tuple(LineRep.from_span(_quad_span(*_meeting_span(blocks, x, y), disc))
-                      for x, y in roots)
-        if lines[0].proportional(lines[1]):
-            raise NonGenericConfiguration("the two solution lines coincide")
-        incidence = tuple(
-            tuple(_rational_meet(ell, ln.plucker, disc) for ln in lines) for ell in ells
-        )
-    if any(v != 0 for row in incidence for v in row):
-        raise CertificateFailure("a solution line misses an input line")
+        lines = tuple(_line(*_meeting_span(blocks, x, y), disc) for x, y in roots)
+    ells = [plucker_of_span(w) for w in blocks.blocks()]
     return TransversalSolution(
         canonical=canon,
         forms=forms,
         quadratic=quad,
         roots=roots,
         lines=lines,
-        incidence=incidence,
+        incidence=_certify_lines(roots, lines, ells, disc),
         warnings=tuple(warnings),
     )
 
@@ -309,60 +301,62 @@ def _meeting_span(blocks: ConfigBlocks, x, y: QuadNum) -> tuple:
     return tuple(zip(a4, a3)), tuple(zip(b4, b3))
 
 
-def _quad_span(a, b, d: Fraction) -> MatQ:
-    """The span A + sqrt(d)*B over Q(sqrt d) of rational 4x2 parts A and B."""
-    return MatQ([[QuadNum(u, v, d) for u, v in zip(ra, rb)] for ra, rb in zip(a, b)])
+def _line(a, b, d: Fraction) -> LineRep:
+    """The line of the span A + sqrt(d)*B over Q(sqrt d), A and B rational.
 
-
-def _conjugate_lines(a, b, d: Fraction) -> Tuple[LineRep, LineRep]:
-    """The line of the span A + sqrt(d)*B (A, B rational, sqrt(d) irrational)
-    and its Galois conjugate A - sqrt(d)*B.
-
-    The Pluecker vector of the first is pa + sqrt(d)*pb, with pa = A^A + d*B^B
-    and pb = A^B + B^A rational; that of the conjugate is pa - sqrt(d)*pb.
+    Its Pluecker vector is pa + sqrt(d)*pb with the rational parts
+    pa = A^A + d*B^B and pb = A^B + B^A.
     """
-    span = _quad_span(a, b, d)
     pa = [u + d * v for u, v in zip(chart.wedge(a, a), chart.wedge(b, b))]
     pb = [u + v for u, v in zip(chart.wedge(a, b), chart.wedge(b, a))]
-    return (
-        LineRep(span, tuple(QuadNum(u, v, d) for u, v in zip(pa, pb))),
-        LineRep(span.map(QuadNum.conjugate), tuple(QuadNum(u, -v, d) for u, v in zip(pa, pb))),
-    )
+    span = MatQ([[QuadNum(u, v, d) for u, v in zip(ra, rb)] for ra, rb in zip(a, b)])
+    return LineRep(span, tuple(QuadNum(u, v, d) for u, v in zip(pa, pb)))
 
 
-def _conjugate_incidence(lines: Tuple[LineRep, LineRep], ells: list, d: Fraction) -> tuple:
-    """The incidence rows of the lines pa + sqrt(d)*pb and pa - sqrt(d)*pb, from
-    the pairings of each rational ell with pa and with pb.
+def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], ells: list, d: Fraction) -> tuple:
+    """Certify the stored solution lines on their rational parts; returns the
+    incidence rows, the pairings of each input line with the two lines.
 
-    First certifies what makes each value of the second line the conjugate
-    of the first's: its stored span and Pluecker vector are the conjugates,
-    both lines lie on the Pluecker quadric, and they differ.
+    A line's Pluecker vector is pa + sqrt(d)*pb.  When root 1 is irrational
+    the pair is conjugate: root 2 and line 2 (span and Pluecker vector) must
+    be the stored conjugates of root 1 and line 1, and then every value of
+    line 2 is the conjugate of line 1's, so only line 1 is checked.
+    Otherwise both lines must be rational (pb = 0) and both are checked.
+    Each checked line lies on the Pluecker quadric and pairs to zero with
+    every input line, and the two lines differ.
+
+    Distinct roots never give coincident lines: [W3 W4] is invertible, so a
+    line through a point of W3 is not inside W4 and meets W4 in one point,
+    and distinct roots put that point in distinct places.
     """
-    first, second = ((*ln.plucker, *(x for row in ln.span.entries() for x in row)) for ln in lines)
-    if any(u.a != v.a or u.b != -v.b for u, v in zip(first, second)):
-        raise CertificateFailure("solution line 2 is not the conjugate of line 1")
-    pa, pb = tuple(u.a for u in first[:6]), tuple(u.b for u in first[:6])
-    # Q(pa + sqrt(d) pb) = Q(pa) + d Q(pb) + sqrt(d) <pa, pb>: the pairing is
-    # the polar form of the quadric Q
-    if quadric_value(pa) + d * quadric_value(pb) or plucker_meet(pa, pb):
-        raise CertificateFailure("a solution line is off the Pluecker quadric")
-    # sqrt(d) is irrational, so the lines coincide exactly when pa and pb are
-    # proportional; distinct conjugate roots give distinct lines
-    if all(pa[i] * pb[j] == pa[j] * pb[i] for i, j in combinations(range(6), 2)):
-        raise CertificateFailure("the two conjugate solution lines coincide")
+    pair = bool(roots[0][0].b)
+    if pair:
+        if any(u.a != v.a or u.b != -v.b for u, v in zip(*roots)):
+            raise CertificateFailure("root 2 is not the conjugate of root 1")
+        one, two = ((*ln.plucker, *(x for row in ln.span.entries() for x in row)) for ln in lines)
+        if any(u.a != v.a or u.b != -v.b for u, v in zip(one, two)):
+            raise CertificateFailure("solution line 2 is not the conjugate of line 1")
+    parts = [(tuple(v.a for v in ln.plucker), tuple(v.b for v in ln.plucker))
+             for ln in (lines[:1] if pair else lines)]
+    if not pair and any(any(pb) for _, pb in parts):
+        raise CertificateFailure("a rational solution line has a sqrt(d) part")
+    for pa, pb in parts:
+        # Q(pa + sqrt(d) pb) = Q(pa) + d Q(pb) + sqrt(d) <pa, pb>: the pairing
+        # is the polar form of the quadric Q
+        if quadric_value(pa) + d * quadric_value(pb) or plucker_meet(pa, pb):
+            raise CertificateFailure("a solution line is off the Pluecker quadric")
+    # a conjugate pair coincides exactly when pa and pb are proportional
+    # (d > 0); two rational lines when pa_1 and pa_2 are
+    u, v = parts[0] if pair else (parts[0][0], parts[1][0])
+    if all(u[i] * v[j] == u[j] * v[i] for i, j in combinations(range(6), 2)):
+        raise CertificateFailure(f"the two {'conjugate ' if pair else ''}solution lines coincide")
     rows = []
     for ell in ells:
-        u, v = plucker_meet(ell, pa), plucker_meet(ell, pb)
-        rows.append((QuadNum(u, v, d), QuadNum(u, -v, d)))
+        meets = [QuadNum(plucker_meet(ell, pa), plucker_meet(ell, pb), d) for pa, pb in parts]
+        rows.append((meets[0], meets[0].conjugate()) if pair else tuple(meets))
+    if any(v for row in rows for v in row):
+        raise CertificateFailure("a solution line misses an input line")
     return tuple(rows)
-
-
-def _rational_meet(ell: tuple, p: tuple, d: Fraction) -> QuadNum:
-    """plucker_meet of a rational ell with p over Q(sqrt d), by bilinearity:
-    once on the rational parts of p and once on its sqrt(d) parts."""
-    return QuadNum(
-        plucker_meet(ell, tuple(q.a for q in p)), plucker_meet(ell, tuple(q.b for q in p)), d
-    )
 
 
 def span_from_plucker(p: tuple) -> MatQ:

@@ -7,6 +7,13 @@ from fourlines import LWParams, MatQ, blocks_of_canonical, lw_compose
 
 X1_ENTRIES = [[1, 3, 3, 1], [3, 10, 11, 4], [3, 11, 14, 6], [1, 4, 6, 4]]
 
+#: A totally positive X (the chart at small integer parameters) with
+#: D = 966^2: both roots and both lines are rational.
+SQUARE_X = [[1, 7, 10, 6], [7, 52, 79, 51], [7, 61, 107, 81], [3, 30, 58, 50]]
+#: An X, not totally positive, whose quadratic has A = 0: the second line is
+#: the chart's limit as x -> infinity.
+AT_INFINITY_X = [[3, 2, 0, 3], [3, 1, -2, 3], [0, -1, -1, -2], [0, -2, -2, 0]]
+
 #: One PASS/FAIL line per acceptance criterion, echoed in the summary.
 ACCEPTANCE_LINES: list = []
 
@@ -100,6 +107,14 @@ def premultiply(blocks, h: MatQ):
     return ConfigBlocks(*(h @ w for w in blocks.blocks()))
 
 
+def swap_w3_columns(blocks):
+    """The configuration with the columns of W3 swapped, which negates
+    det[W3 W4] and every maximal minor that has one column of W3."""
+    from fourlines import ConfigBlocks
+
+    return ConfigBlocks(blocks.w1, blocks.w2, MatQ.from_cols([blocks.w3.col(1), blocks.w3.col(0)]), blocks.w4)
+
+
 def _chart_span(x, y, d):
     """The canonical chart line U(x, y) = [e1 - x e2 | -e3 + y e4], or its
     limit [e2 | -e3 + y e4] as x -> infinity (x None), over Q(sqrt d)."""
@@ -120,12 +135,20 @@ def _map_span(m, span, d):
     return MatQ([[QuadNum(x, y, d) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
 
 
+def _meet_by_parts(ell, p, d):
+    """The pairing of a rational ell with p over Q(sqrt d), by bilinearity:
+    once on the rational parts of p and once on its sqrt(d) parts."""
+    from fourlines import QuadNum, plucker_meet
+
+    return QuadNum(plucker_meet(ell, [q.a for q in p]), plucker_meet(ell, [q.b for q in p]), d)
+
+
 def two_root_solve(blocks):
     """The solver with both lines built in full over Q(sqrt D), as a test-only
     oracle for the conjugate-pair path: each root by the quadratic formula
     and ``_recover_y``, each line as the chart line U(x, y) (or its limit)
     back-mapped by g^(-1) = [W3 W4] Y^T as matrix products, then
-    ``proportional`` and ``_rational_meet`` on each line."""
+    ``proportional`` and the pairings by parts on each line."""
     from fourlines import CertificateFailure, NonGenericConfiguration, QuadNum, Y_SIGN, check_tp_config
     from fourlines import transversal as T
 
@@ -164,7 +187,7 @@ def two_root_solve(blocks):
                   for x, y in roots)
     if lines[0].proportional(lines[1]):
         raise NonGenericConfiguration("the two solution lines coincide")
-    incidence = tuple(tuple(T._rational_meet(T.plucker_of_span(w), ln.plucker, disc) for ln in lines)
+    incidence = tuple(tuple(_meet_by_parts(T.plucker_of_span(w), ln.plucker, disc) for ln in lines)
                       for w in blocks.blocks())
     if any(v != 0 for row in incidence for v in row):
         raise CertificateFailure("a solution line misses an input line")

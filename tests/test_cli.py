@@ -20,7 +20,7 @@ from fourlines.totalpos import MAX_BOUND
 from fourlines import serialize as ser
 from fourlines.cli import run
 
-from conftest import X1_ENTRIES
+from conftest import X1_ENTRIES, swap_w3_columns
 
 
 def write_x1_config(path):
@@ -92,6 +92,13 @@ class TestSolve:
         assert obj["quadratic"]["D"] == "320"
         assert len(obj["lines"]) == 2
         assert obj["warnings"] == []
+
+    def test_canonical_basis_orientation_flipped(self, tmp_path, capsys):
+        inp = tmp_path / "cfg.json"
+        inp.write_text(ser.dumps(ser.blocks_to_obj(swap_w3_columns(random_tp_instance(0)[1]))))
+        assert run(["solve", "--input", str(inp)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["warnings"] == ["hypothesis-not-verified", "canonical-basis-orientation-flipped"]
 
     def test_text_format(self, tmp_path, capsys):
         inp = tmp_path / "cfg.json"

@@ -3,9 +3,13 @@ the curve sample and the sampled convexity check) and the Pluecker
 incidence certificate, against oracles that use cofactor expansion or
 Bareiss elimination only."""
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from fourlines import (
     MatQ,
     QuadNum,
     Y_SIGN,
+    blocks_of_canonical,
     canonicalize,
     check_tp_config,
     check_tp_square,
@@ -38,7 +43,15 @@ from fourlines.curves import POLYNOMIAL
 from fourlines.exact import minor_ladder
 from fourlines.totalpos import _CONFIG_MINORS
 
-from conftest import det_cofactor, premultiply, rand_frac, rand_params, rand_pos_det
+from conftest import (
+    AT_INFINITY_X,
+    SQUARE_X,
+    det_cofactor,
+    premultiply,
+    rand_frac,
+    rand_params,
+    rand_pos_det,
+)
 
 ROWS4 = (1, 2, 3, 4)
 
@@ -401,18 +414,25 @@ class TestCertificatesRaise:
         with pytest.raises(CertificateFailure, match="misses an input line"):
             solve_transversals(blocks)
 
+    @staticmethod
+    def tamper_certificate(monkeypatch, tampered):
+        """Hand the line certificate tampered(roots, lines) in place of the
+        stored roots and lines."""
+        original = transversal._certify_lines
+        monkeypatch.setattr(transversal, "_certify_lines",
+                            lambda roots, lines, ells, d: original(*tampered(roots, lines), ells, d))
+
     @pytest.mark.parametrize("flipped", [range(6), range(3, 4)], ids=["all", "p23"])
     def test_tampered_conjugate_line(self, monkeypatch, flipped):
         # line 2 stored with the sign of (some of) its sqrt(d) parts not flipped
         _, blocks = random_tp_instance(0)
-        original = transversal._conjugate_lines
 
-        def tampered(a, b, d):
-            one, two = original(a, b, d)
+        def tampered(roots, lines):
+            one, two = lines
             p = tuple(v.conjugate() if k in flipped else v for k, v in enumerate(two.plucker))
-            return one, transversal.LineRep(two.span, p)
+            return roots, (one, transversal.LineRep(two.span, p))
 
-        monkeypatch.setattr(transversal, "_conjugate_lines", tampered)
+        self.tamper_certificate(monkeypatch, tampered)
         with pytest.raises(CertificateFailure, match="not the conjugate of line 1"):
             solve_transversals(blocks)
 
@@ -424,20 +444,47 @@ class TestCertificatesRaise:
     def test_tampered_conjugate_pair(self, monkeypatch, change, message):
         # both lines stay conjugate, with the parts (pa, pb) changed
         _, blocks = random_tp_instance(0)
-        original = transversal._conjugate_lines
 
-        def tampered(a, b, d):
-            one, two = original(a, b, d)
+        def tampered(roots, lines):
+            one, two = lines
+            d = one.plucker[0].d
             pa, pb = change(tuple(v.a for v in one.plucker), tuple(v.b for v in one.plucker))
-            return (transversal.LineRep(one.span, tuple(QuadNum(u, v, d) for u, v in zip(pa, pb))),
-                    transversal.LineRep(two.span, tuple(QuadNum(u, -v, d) for u, v in zip(pa, pb))))
+            return roots, (transversal.LineRep(one.span, tuple(QuadNum(u, v, d) for u, v in zip(pa, pb))),
+                           transversal.LineRep(two.span, tuple(QuadNum(u, -v, d) for u, v in zip(pa, pb))))
 
-        monkeypatch.setattr(transversal, "_conjugate_lines", tampered)
+        self.tamper_certificate(monkeypatch, tampered)
+        with pytest.raises(CertificateFailure, match=message):
+            solve_transversals(blocks)
+
+    def test_tampered_conjugate_root(self, monkeypatch):
+        # root 2 is never chart-checked; it must be stored as root 1's conjugate
+        _, blocks = random_tp_instance(0)
+        self.tamper_certificate(monkeypatch, lambda roots, lines: ((roots[0], roots[0]), lines))
+        with pytest.raises(CertificateFailure, match="root 2 is not the conjugate of root 1"):
+            solve_transversals(blocks)
+
+    @pytest.mark.parametrize("tampered, message", [
+        (lambda one, two: (one, one), "the two solution lines coincide"),
+        (lambda one, two: (one, transversal.LineRep(two.span, tuple(QuadNum(v.a, 1, v.d) for v in two.plucker))),
+         r"has a sqrt\(d\) part"),
+    ], ids=["coincident", "sqrt-part"])
+    def test_tampered_rational_lines(self, monkeypatch, tampered, message):
+        blocks = blocks_of_canonical(MatQ(SQUARE_X))
+        assert solve_transversals(blocks).roots[0][0].b == 0  # the rational-lines path
+        self.tamper_certificate(monkeypatch, lambda roots, lines: (roots, tampered(*lines)))
         with pytest.raises(CertificateFailure, match=message):
             solve_transversals(blocks)
 
     def test_tampered_root(self, monkeypatch):
         _, blocks = random_tp_instance(0)
+        original = transversal._recover_y
+        monkeypatch.setattr(transversal, "_recover_y", lambda *args: original(*args) + 1)
+        with pytest.raises(CertificateFailure, match="misses a bilinear form"):
+            solve_transversals(blocks)
+
+    def test_tampered_root_of_degenerate_quadratic(self, monkeypatch):
+        # the one finite root when A = 0 is chart-checked like every other
+        blocks = blocks_of_canonical(MatQ(AT_INFINITY_X))
         original = transversal._recover_y
         monkeypatch.setattr(transversal, "_recover_y", lambda *args: original(*args) + 1)
         with pytest.raises(CertificateFailure, match="misses a bilinear form"):
@@ -469,3 +516,17 @@ class TestCertificatesRaise:
         monkeypatch.setattr(transversal, "span_from_plucker", tampered)
         with pytest.raises(CertificateFailure, match="oracle line"):
             oracle_plucker_solve(blocks)
+
+
+def test_certificates_raise_under_python_O():
+    """TestCertificatesRaise in a ``python -O`` interpreter, which strips
+    every assert statement: the certificates must not be asserts."""
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::TestCertificatesRaise"],
+        capture_output=True, text=True, env=env, cwd=repo, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout and "skipped" not in proc.stdout

@@ -39,6 +39,8 @@ from fourlines.exact import minor_ladder
 from fourlines.transversal import Quadratic, quadric_value, span_from_plucker
 
 from conftest import (
+    AT_INFINITY_X,
+    SQUARE_X,
     X1_ENTRIES,
     exact_fields,
     premultiply,
@@ -46,6 +48,7 @@ from conftest import (
     rand_mat,
     rand_params,
     rand_pos_det,
+    swap_w3_columns,
     two_root_solve,
 )
 
@@ -261,14 +264,6 @@ class TestSolveTransversals:
                 assert any(mapped.same_line(s) for s in sol.lines)
 
 
-#: A totally positive X (the chart at small integer parameters) with
-#: D = 966^2: both roots and both lines are rational.
-SQUARE_X = [[1, 7, 10, 6], [7, 52, 79, 51], [7, 61, 107, 81], [3, 30, 58, 50]]
-#: An X, not totally positive, whose quadratic has A = 0: the second line is
-#: the chart's limit as x -> infinity.
-AT_INFINITY_X = [[3, 2, 0, 3], [3, 1, -2, 3], [0, -1, -1, -2], [0, -2, -2, 0]]
-
-
 def tangent_configs(count: int) -> list:
     """Tangent configurations of the moment curve and two convex quartics at
     seeded parameters, skipping those the epsilon search refuses."""
@@ -321,6 +316,11 @@ class TestConjugatePair:
         assert sol.warnings == ("hypothesis-not-verified", "degenerate-leading-coefficient",
                                 "solution-at-infinity")
         assert sol.roots[1] == (None, QuadNum.of(-2, 576))
+
+    def test_canonical_basis_orientation_flipped(self):
+        sol = self.assert_matches(swap_w3_columns(random_tp_instance(0)[1]))
+        assert sol.warnings == ("hypothesis-not-verified", "canonical-basis-orientation-flipped")
+        assert sol.canonical.g.det() < 0
 
 
 def positive_fractions(lo: int, hi: int):
@@ -391,6 +391,17 @@ class TestProperties:
         for ln in sol.lines:
             mapped = LineRep.from_span(gq @ ln.span)
             assert any(mapped.same_line(other) for other in moved_sol.lines)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.fractions(max_denominator=50), min_size=4, max_size=4).filter(any),
+           st.lists(st.fractions(max_denominator=50), min_size=4, max_size=4),
+           st.integers(2, 10**6))
+    def test_rational_forms_commute_with_conjugation(self, coeffs, parts, d):
+        # f(conj x, conj y) = conj f(x, y): a root's conjugate solves every
+        # rational form that the root solves, so root 2 needs no chart check
+        f = BilinearForm(*coeffs)
+        x, y = QuadNum(parts[0], parts[1], d), QuadNum(parts[2], parts[3], d)
+        assert f.eval(x.conjugate(), y.conjugate()) == f.eval(x, y).conjugate()
 
     @pytest.mark.parametrize("regime", sorted(LW_REGIMES))
     def test_solver_matches_oracle(self, regime):
