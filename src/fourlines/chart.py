@@ -1,5 +1,5 @@
-"""The factorization chart, the discriminant chain and the 2x2 minors of a
-4x2 span, once, over any ring.
+"""The factorization chart, the discriminant chain, the 2x2 minors of a
+4x2 span and their incidence pairing, once, over any ring.
 
 Every function here uses only ``+``, ``-`` and ``*`` (and multiplication by
 the integer 4), so the same code runs on ``Fraction`` entries, where the
@@ -79,3 +79,12 @@ def wedge(s, t) -> tuple:
     s beside column 1 of t.  wedge(s, s) is the Pluecker vector of the span of
     s, and wedge(s, t) + wedge(t, s) is bilinear in s and t."""
     return tuple(s[r][0] * t[q][1] - s[q][0] * t[r][1] for r, q in _PLUCKER_ROWS)
+
+
+def plucker_meet(p: tuple, q: tuple):
+    """Incidence pairing <p, q> of two vectors of 2x2 minors in the order
+    p12..p34.  By Laplace expansion along two rows (or columns), it is the
+    4x4 determinant of the rows (columns) behind p beside those behind q."""
+    return (
+        p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1] + p[5] * q[0]
+    )

@@ -26,7 +26,7 @@ RATIONAL_NORMAL = "rational_normal"
 POLYNOMIAL = "polynomial"
 
 #: Largest ``convexity_sample_check`` grid: C(32, 4) = 35,960 determinants;
-#: the ladder's time and memory grow as grid^4.
+#: the minor table's time and memory grow as grid^4.
 MAX_GRID = 32
 #: Halvings of the epsilon search before it gives up.
 MAX_HALVINGS = 64
@@ -99,18 +99,16 @@ def frenet_basis(curve: CurveSpec) -> MatQ:
     return wronskian.inverse()
 
 
-def _frame(curve: CurveSpec, t, basis: MatQ) -> tuple:
-    """(value, derivative) of the lift at t, in the basis at 0."""
-    return tuple((basis @ MatQ.from_cols([curve_eval(curve, t, order)])).col(0) for order in (0, 1))
-
-
 def _frames(curve: CurveSpec, ts, basis: MatQ) -> tuple:
-    return tuple(_frame(curve, t, basis) for t in ts)
+    """(value, derivative) of the lift at each t, in the basis at 0: one
+    product of the basis with every value and derivative column."""
+    moved = basis @ MatQ.from_cols([curve_eval(curve, t, order) for t in ts for order in (0, 1)])
+    return tuple((moved.col(2 * k), moved.col(2 * k + 1)) for k in range(len(ts)))
 
 
 def tangent_block(curve: CurveSpec, t) -> MatQ:
     """4x2 block with columns (value, derivative) at t, in the basis at 0."""
-    return _block(_frame(curve, t, frenet_basis(curve)), t)
+    return _block(_frames(curve, (t,), frenet_basis(curve))[0], t)
 
 
 def _block(frame: tuple, t) -> MatQ:
@@ -182,7 +180,8 @@ def _validate_ts(ts) -> tuple:
 
 def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[tuple] = None) -> SampleReport:
     """8x4 sample matrix with row pairs (value, value + eps*derivative) and all
-    70 maximal minors with their pair-count exponents.
+    70 maximal minors (``exact.maximal_minors``) with their pair-count
+    exponents.
 
     ``frames`` holds the (value, derivative) pair at each t in the Frenet
     basis at 0; they do not depend on epsilon, so the search passes them
@@ -220,7 +219,8 @@ def _epsilon_polynomials(frames: tuple) -> tuple:
     """Coefficients, ascending, of the 70 polynomials P_I with sample minor
     ``eps**kappa_I * P_I(eps)``, in the order of ``_SAMPLE_ROWS``.
 
-    All of them come from one minor ladder of the (v, d) matrix.
+    All of them come from the maximal minors of the (v, d) matrix, one
+    ``exact.maximal_minors`` call.
     """
     base = maximal_minors(MatQ([row for frame in frames for row in frame]))
     return tuple(
@@ -249,8 +249,9 @@ def _certifying_sample(curve: CurveSpec, ts, frames: Optional[tuple] = None) -> 
 
     The frames (as in ``lemma_sample``) are computed once, when not given;
     each halving only forms the shifted rows and reads their 70 minors
-    from the integer ladder.  eps0 = min gap / 4 and its halvings keep every
-    shifted sample inside its gap, so ``lemma_sample`` accepts each of them.
+    from ``exact.maximal_minors``.  eps0 = min gap / 4 and its halvings
+    keep every shifted sample inside its gap, so ``lemma_sample`` accepts
+    each of them.
 
     After the first failed halving the search reads the 70
     epsilon-polynomials once, and stops as soon as one of them is provably
@@ -326,7 +327,7 @@ def convexity_sample_check(curve: CurveSpec, grid_size: int) -> ConvexityReport:
     except NotConvex:
         degenerate = True
         fb = MatQ.identity(4)
-    values = MatQ([(fb @ MatQ.from_cols([curve_eval(curve, t, 0)])).col(0) for t in grid])
+    values = (fb @ MatQ.from_cols([curve_eval(curve, t, 0) for t in grid])).transpose()
     failures = tuple(
         (IndexSet(tuple(i + 1 for i in sub)), det)
         for sub, det in zip(combinations(range(grid_size), 4), maximal_minors(values))

@@ -4,6 +4,8 @@ Scalars are ``fractions.Fraction`` (always reduced, positive denominator)
 and :class:`QuadNum`, the quadratic extension Q(sqrt(d)) with a fixed
 radicand per context.  :class:`MatQ` is a small immutable dense matrix
 over either scalar type, with exact determinants, minors and inverses.
+Every maximal minor of a k x 4 rational matrix comes from one integer
+kernel, ``minor_table``: the Pluecker pairing of two row wedges.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
+from .chart import plucker_meet, wedge
 from .errors import (
     DimensionError,
     RadicandMismatch,
@@ -410,47 +413,38 @@ class MatQ:
         return basis
 
 
-def minor_ladder(m: MatQ) -> tuple:
-    """Every minor of a rational matrix, up to a positive row factor, as ints.
+def minor_table(rows: Sequence[Sequence]) -> tuple:
+    """The integer table behind the maximal minors of a k x 4 rational matrix,
+    given as its rows.
 
-    Returns ``(minors, scales)``.  Each row i is first scaled by the LCM
-    ``scales[i]`` of its denominators, so the minor on rows R and columns C
-    is ``Fraction(minors[R, C], prod(scales[i] for i in R))``; keys are
-    0-based tuples, ``((), ())`` holding 1.  The scaling multiplies a minor
-    by a positive integer, so the ints alone carry every sign.  Minors of
-    order k + 1 come from those of order k by Laplace expansion along their
-    first row: the 69 minors of a 4x4 cost under 150 integer products, the
-    70 maximal minors of an 8x4 (with every smaller one) about 1,300.
+    Returns ``(minors, scales, wedges)``, keyed by 0-based row tuples in
+    lexicographic order.  Row i is scaled to integers by the LCM
+    ``scales[i]`` of its denominators; ``wedges[i, j]`` holds the six 2x2
+    minors of scaled rows i < j, and ``minors[i, j, k, l]`` the 4x4 minor
+    on scaled rows i < j < k < l, read as the pairing
+    ``<wedges[i, j], wedges[k, l]>``: Laplace expansion along two rows.  So
+    that minor of the matrix itself is ``Fraction(minors[R],
+    prod(scales[i] for i in R))``, and the ints alone carry every sign.
     """
     a, scales = [], []
-    for row in m.entries():
+    for row in rows:
         s = math.lcm(*(v.denominator for v in row))
         scales.append(s)
         a.append([v.numerator * (s // v.denominator) for v in row])
-    minors = {((), ()): 1}
-    for order in range(1, min(m.rows, m.cols) + 1):
-        # each column set with its expansion terms: (column, the rest, odd?)
-        expansions = [(cols, [(c, cols[:k] + cols[k + 1:], k % 2) for k, c in enumerate(cols)])
-                      for cols in combinations(range(m.cols), order)]
-        for rows in combinations(range(m.rows), order):
-            top, rest = a[rows[0]], rows[1:]
-            for cols, terms in expansions:
-                total = 0
-                for c, sub, odd in terms:
-                    term = top[c] * minors[rest, sub]
-                    total += -term if odd else term
-                minors[rows, cols] = total
-    return minors, scales
+    wedges = {}
+    for i, j in combinations(range(len(a)), 2):
+        pair = tuple(zip(a[i], a[j]))
+        wedges[i, j] = wedge(pair, pair)
+    minors = {sub: plucker_meet(wedges[sub[:2]], wedges[sub[2:]])
+              for sub in combinations(range(len(a)), 4)}
+    return minors, scales, wedges
 
 
 def maximal_minors(m: MatQ) -> list:
     """Exact maximal minors of a k x 4 rational matrix.
 
-    One value per 4-row set, in lexicographic order, read from the integer
-    minor ladder: each equals ``MatQ.minor`` on those rows.
+    One value per 4-row set, in lexicographic order, read from
+    ``minor_table``: each equals ``MatQ.minor`` on those rows.
     """
-    ladder, scales = minor_ladder(m)
-    return [
-        Fraction(ladder[sub, (0, 1, 2, 3)], math.prod(scales[i] for i in sub))
-        for sub in combinations(range(m.rows), 4)
-    ]
+    minors, scales, _ = minor_table(m.entries())
+    return [Fraction(v, math.prod(scales[i] for i in sub)) for sub, v in minors.items()]

@@ -18,8 +18,8 @@ from .errors import (
     InputError,
     NotTotallyPositive,
 )
-from .chart import lw_product, wedge
-from .exact import IndexSet, MatQ, as_rat, maximal_minors, minor_ladder
+from .chart import lw_product
+from .exact import IndexSet, MatQ, as_rat, minor_table
 
 #: The fixed anti-diagonal sign matrix of the canonical form [X Y].
 Y_SIGN = MatQ(
@@ -105,92 +105,89 @@ class TPReport:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Change of basis g with g*[W3 W4] = Y and the reduced matrix X = g*[W1 W2]."""
+    """Change of basis g with g*[W3 W4] = Y and the reduced matrix X = g*[W1 W2].
+
+    ``orientation`` is the sign of det g, which is the sign of det[W3 W4].
+    """
 
     g: MatQ
     x: MatQ
     y: MatQ
+    orientation: int
 
 
-#: The 70 column sets C of [W1 W2 W3 W4] in lexicographic order, each with
-#: the rows R and columns J of the minor of X that it maps to.  With
-#: g*W = [X Y], det(g) * minor_W(C) = det [X Y]_C, and expanding along the
-#: columns of Y (signed unit vectors) leaves the minor of X on the rows that
-#: those columns miss.  Y is chosen so that this expansion has sign +1 for
-#: every C (tests pin it), so minor_W(C) = minor_X(R, J) / det(g).
-_CONFIG_MINORS = tuple(
-    (cols,
-     tuple(r for r in range(4) if 8 - r not in cols),
-     tuple(c - 1 for c in cols if c <= 4))
-    for cols in combinations(range(1, 9), 4)
-)
 _ROWS4 = IndexSet((1, 2, 3, 4))
+#: The columns of [W3 W4] among the eight of a configuration (0-based).
+_W34 = (4, 5, 6, 7)
 
 
-def _reduce(blocks: ConfigBlocks):
-    """The canonical form (g = Y*[W3 W4]^(-1), X = g*[W1 W2]) and det g.
+def _canonical(blocks: ConfigBlocks, minors: dict, scales: list) -> CanonicalForm:
+    """The canonical form, read from the configuration's minor table.
 
-    det(Y) = 1, so det(g) = 1/det[W3 W4]: one determinant, one inverse.
+    g = Y*[W3 W4]^(-1), and X = g*[W1 W2] by Cramer's rule: row r of Y is
+    a signed unit row that picks coordinate 3 - r of [W3 W4]^(-1) w_j, and
+    the sign of that row cancels the sign of moving column j to the front,
+    so X[r][j] = minor_W({j} + W34 - {8 - r}) / det[W3 W4] (1-based
+    columns), with sign +1 for every r.
     """
-    w34 = blocks.w3.hstack(blocks.w4)
-    det34 = w34.det()
-    if det34 == 0:
+    det34 = minors[_W34]
+    if not det34:
         raise DegenerateConfiguration("[W3 W4] is singular: degenerate configuration")
-    g = y_sign_times(w34.inverse())
-    return CanonicalForm(g=g, x=g @ blocks.w1.hstack(blocks.w2), y=Y_SIGN), 1 / det34
+    x = [[Fraction(minors[(j, *(c for c in _W34 if c != 7 - r))] * scales[7 - r], det34 * scales[j])
+          for j in range(4)] for r in range(4)]
+    g = y_sign_times(blocks.w3.hstack(blocks.w4).inverse())
+    return CanonicalForm(g=g, x=MatQ(x), y=Y_SIGN, orientation=1 if det34 > 0 else -1)
+
+
+def _columns(blocks: ConfigBlocks) -> list:
+    return [w.col(j) for w in blocks.blocks() for j in (0, 1)]
 
 
 def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     """All 70 maximal minors of the 4x8 concatenation strictly positive?
 
     Reports the lexicographically first non-positive minor on failure.
-    Every maximal minor is a minor of the canonical X over det g, so one
-    integer minor ladder of X gives the signs, and the witness is its
-    ladder integer over the row scales, divided by det g.  The report
-    carries that canonical form.  A singular [W3 W4] has none; then the
-    minors come from one ladder of the transposed configuration.
+    All 70 come from one ``minor_table`` of the configuration's columns,
+    and the witness is its integer over the four column scales.  The
+    report carries the canonical form read from the same table (none when
+    [W3 W4] is singular).
 
     A TP verdict also proves det(g) = 1/minor_W(5,6,7,8) > 0 and, since
     each minor of X is a positive multiple of a maximal minor of W, that
     X is totally positive.
     """
-    for idx, w in enumerate(blocks.blocks(), start=1):
-        if not any(wedge(w.entries(), w.entries())):
-            raise InputError(f"block W{idx} is rank-deficient")
-    try:
-        canon, det_g = _reduce(blocks)
-    except DegenerateConfiguration:
-        return _scan_config(blocks)
-    minors, scales = minor_ladder(canon.x)
-    sign = 1 if det_g > 0 else -1
-    for cols, rows, xcols in _CONFIG_MINORS:
-        if sign * minors[rows, xcols] <= 0:
-            witness = Fraction(minors[rows, xcols], math.prod(scales[i] for i in rows)) / det_g
-            return TPReport(False, IndexSet(cols), _ROWS4, witness, canonical=canon)
+    minors, scales, wedges = minor_table(_columns(blocks))
+    for idx in range(4):
+        if not any(wedges[2 * idx, 2 * idx + 1]):
+            raise InputError(f"block W{idx + 1} is rank-deficient")
+    canon = _canonical(blocks, minors, scales) if minors[_W34] else None
+    for cols, v in minors.items():
+        if v <= 0:
+            witness = Fraction(v, math.prod(scales[c] for c in cols))
+            return TPReport(False, IndexSet(tuple(c + 1 for c in cols)), _ROWS4, witness,
+                            canonical=canon)
     return TPReport(True, canonical=canon)
-
-
-def _scan_config(blocks: ConfigBlocks) -> TPReport:
-    for cols, m in zip(combinations(range(1, 9), 4), maximal_minors(blocks.concat().transpose())):
-        if m <= 0:
-            return TPReport(False, IndexSet(cols), _ROWS4, m)
-    return TPReport(True)
 
 
 def check_tp_square(x: MatQ) -> TPReport:
     """All 69 minors of orders 1..4 of a 4x4 matrix strictly positive?
 
-    Walks the integer minor ladder by order, then rows, then columns; the
-    witness is the first non-positive ladder integer over its row scales.
+    Walks the minors by order, then rows, then columns, and reads each
+    from the maximal minors of [X Y]: the columns of Y are signed unit
+    vectors, and Y is chosen so that minor_X(R, J) is the maximal minor of
+    [X Y] on the columns J and 8 - r for every row r not in R, with sign
+    +1.  The witness is the first non-positive one.
     """
     if x.rows != 4 or x.cols != 4:
         raise DimensionError("expected a 4x4 matrix")
-    minors, scales = minor_ladder(x)
+    minors, scales, _ = minor_table(_columns(blocks_of_canonical(x)))
     for order in range(1, 5):
         for rows in combinations(range(4), order):
+            missed = tuple(7 - r for r in reversed(range(4)) if r not in rows)
             for cols in combinations(range(4), order):
-                if minors[rows, cols] <= 0:
-                    witness = Fraction(minors[rows, cols], math.prod(scales[i] for i in rows))
+                v = minors[cols + missed]
+                if v <= 0:
+                    witness = Fraction(v, math.prod(scales[c] for c in cols))
                     return TPReport(False, IndexSet(tuple(c + 1 for c in cols)),
                                     IndexSet(tuple(r + 1 for r in rows)), witness)
     return TPReport(True)
@@ -201,7 +198,7 @@ def canonicalize(blocks: ConfigBlocks) -> CanonicalForm:
 
     Only reduces: the total-positivity verdict is ``check_tp_config``'s.
     """
-    return _reduce(blocks)[0]
+    return _canonical(blocks, *minor_table(_columns(blocks))[:2])
 
 
 def lw_compose(params: LWParams) -> MatQ:

@@ -23,6 +23,7 @@ from .errors import (
     NonGenericConfiguration,
 )
 from . import chart
+from .chart import plucker_meet
 from .exact import MatQ, QuadNum, rational_sqrt
 from .totalpos import (
     CanonicalForm,
@@ -76,13 +77,6 @@ def plucker_of_span(span: MatQ) -> tuple:
     if not any(p):
         raise DegenerateLine("span has rank < 2")
     return p
-
-
-def plucker_meet(p: tuple, q: tuple):
-    """Incidence pairing; equals det of the 4x4 concatenation of any spans."""
-    return (
-        p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1] + p[5] * q[0]
-    )
 
 
 def quadric_value(p: tuple):
@@ -246,7 +240,7 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     # Only a singular [W3 W4] leaves no canonical form; canonicalize raises for it.
     canon = tp.canonical or canonicalize(blocks)
     warnings: List[str] = [] if tp.ok else ["hypothesis-not-verified"]
-    if not tp.ok and canon.g.det() <= 0:
+    if not tp.ok and canon.orientation < 0:
         warnings.append("canonical-basis-orientation-flipped")
     forms = bilinear_forms(canon.x)
     quad = eliminate_to_quadratic(*forms)

@@ -118,26 +118,38 @@ class TestCommandImports:
         assert _python("-c", code).split("\n")[:2] == ["[]", "[]"]
 
     def test_traced_commands_open_the_wrapped_spans(self, tmp_path):
-        # A library change that stops calling a name the tracer wraps fails
-        # here, instead of reading 0 in a traced benchmark run.
+        # A library change that stops calling a name the tracer wraps, or
+        # that leaves a command with every exact counter at 0, fails here
+        # instead of reading 0 in a traced benchmark run.
         inp, out = tmp_path / "x1.json", tmp_path / "out.json"
         inp.write_text(ser.dumps(ser.blocks_to_obj(blocks_of_canonical(MatQ(X1_ENTRIES)))))
+        commands = [["solve", "--input", str(inp)], ["check-tp", "--input", str(inp)],
+                    ["curve-sample", "--ts", "1/10,3/10,5/10,7/10", "--epsilon", "auto"]]
         code = (
             "import json, sys\n"
             f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
             "import tracer\n"
             "from fourlines import cli\n"
-            "t = tracer.Tracer()\n"
-            "t.install()\n"
-            f"print([cli.run([cmd, '--input', {str(inp)!r}, '--output', {str(out)!r}])\n"
-            "       for cmd in ('solve', 'check-tp')])\n"
-            "t.restore()\n"
-            "print(json.dumps(sorted({span[0] for span in t.spans})))\n"
+            "counters = [m for m, (_, how, _) in tracer.METRICS.items()\n"
+            "            if how == 'count' and m.startswith('exact.')] + ['exact.max_bits']\n"
+            f"for argv in {commands!r}:\n"
+            "    t = tracer.Tracer()\n"
+            "    t.install()\n"
+            f"    status = cli.run(argv + ['--output', {str(out)!r}])\n"
+            "    t.restore()\n"
+            "    values = tracer.per_layer(t.totals(), 1)\n"
+            "    print(json.dumps([status, sorted({span[0] for span in t.spans}),\n"
+            "                      {m: values[m][0] for m in counters}]))\n"
         )
-        codes, spans = _python("-c", code).split("\n")[:2]
-        assert codes == "[0, 0]"
+        runs = [json.loads(line) for line in _python("-c", code).splitlines()]
+        assert [status for status, _, _ in runs] == [0, 0, 0]
+        (_, solve, _), (_, check_tp, _), (_, sample, _) = runs
         assert {"transversal.solve", "transversal.forms", "transversal.solve_canonical",
-                "totalpos.check_tp_config", "serialize.emit"} <= set(json.loads(spans))
+                "totalpos.check_tp_config", "serialize.emit"} <= set(solve)
+        assert {"totalpos.check_tp_config", "serialize.emit"} <= set(check_tp)
+        assert {"curves.lemma_sample", "serialize.emit"} <= set(sample)
+        for _, _, counts in runs:
+            assert "exact.inverse_calls" in counts and any(counts.values()), counts
 
 
 class TestCachedParser:

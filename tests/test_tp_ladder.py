@@ -1,7 +1,8 @@
-"""Differential tests of the integer minor ladder, its users (the TP checks,
-the curve sample and the sampled convexity check) and the Pluecker
-incidence certificate, against oracles that use cofactor expansion or
-Bareiss elimination only."""
+"""Differential tests of the maximal-minor kernel (each minor the Pluecker
+pairing of two integer row wedges), its users (the TP checks, the canonical
+form, the curve sample and the sampled convexity check) and the Pluecker
+incidence certificate, against oracles that use cofactor expansion,
+Bareiss elimination or Gauss-Jordan elimination only."""
 import math
 import os
 import random
@@ -19,6 +20,7 @@ from fourlines import (
     CertificateFailure,
     ConfigBlocks,
     CurveSpec,
+    DegenerateConfiguration,
     MatQ,
     QuadNum,
     Y_SIGN,
@@ -40,8 +42,7 @@ from fourlines import (
 )
 from fourlines import transversal
 from fourlines.curves import POLYNOMIAL
-from fourlines.exact import minor_ladder
-from fourlines.totalpos import _CONFIG_MINORS
+from fourlines.exact import maximal_minors, minor_table
 
 from conftest import (
     AT_INFINITY_X,
@@ -51,9 +52,24 @@ from conftest import (
     rand_frac,
     rand_params,
     rand_pos_det,
+    swap_w3_columns,
 )
 
 ROWS4 = (1, 2, 3, 4)
+
+#: The 70 column sets C of [W1 W2 W3 W4] in lexicographic order, each with
+#: the rows R and columns J (0-based) of the minor of X that it maps to.
+#: With g*W = [X Y], det(g) * minor_W(C) = det [X Y]_C, and expanding along
+#: the columns of Y (signed unit vectors) leaves the minor of X on the rows
+#: that those columns miss.  Y is chosen so that this expansion has sign +1
+#: for every C, which ``check_tp_square`` and the Cramer's-rule X of
+#: ``canonicalize`` rely on: minor_W(C) = minor_X(R, J) / det(g).
+CONFIG_MINORS = tuple(
+    (cols,
+     tuple(r for r in range(4) if 8 - r not in cols),
+     tuple(c - 1 for c in cols if c <= 4))
+    for cols in combinations(range(1, 9), 4)
+)
 
 
 def minor(m: MatQ, rows, cols):
@@ -141,7 +157,7 @@ def perturbed_instances():
 
 class TestConfigMinorMap:
     def test_column_sets_in_lexicographic_order(self):
-        assert [cols for cols, _, _ in _CONFIG_MINORS] == list(combinations(range(1, 9), 4))
+        assert [cols for cols, _, _ in CONFIG_MINORS] == list(combinations(range(1, 9), 4))
 
     def test_sign_is_plus_one_for_all_70_column_sets(self):
         # epsilon_C = det [X Y]_C / minor_X(R, J), on an X with all minors
@@ -149,44 +165,55 @@ class TestConfigMinorMap:
         x = lw_compose(rand_params(random.Random(3)))
         a = x.hstack(Y_SIGN)
         eps = []
-        for cols, rows, xcols in _CONFIG_MINORS:
+        for cols, rows, xcols in CONFIG_MINORS:
             sub = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in xcols))
             eps.append(minor(a, ROWS4, cols) / sub)
         assert eps == [1] * 70
 
     def test_row_sets(self):
         # the columns 5..8 of Y are e4, -e3, e2, -e1: each removes one row of X
-        by_cols = {cols: (rows, xcols) for cols, rows, xcols in _CONFIG_MINORS}
+        by_cols = {cols: (rows, xcols) for cols, rows, xcols in CONFIG_MINORS}
         assert by_cols[1, 2, 3, 4] == ((0, 1, 2, 3), (0, 1, 2, 3))
         assert by_cols[1, 2, 3, 5] == ((0, 1, 2), (0, 1, 2))
         assert by_cols[2, 4, 6, 8] == ((1, 3), (1, 3))
         assert by_cols[5, 6, 7, 8] == ((), ())
 
 
+def xy_columns(x: MatQ) -> list:
+    """The eight columns of [X Y]: the rows of its transpose."""
+    return [x.col(j) for j in range(4)] + [Y_SIGN.col(j) for j in range(4)]
+
+
 class TestLadder:
     @pytest.mark.parametrize("bound", [10, 10**30])
     def test_values_are_row_scaled_minors(self, bound):
+        # the table of [X Y]'s columns holds every minor of X, column-scaled
         for seed in range(3):
             params, _ = random_tp_instance(seed, bound)
             x = lw_compose(params)
-            scales = [math.lcm(*(v.denominator for v in row)) for row in x.entries()]
-            ladder, ladder_scales = minor_ladder(x)
-            assert ladder_scales == scales
-            assert len(ladder) == 70
-            for (rows, cols), value in ladder.items():
-                exact = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
-                assert value == exact * math.prod(scales[r] for r in rows)
+            scales = [math.lcm(*(v.denominator for v in col)) for col in xy_columns(x)]
+            table, table_scales, _ = minor_table(xy_columns(x))
+            assert table_scales == scales and scales[4:] == [1] * 4
+            assert len(table) == 70
+            for cols, rows, xcols in CONFIG_MINORS:
+                exact = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in xcols))
+                assert table[tuple(c - 1 for c in cols)] == exact * math.prod(scales[c] for c in xcols)
 
 
 def assert_ladder_is_exact(m: MatQ):
-    """Every minor of every order, against the cofactor oracle."""
-    ladder, scales = minor_ladder(m)
+    """Every entry of the minor table, the wedges of all row pairs and the
+    maximal minors, and ``maximal_minors``, against the cofactor oracle."""
+    table, scales, wedges = minor_table(m.entries())
     assert scales == [math.lcm(*(v.denominator for v in row)) for row in m.entries()]
-    top = min(m.rows, m.cols)
-    assert len(ladder) == sum(math.comb(m.rows, k) * math.comb(m.cols, k) for k in range(top + 1))
-    for (rows, cols), value in ladder.items():
-        exact = minor(m, tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
+    assert list(wedges) == list(combinations(range(m.rows), 2))
+    assert list(table) == list(combinations(range(m.rows), 4))
+    for (i, j), w in wedges.items():
+        assert [Fraction(v, scales[i] * scales[j]) for v in w] == [
+            minor(m, (i + 1, j + 1), cols) for cols in combinations(ROWS4, 2)]
+    for rows, value in table.items():
+        exact = minor(m, tuple(r + 1 for r in rows), ROWS4)
         assert Fraction(value, math.prod(scales[r] for r in rows)) == exact
+    assert maximal_minors(m) == [minor(m, rows, ROWS4) for rows in combinations(range(1, m.rows + 1), 4)]
 
 
 def rand_with_zeros(rng: random.Random, rows: int, cols: int) -> MatQ:
@@ -211,9 +238,8 @@ class TestGeneralLadder:
             assert_ladder_is_exact(rand_with_zeros(rng, rows, 4))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
-        st.lists(st.fractions(-40, 40, max_denominator=30), min_size=n, max_size=n),
-        min_size=1, max_size=6)))
+    @given(st.lists(st.lists(st.fractions(-40, 40, max_denominator=30), min_size=4, max_size=4),
+                    min_size=1, max_size=7))
     def test_property_matches_cofactor_oracle(self, rows):
         assert_ladder_is_exact(MatQ(rows))
 
@@ -327,6 +353,31 @@ class TestCheckTpConfig:
             assert as_tuple(rep) == oracle_config(singular)
             assert not rep.ok
 
+    def test_canonical_form_is_the_gauss_jordan_reduction(self):
+        # g = Y [W3 W4]^(-1) and X = g [W1 W2] by products, against the
+        # Cramer's-rule X that check_tp_config reads from its minor table
+        rng = random.Random(41)
+        cases = perturbed_instances()[:15]
+        for seed in range(6):
+            _, blocks = random_tp_instance(seed, 10**30 if seed % 2 else 10)
+            cases.append(blocks)
+            cases.append(premultiply(blocks, rand_pos_det(rng)))
+            cases.append(ConfigBlocks(blocks.w2, blocks.w4, blocks.w1, blocks.w3))
+            cases.append(swap_w3_columns(blocks))
+        for blocks in cases:
+            canon = check_tp_config(blocks).canonical
+            g = Y_SIGN @ blocks.w3.hstack(blocks.w4).inverse()
+            assert (canon.g, canon.x, canon.y) == (g, g @ blocks.w1.hstack(blocks.w2), Y_SIGN)
+            assert g @ blocks.concat() == canon.x.hstack(canon.y)
+            assert canon.orientation == (1 if g.det() > 0 else -1)
+            assert canonicalize(blocks) == canon
+        assert {check_tp_config(b).canonical.orientation for b in cases} == {1, -1}
+        _, b = random_tp_instance(0)
+        singular = ConfigBlocks(b.w1, b.w2, b.w3, b.w3.map(lambda v: 3 * v))
+        assert check_tp_config(singular).canonical is None
+        with pytest.raises(DegenerateConfiguration, match=r"\[W3 W4\] is singular"):
+            canonicalize(singular)
+
 
 class TestCheckTpSquare:
     @pytest.mark.parametrize("bound", [10, 10**30])
@@ -354,6 +405,51 @@ class TestCheckTpSquare:
         for blocks in perturbed_instances()[:10]:
             x = canonicalize(blocks).x
             assert as_tuple(check_tp_square(x)) == oracle_square(x)
+
+    def test_matrices_with_zero_entries(self):
+        rng = random.Random(43)
+        witnesses = set()
+        for _ in range(40):
+            x = rand_with_zeros(rng, 4, 4) if rng.random() < 0.5 else MatQ(
+                [[rand_frac(rng, lo=0) if rng.random() < 0.8 else Fraction(0) for _ in range(4)]
+                 for _ in range(4)])
+            want = oracle_square(x)
+            assert as_tuple(check_tp_square(x)) == want
+            witnesses.add(want[1:3])
+        assert len(witnesses) >= 5
+
+    def test_all_69_minors_are_read_from_the_table(self):
+        # minor_X(R, J) is the maximal minor of [X Y] on J and 8 - r, r not in R
+        rng = random.Random(47)
+        for x in (rand_with_zeros(rng, 4, 4), MatQ([[rand_frac(rng) for _ in range(4)] for _ in range(4)])):
+            table, scales, _ = minor_table(xy_columns(x))
+            for order in range(1, 5):
+                for rows in combinations(range(4), order):
+                    missed = tuple(sorted(7 - r for r in range(4) if r not in rows))
+                    for cols in combinations(range(4), order):
+                        exact = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
+                        assert Fraction(table[cols + missed], math.prod(scales[c] for c in cols)) == exact
+
+    def test_first_witness_order(self):
+        # zero each minor of order >= 2 of a TP matrix in turn through its
+        # last entry (the minor is affine in it); the check must report the
+        # oracle's first non-positive minor, which that one or an earlier
+        x = lw_compose(rand_params(random.Random(53)))
+        witnesses = set()
+        for order in range(2, 5):
+            for rows in combinations(ROWS4, order):
+                for cols in combinations(ROWS4, order):
+                    entries = [list(r) for r in x.entries()]
+                    i, j = rows[-1] - 1, cols[-1] - 1
+                    m0 = minor(x, rows, cols)
+                    entries[i][j] += 1
+                    slope = minor(MatQ(entries), rows, cols) - m0
+                    entries[i][j] -= 1 + m0 / slope
+                    y = MatQ(entries)
+                    want = oracle_square(y)
+                    assert as_tuple(check_tp_square(y)) == want and want[3] <= 0
+                    witnesses.add(want[1:3])
+        assert len(witnesses) >= 20
 
 
 class TestIncidenceCertificate:

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -35,13 +34,13 @@ from fourlines import (
     tangent_config,
 )
 from fourlines.curves import POLYNOMIAL
-from fourlines.exact import minor_ladder
 from fourlines.transversal import Quadratic, quadric_value, span_from_plucker
 
 from conftest import (
     AT_INFINITY_X,
     SQUARE_X,
     X1_ENTRIES,
+    det_cofactor,
     exact_fields,
     premultiply,
     rand_frac,
@@ -360,10 +359,8 @@ def configurations(draw):
 
 
 def maximal_minors(m: MatQ) -> list:
-    """The 70 maximal minors of a 4x8 matrix, read from the integer ladder."""
-    minors, scales = minor_ladder(m)
-    den = math.prod(scales)
-    return [Fraction(minors[(0, 1, 2, 3), cols], den) for cols in combinations(range(8), 4)]
+    """The 70 maximal minors of a 4x8 matrix, by cofactor expansion."""
+    return [det_cofactor(m.submatrix((1, 2, 3, 4), cols)) for cols in combinations(range(1, 9), 4)]
 
 
 def solve_outcome(blocks):
