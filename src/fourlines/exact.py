@@ -413,6 +413,13 @@ class MatQ:
         return basis
 
 
+def integer_scaled(values: Sequence) -> tuple:
+    """``(ints, s)``: rational values times the LCM ``s`` of their
+    denominators, so that value i is ``Fraction(ints[i], s)``."""
+    s = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
+
+
 def minor_table(rows: Sequence[Sequence]) -> tuple:
     """The integer table behind the maximal minors of a k x 4 rational matrix,
     given as its rows.
@@ -428,9 +435,9 @@ def minor_table(rows: Sequence[Sequence]) -> tuple:
     """
     a, scales = [], []
     for row in rows:
-        s = math.lcm(*(v.denominator for v in row))
+        ints, s = integer_scaled(row)
+        a.append(ints)
         scales.append(s)
-        a.append([v.numerator * (s // v.denominator) for v in row])
     wedges = {}
     for i, j in combinations(range(len(a)), 2):
         pair = tuple(zip(a[i], a[j]))

@@ -88,9 +88,6 @@ class ConfigBlocks:
     def blocks(self) -> tuple:
         return (self.w1, self.w2, self.w3, self.w4)
 
-    def concat(self) -> MatQ:
-        return self.w1.hstack(self.w2).hstack(self.w3).hstack(self.w4)
-
 
 @dataclass(frozen=True)
 class TPReport:

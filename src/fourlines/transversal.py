@@ -6,12 +6,19 @@ Q(sqrt D), and each line built from the input blocks as the span of its
 points on W4 and on W3, which x and y locate, with exact certificates that
 raise CertificateFailure.  An independent oracle solves the same problem
 directly in Pluecker coordinates.
+
+From the forms on, the solver runs on integers (``_integer_chart``): each
+root coordinate is (p + q sqrt d)/r with integers p, q, r and d, and each
+line is read from the integer blocks.  Every zero test is scale-free and
+runs on these integers, and each printed root, span entry and Pluecker
+coordinate is one division of two; D is B^2 - 4AC of the printed A, B, C.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, isqrt
 from typing import List, Tuple
 
 from .errors import (
@@ -23,8 +30,8 @@ from .errors import (
     NonGenericConfiguration,
 )
 from . import chart
-from .chart import plucker_meet
-from .exact import MatQ, QuadNum, rational_sqrt
+from .chart import plucker_meet, wedge
+from .exact import MatQ, QuadNum, integer_scaled, rational_sqrt
 from .totalpos import (
     CanonicalForm,
     ConfigBlocks,
@@ -35,7 +42,8 @@ from .totalpos import (
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """c_xy*xy + c_x*x + c_y*y + c_1 = 0."""
+    """c_xy*xy + c_x*x + c_y*y + c_1 = 0, over any ring: Fractions as
+    printed, integers inside the solver."""
 
     c_xy: Fraction
     c_x: Fraction
@@ -55,15 +63,15 @@ class BilinearForm:
 
 @dataclass(frozen=True)
 class Quadratic:
-    """A*x^2 + B*x + C = 0 with discriminant D = B^2 - 4AC."""
+    """A*x^2 + B*x + C = 0 with discriminant D = B^2 - 4AC, computed once."""
 
     a: Fraction
     b: Fraction
     c: Fraction
+    disc: Fraction = field(init=False)
 
-    @property
-    def disc(self) -> Fraction:
-        return chart.discriminant(self.a, self.b, self.c)
+    def __post_init__(self):
+        object.__setattr__(self, "disc", chart.discriminant(self.a, self.b, self.c))
 
 
 PLUCKER_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -144,9 +152,11 @@ class TransversalSolution:
     warnings: Tuple[str, ...] = ()
 
 
-def bilinear_forms(x: MatQ) -> Tuple[BilinearForm, BilinearForm]:
-    """The incidence equations det[W1|U] = 0 and det[W2|U] = 0 as bilinear forms."""
-    f, h = chart.bilinear_forms(x.entries())
+def bilinear_forms(x) -> Tuple[BilinearForm, BilinearForm]:
+    """The incidence equations det[W1|U] = 0 and det[W2|U] = 0 as bilinear
+    forms over the ring of X, given as its rows (the solver passes X scaled
+    to integers)."""
+    f, h = chart.bilinear_forms(x)
     return BilinearForm(*f), BilinearForm(*h)
 
 
@@ -177,56 +187,127 @@ def _sqrt_in_context(disc: Fraction) -> QuadNum:
     return QuadNum(Fraction(0), Fraction(1), disc)
 
 
-def _recover_y(x_val: QuadNum, f: BilinearForm, h: BilinearForm) -> QuadNum:
-    """Solve for y at the root x, preferring h, falling back to f."""
-    for form in (h, f):
-        den = form.c_xy * x_val + QuadNum.of(form.c_y, x_val.d)
-        if den and den.norm() != 0:
-            num = form.c_x * x_val + QuadNum.of(form.c_1, x_val.d)
-            return -(num / den)
+def _y_at(x: tuple, forms: tuple, d: int) -> tuple:
+    """The y of the root at x = (p + q sqrt d)/r of integer forms, as an
+    integer triple (u, v, w) meaning (u + v sqrt d)/w; from h, else from f.
+
+    y = -N/M with N = c_x x + c_1 and M = c_xy x + c_y, so y = -N conj(M) /
+    norm(M), which needs norm(M) != 0.  A rational x has q = 0, and its
+    norm is the square of M.  The triple is divided by its content, which
+    keeps the lines built from it small.
+    """
+    p, q, r = x
+    for form in reversed(forms):
+        m0, m1 = form.c_xy * p + form.c_y * r, form.c_xy * q
+        norm = m0 * m0 - d * m1 * m1
+        if norm:
+            n0, n1 = form.c_x * p + form.c_1 * r, form.c_x * q
+            u, v = d * n1 * m1 - n0 * m0, n0 * m1 - n1 * m0
+            c = gcd(u, v, norm)
+            return u // c, v // c, norm // c
     raise NonGenericConfiguration("both y-denominators vanish at a root")
 
 
-def _root(x_val: QuadNum, f: BilinearForm, h: BilinearForm) -> tuple:
-    """The chart root (x, y) at x, certified to solve both forms."""
-    y_val = _recover_y(x_val, f, h)
-    if f.eval(x_val, y_val) != 0 or h.eval(x_val, y_val) != 0:
-        raise CertificateFailure(f"chart root x = {x_val!r} misses a bilinear form")
-    return x_val, y_val
+def _root(x: tuple, forms: tuple, d: int) -> tuple:
+    """The chart root (x, y) at x, certified to solve both integer forms.
+
+    With x = (p + q sqrt d)/r and y = (u + v sqrt d)/w, r*w*form(x, y)
+    has the rational part and the sqrt(d) part below; both must vanish.
+    """
+    p, q, r = x
+    u, v, w = _y_at(x, forms, d)
+    for form in forms:
+        c_xy, c_x, c_y, c_1 = form.coeffs()
+        if (c_xy * (p * u + d * q * v) + c_x * p * w + c_y * u * r + c_1 * r * w
+                or c_xy * (p * v + q * u) + c_x * q * w + c_y * v * r):
+            raise CertificateFailure(f"chart root x = ({p} + {q}*sqrt({d}))/{r} "
+                                     "misses a bilinear form")
+    return x, (u, v, w)
 
 
 def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
-    """Both (x, y) chart solutions, over the unreduced radicand D = quad.disc.
+    """Both (x, y) chart solutions of integer forms and their integer
+    quadratic, over the radicand d = quad.disc.
 
-    Returns (roots, warnings); a root is a pair of QuadNums, or (None, y)
-    for the chart's limit line as x -> infinity.  When sqrt D is irrational
-    the second root is stored as the conjugate of the first, which needs no
-    second chart check: the forms are rational, so f(conj x, conj y) is the
-    conjugate of f(x, y) = 0.
+    Returns (roots, warnings); a root is a pair of integer triples
+    (p, q, r) meaning (p + q sqrt d)/r, or (None, y) for the chart's limit
+    line as x -> infinity.  The roots do not change when a form, or
+    (A, B, C), is scaled, so the forms may be primitive.  When sqrt d is
+    irrational the second root is the conjugate of the first (q -> -q),
+    which needs no second chart check: the forms are rational, so
+    f(conj x, conj y) is the conjugate of f(x, y) = 0.  A negative d
+    raises NoRealSolution.
     """
     f, h = forms
-    disc = quad.disc
-    if quad.a == 0:
-        if quad.b == 0:
+    a, b, c, d = quad.a, quad.b, quad.c, quad.disc
+    if a == 0:
+        if b == 0:
             raise NonGenericConfiguration("quadratic degenerates to a constant")
         warnings = ["degenerate-leading-coefficient"]
-        roots = [_root(QuadNum.of(Fraction(-quad.c, quad.b), disc), f, h)]
+        roots = [_root((-c, 0, b), forms, d)]
         # as x -> infinity, the form's xy-leading part fixes y = -c_x / c_xy
         for form in (h, f):
             if form.c_xy:
                 warnings.append("solution-at-infinity")
-                roots.append((None, QuadNum.of(Fraction(-form.c_x, form.c_xy), disc)))
+                roots.append((None, (-form.c_x, 0, form.c_xy)))
                 break
         return tuple(roots), warnings
-    sq = _sqrt_in_context(disc)
-    two_a = QuadNum.of(2 * quad.a, disc)
-    minus_b = QuadNum.of(-quad.b, disc)
-    x_val, y_val = _root((minus_b + sq) / two_a, f, h)
-    if disc == 0:
-        return ((x_val, y_val),), ["double-root"]
-    if sq.b:
-        return ((x_val, y_val), (x_val.conjugate(), y_val.conjugate())), []
-    return ((x_val, y_val), _root((minus_b - sq) / two_a, f, h)), []
+    if d < 0:
+        raise NoRealSolution(f"negative discriminant {d}")
+    s = isqrt(d)
+    if s * s == d:
+        one = _root((s - b, 0, 2 * a), forms, d)
+        if d == 0:
+            return (one,), ["double-root"]
+        return (one, _root((-s - b, 0, 2 * a), forms, d)), []
+    (p, q, r), (u, v, w) = _root((-b, 1, 2 * a), forms, d)
+    return (((p, q, r), (u, v, w)), ((p, -q, r), (u, -v, w))), []
+
+
+def _integer_rows(m: MatQ) -> tuple:
+    """The rows of m scaled to integers over one denominator s: (rows, s)."""
+    flat, s = integer_scaled([v for row in m.entries() for v in row])
+    return [flat[i:i + m.cols] for i in range(0, len(flat), m.cols)], s
+
+
+def _integer_chart(x: MatQ) -> tuple:
+    """The chart's forms and quadratic at X, printed and on integers:
+    (forms, quadratic, pforms, quad, lam).
+
+    X scaled to integers over one denominator den has integer 2x2 minors,
+    the printed ``forms`` times den^2.  ``pforms`` are those forms each
+    divided by its content, and ``quad`` their resultant divided by its
+    content, so the printed ``quadratic`` is lam * quad, with D = lam^2 *
+    quad.disc, for a positive rational lam.  The roots and every
+    certificate are scale-free in each form and in (A, B, C), and the
+    primitive integers stay near the height of the reduced values.
+    """
+    rows, den = _integer_rows(x)
+    ints = bilinear_forms(rows)
+    contents = [gcd(*form.coeffs()) for form in ints]
+    pforms = tuple(BilinearForm(*(v // c for v in form.coeffs())) for form, c in zip(ints, contents))
+    quad = eliminate_to_quadratic(*pforms)
+    g = gcd(quad.a, quad.b, quad.c) or 1
+    quad = Quadratic(quad.a // g, quad.b // g, quad.c // g)
+    den2 = den * den
+    lam = Fraction(contents[0] * contents[1] * g, den2 * den2)
+    n, m = lam.numerator, lam.denominator
+    quadratic = Quadratic(*(Fraction(v * n, m) for v in (quad.a, quad.b, quad.c)))
+    forms = tuple(BilinearForm(*(Fraction(v, den2) for v in form.coeffs())) for form in ints)
+    return forms, quadratic, pforms, quad, lam
+
+
+def _printed(v: tuple, lam: Fraction, disc: Fraction) -> QuadNum:
+    """The integer triple (p, q, r), meaning (p + q sqrt d)/r with
+    d = disc / lam^2, as a QuadNum over disc: sqrt d = sqrt(disc) / lam.
+
+    The certificates run on the integers before this step, so a printed
+    value is a transform of certified integers that no certificate checks
+    again; the tests compare the printed solution with an independent
+    solve on Fractions and QuadNums.
+    """
+    p, q, r = v
+    return QuadNum(Fraction(p, r), Fraction(q * lam.denominator, r * lam.numerator), disc)
 
 
 def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
@@ -235,6 +316,9 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     The canonical form is the one the total-positivity verdict was read
     from; incidence of each solution line with each input line is
     certified by the Pluecker pairing, which equals det[W_i | L_j] exactly.
+    The certificates run on the integer parts of each line, and the printed
+    roots, spans and Pluecker vectors are one division each of those
+    integers (``_printed``).
     """
     tp = check_tp_config(blocks)
     # Only a singular [W3 W4] leaves no canonical form; canonicalize raises for it.
@@ -242,82 +326,105 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     warnings: List[str] = [] if tp.ok else ["hypothesis-not-verified"]
     if not tp.ok and canon.orientation < 0:
         warnings.append("canonical-basis-orientation-flipped")
-    forms = bilinear_forms(canon.x)
-    quad = eliminate_to_quadratic(*forms)
-    disc = quad.disc
-    if tp.ok and disc <= 0:
+    forms, quadratic, pforms, quad, lam = _integer_chart(canon.x)
+    # D = lam^2 * quad.disc has the sign of quad.disc; the messages name D
+    disc = quadratic.disc
+    if tp.ok and quad.disc <= 0:
         raise NoRealSolution(
             f"discriminant {disc} not positive despite verified total positivity"
         )
-    roots, w2 = solve_canonical(forms, quad)
+    try:
+        roots, w2 = solve_canonical(pforms, quad)
+    except NoRealSolution:
+        raise NoRealSolution(f"negative discriminant {disc}") from None
     warnings.extend(w2)
     if len(roots) != 2:
         raise NonGenericConfiguration("expected exactly two chart solutions")
-    if roots[0][0].b:
-        # root 2 is the conjugate of root 1 and the meeting points are
-        # rational in x and y, so line 2 is the conjugate of line 1
-        line = _line(*_meeting_span(blocks, *roots[0]), disc)
+    # root 2 of a conjugate pair is the conjugate of root 1 and the meeting
+    # points are rational in x and y, so line 2 is the conjugate of line 1
+    pair = roots[0][0][1] != 0
+    ints = [_integer_rows(w) for w in blocks.blocks()]
+    lines, parts = [], []
+    for x, y in roots[:1] if pair else roots:
+        a, b, (k4, k3) = _meeting_span(*ints[2:], x, y)
+        pa, pb = _plucker_parts(a, b, quad.disc)
+        parts.append((pa, pb))
+        span = MatQ([[_printed((u, v, k4), lam, disc), _printed((s, t, k3), lam, disc)]
+                     for (u, s), (v, t) in zip(a, b)])
+        plucker = tuple(_printed((u, v, k4 * k3), lam, disc) for u, v in zip(pa, pb))
+        lines.append(LineRep(span, plucker))
+    if pair:
+        x, y = (_printed(v, lam, disc) for v in roots[0])
+        roots = ((x, y), (x.conjugate(), y.conjugate()))
         conj = QuadNum.conjugate
-        lines = (line, LineRep(line.span.map(conj), tuple(map(conj, line.plucker))))
+        lines.append(LineRep(lines[0].span.map(conj), tuple(map(conj, lines[0].plucker))))
     else:
-        lines = tuple(_line(*_meeting_span(blocks, x, y), disc) for x, y in roots)
-    ells = [plucker_of_span(w) for w in blocks.blocks()]
+        roots = tuple((None if x is None else _printed(x, lam, disc), _printed(y, lam, disc))
+                      for x, y in roots)
+    _certify_lines(roots, lines, parts, [wedge(rows, rows) for rows, _ in ints], quad.disc)
+    # the certificate proved every pairing zero
+    zero = QuadNum.of(0, disc)
     return TransversalSolution(
         canonical=canon,
         forms=forms,
-        quadratic=quad,
+        quadratic=quadratic,
         roots=roots,
-        lines=lines,
-        incidence=_certify_lines(roots, lines, ells, disc),
+        lines=tuple(lines),
+        incidence=((zero, zero),) * 4,
         warnings=tuple(warnings),
     )
 
 
-def _meeting_span(blocks: ConfigBlocks, x, y: QuadNum) -> tuple:
-    """The rational part A and the sqrt(d) part B, each 4x2 and row-major,
-    of a span of the solution line at the chart root (x, y): its points on
-    W4 and on W3.
+def _meeting_span(w3: tuple, w4: tuple, x, y: tuple) -> tuple:
+    """The integer parts A and B, each 4x2 and row-major, and the column
+    denominators (k4, k3) of a span of the solution line at the chart root
+    (x, y): its points on W4 and on W3.  Column j of the span is
+    (A[:, j] + sqrt(d)*B[:, j]) / k_j, for the radicand d of the roots.
 
+    W3 and W4 are given as (rows, s): integer rows over one denominator s.
     With W3 = [w3a w3b] and W4 = [w4a w4b], g^(-1) = [W3 W4] Y^T has the
     columns -w4b, w4a, -w3b, w3a, so it maps the chart line's columns
     e1 - x e2 and -e3 + y e4 to -w4b - x w4a and w3b + y w3a.  The limit
     line (x None) has the column e2 instead, which maps to w4a.
     """
-    w3a, w3b = blocks.w3.col(0), blocks.w3.col(1)
-    w4a, w4b = blocks.w4.col(0), blocks.w4.col(1)
+    (rows3, s3), (rows4, s4) = w3, w4
     if x is None:
-        a4, b4 = w4a, (Fraction(0),) * 4
+        a4, b4, k4 = [u for u, _ in rows4], [0] * 4, s4
     else:
-        a4 = [-v - x.a * u for u, v in zip(w4a, w4b)]
-        b4 = [-x.b * u for u in w4a]
-    a3 = [v + y.a * u for u, v in zip(w3a, w3b)]
-    b3 = [y.b * u for u in w3a]
-    return tuple(zip(a4, a3)), tuple(zip(b4, b3))
+        p, q, r = x
+        a4 = [-r * v - p * u for u, v in rows4]
+        b4 = [-q * u for u, _ in rows4]
+        k4 = r * s4
+    yp, yq, yr = y
+    a3 = [yr * v + yp * u for u, v in rows3]
+    b3 = [yq * u for u, _ in rows3]
+    return tuple(zip(a4, a3)), tuple(zip(b4, b3)), (k4, yr * s3)
 
 
-def _line(a, b, d: Fraction) -> LineRep:
-    """The line of the span A + sqrt(d)*B over Q(sqrt d), A and B rational.
-
-    Its Pluecker vector is pa + sqrt(d)*pb with the rational parts
-    pa = A^A + d*B^B and pb = A^B + B^A.
-    """
-    pa = [u + d * v for u, v in zip(chart.wedge(a, a), chart.wedge(b, b))]
-    pb = [u + v for u, v in zip(chart.wedge(a, b), chart.wedge(b, a))]
-    span = MatQ([[QuadNum(u, v, d) for u, v in zip(ra, rb)] for ra, rb in zip(a, b)])
-    return LineRep(span, tuple(QuadNum(u, v, d) for u, v in zip(pa, pb)))
+def _plucker_parts(a, b, d: int) -> tuple:
+    """The parts pa and pb of the Pluecker vector pa + sqrt(d)*pb of the
+    span A + sqrt(d)*B: pa = A^A + d*B^B and pb = A^B + B^A."""
+    pa = tuple(u + d * v for u, v in zip(wedge(a, a), wedge(b, b)))
+    pb = tuple(u + v for u, v in zip(wedge(a, b), wedge(b, a)))
+    return pa, pb
 
 
-def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], ells: list, d: Fraction) -> tuple:
-    """Certify the stored solution lines on their rational parts; returns the
-    incidence rows, the pairings of each input line with the two lines.
+def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], parts: list, ells: list,
+                   d: int) -> None:
+    """Certify the solution lines on the integer parts of their Pluecker
+    vectors.
 
-    A line's Pluecker vector is pa + sqrt(d)*pb.  When root 1 is irrational
-    the pair is conjugate: root 2 and line 2 (span and Pluecker vector) must
-    be the stored conjugates of root 1 and line 1, and then every value of
-    line 2 is the conjugate of line 1's, so only line 1 is checked.
-    Otherwise both lines must be rational (pb = 0) and both are checked.
-    Each checked line lies on the Pluecker quadric and pairs to zero with
-    every input line, and the two lines differ.
+    ``parts`` holds (pa, pb) of each line built, a Pluecker vector
+    pa + sqrt(d)*pb up to a non-zero integer factor, and ``ells`` the
+    input lines' Pluecker vectors up to non-zero factors; every test below
+    is a zero test, so no factor changes its outcome.  When root 1 is
+    irrational the pair is conjugate: the printed root 2 and line 2 (span
+    and Pluecker vector) must be the stored conjugates of root 1 and line
+    1, and then every value of line 2 is the conjugate of line 1's, so only
+    line 1 was built and is checked.  Otherwise both lines must be rational
+    (pb = 0) and both are checked.  Each checked line lies on the Pluecker
+    quadric and pairs to zero with every input line, and the two lines
+    differ.
 
     Distinct roots never give coincident lines: [W3 W4] is invertible, so a
     line through a point of W3 is not inside W4 and meets W4 in one point,
@@ -330,9 +437,7 @@ def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], ells: list, d: 
         one, two = ((*ln.plucker, *(x for row in ln.span.entries() for x in row)) for ln in lines)
         if any(u.a != v.a or u.b != -v.b for u, v in zip(one, two)):
             raise CertificateFailure("solution line 2 is not the conjugate of line 1")
-    parts = [(tuple(v.a for v in ln.plucker), tuple(v.b for v in ln.plucker))
-             for ln in (lines[:1] if pair else lines)]
-    if not pair and any(any(pb) for _, pb in parts):
+    elif any(any(pb) for _, pb in parts):
         raise CertificateFailure("a rational solution line has a sqrt(d) part")
     for pa, pb in parts:
         # Q(pa + sqrt(d) pb) = Q(pa) + d Q(pb) + sqrt(d) <pa, pb>: the pairing
@@ -344,13 +449,8 @@ def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], ells: list, d: 
     u, v = parts[0] if pair else (parts[0][0], parts[1][0])
     if all(u[i] * v[j] == u[j] * v[i] for i, j in combinations(range(6), 2)):
         raise CertificateFailure(f"the two {'conjugate ' if pair else ''}solution lines coincide")
-    rows = []
-    for ell in ells:
-        meets = [QuadNum(plucker_meet(ell, pa), plucker_meet(ell, pb), d) for pa, pb in parts]
-        rows.append((meets[0], meets[0].conjugate()) if pair else tuple(meets))
-    if any(v for row in rows for v in row):
+    if any(plucker_meet(ell, p) for ell in ells for part in parts for p in part):
         raise CertificateFailure("a solution line misses an input line")
-    return tuple(rows)
 
 
 def span_from_plucker(p: tuple) -> MatQ:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -107,6 +108,28 @@ def premultiply(blocks, h: MatQ):
     return ConfigBlocks(*(h @ w for w in blocks.blocks()))
 
 
+def concat(blocks) -> MatQ:
+    """The 4x8 matrix [W1 W2 W3 W4] of a configuration."""
+    return blocks.w1.hstack(blocks.w2).hstack(blocks.w3).hstack(blocks.w4)
+
+
+def integer_rows(x: MatQ) -> tuple:
+    """The rows of X times the LCM den of its denominators: (rows, den)."""
+    den = math.lcm(*(v.denominator for row in x.entries() for v in row))
+    return [[int(v * den) for v in row] for row in x.entries()], den
+
+
+def quad_roots(roots, d) -> list:
+    """The integer triples (p, q, r) of ``solve_canonical``'s roots as the
+    QuadNums (p + q sqrt(d))/r over the radicand d (None stays None)."""
+    from fourlines import QuadNum
+
+    def value(v):
+        return None if v is None else QuadNum(Fraction(v[0], v[2]), Fraction(v[1], v[2]), d)
+
+    return [tuple(map(value, root)) for root in roots]
+
+
 def swap_w3_columns(blocks):
     """The configuration with the columns of W3 swapped, which negates
     det[W3 W4] and every maximal minor that has one column of W3."""
@@ -143,38 +166,57 @@ def _meet_by_parts(ell, p, d):
     return QuadNum(plucker_meet(ell, [q.a for q in p]), plucker_meet(ell, [q.b for q in p]), d)
 
 
+def recover_y(x, f, h):
+    """y at the chart root x of the coefficient tuples f and h, over the
+    field of x: from h unless its y-denominator vanishes there, else from f."""
+    for c_xy, c_x, c_y, c_1 in (h, f):
+        den = c_xy * x + c_y
+        if den and den.norm() != 0:
+            return -((c_x * x + c_1) / den)
+    raise ValueError("both y-denominators vanish at a root")
+
+
+def _eval(form, x, y):
+    c_xy, c_x, c_y, c_1 = form
+    return c_xy * x * y + c_x * x + c_y * y + c_1
+
+
 def two_root_solve(blocks):
     """The solver with both lines built in full over Q(sqrt D), as a test-only
-    oracle for the conjugate-pair path: each root by the quadratic formula
-    and ``_recover_y``, each line as the chart line U(x, y) (or its limit)
-    back-mapped by g^(-1) = [W3 W4] Y^T as matrix products, then
+    oracle for the conjugate-pair path: the Fraction forms, quadratic and D
+    of ``chart`` on the canonical X, each root by the quadratic formula and
+    a QuadNum y-recovery, each line as the chart line U(x, y) (or its
+    limit) back-mapped by g^(-1) = [W3 W4] Y^T as matrix products, then
     ``proportional`` and the pairings by parts on each line."""
     from fourlines import CertificateFailure, NonGenericConfiguration, QuadNum, Y_SIGN, check_tp_config
+    from fourlines import chart
     from fourlines import transversal as T
+    from fourlines.exact import rational_sqrt
 
     tp = check_tp_config(blocks)
     canon = tp.canonical or T.canonicalize(blocks)
     warnings = [] if tp.ok else ["hypothesis-not-verified"]
     if not tp.ok and canon.g.det() <= 0:
         warnings.append("canonical-basis-orientation-flipped")
-    forms = T.bilinear_forms(canon.x)
-    quad = T.eliminate_to_quadratic(*forms)
-    disc = quad.disc
-    if quad.a == 0:
+    f, h = chart.bilinear_forms(canon.x.entries())
+    a, b, c = chart.resultant(f, h)
+    disc = chart.discriminant(a, b, c)
+    if a == 0:
         warnings.append("degenerate-leading-coefficient")
-        x = QuadNum.of(-quad.c / quad.b, disc)
-        roots = [(x, T._recover_y(x, *forms))]
-        leading = [form for form in reversed(forms) if form.c_xy]
+        x = QuadNum.of(-c / b, disc)
+        roots = [(x, recover_y(x, f, h))]
+        leading = [form for form in (h, f) if form[0]]
         if leading:
             warnings.append("solution-at-infinity")
-            roots.append((None, QuadNum.of(-leading[0].c_x / leading[0].c_xy, disc)))
+            roots.append((None, QuadNum.of(-leading[0][1] / leading[0][0], disc)))
     else:
-        sq = T._sqrt_in_context(disc)
+        r = rational_sqrt(disc)
+        sq = QuadNum(Fraction(0), Fraction(1), disc) if r is None else QuadNum.of(r, disc)
         roots = []
         for root_sq in (sq, -sq):
-            x = (QuadNum.of(-quad.b, disc) + root_sq) / QuadNum.of(2 * quad.a, disc)
-            y = T._recover_y(x, *forms)
-            if any(form.eval(x, y) != 0 for form in forms):
+            x = (QuadNum.of(-b, disc) + root_sq) / QuadNum.of(2 * a, disc)
+            y = recover_y(x, f, h)
+            if any(_eval(form, x, y) != 0 for form in (f, h)):
                 raise CertificateFailure("a chart root misses a bilinear form")
             roots.append((x, y))
             if disc == 0:
@@ -191,7 +233,9 @@ def two_root_solve(blocks):
                       for w in blocks.blocks())
     if any(v != 0 for row in incidence for v in row):
         raise CertificateFailure("a solution line misses an input line")
-    return T.TransversalSolution(canon, forms, quad, tuple(roots), lines, incidence, tuple(warnings))
+    forms = (T.BilinearForm(*f), T.BilinearForm(*h))
+    return T.TransversalSolution(canon, forms, T.Quadratic(a, b, c), tuple(roots), lines,
+                                 incidence, tuple(warnings))
 
 
 def exact_fields(sol) -> dict:

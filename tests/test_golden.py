@@ -3,7 +3,8 @@
 The digests pin every byte of ``solve``, ``check-tp``, ``verify-identity``,
 ``curve-sample`` and ``convexity-check`` output, so a change to the exact
 pipeline that alters a number, a witness or the JSON layout fails here.  Inputs are rebuilt
-from seeds: ``random_tp_instance`` for ``solve``, and for ``check-tp``
+from seeds: ``random_tp_instance`` for ``solve`` (plus one input for each
+other branch of the solver), and for ``check-tp``
 single-entry changes of such instances whose first non-positive maximal
 minor sits early, in the middle or late in the lexicographic order, or is
 exactly zero, plus permuted blocks and a singular [W3 W4].  The curve
@@ -15,9 +16,18 @@ from fractions import Fraction
 
 import pytest
 
-from fourlines import ConfigBlocks, MatQ, random_tp_instance
+from fourlines import (
+    ConfigBlocks,
+    CurveSpec,
+    MatQ,
+    blocks_of_canonical,
+    random_tp_instance,
+    tangent_config,
+)
 from fourlines import serialize as ser
 from fourlines.cli import run
+
+from conftest import AT_INFINITY_X, SQUARE_X, swap_w3_columns
 
 SOLVE_DIGESTS = {
     (10, 0): "fb7d5dca1a05abea7687cd6be5565ed52c8492534c513bfba85fc073a510dbbc",
@@ -44,6 +54,24 @@ SOLVE_DIGESTS = {
     (10**30, 1): "ea3a6b8464c003d73352aa82a544274219a016d9970b056419ae0fe53c77af04",
     (10**30, 2): "baed604227c2fc3a2b4507f453875fcd1371c4339651398c82f0e1a3abf35124",
     (10**30, 3): "09682d2b23f31119a5a9d0a46b6e09a789cbb06c964138123384acb195e0cf03",
+}
+
+#: name -> (input, digest) for ``solve`` on the branches that random TP
+#: instances do not take
+SOLVE_BRANCHES = {
+    # D = 966^2: both roots and both lines rational
+    "perfect-square": (lambda: blocks_of_canonical(MatQ(SQUARE_X)),
+                       "127e8bbe4893ba931e73686af7284c7d306e4235f4eae6ae8c352129ebddc140"),
+    # A = 0: one finite root and the limit line, solution-at-infinity
+    "at-infinity": (lambda: blocks_of_canonical(MatQ(AT_INFINITY_X)),
+                    "980d3b7a491bcd59e3a234169c19709f082fbebf07e8df9e119429e449fd2bdb"),
+    # det[W3 W4] < 0: canonical-basis-orientation-flipped
+    "orientation-flipped": (lambda: swap_w3_columns(random_tp_instance(0)[1]),
+                            "604483119108dc472f6b4a119785ddcf605955f9f86a814ef46dec95a3f87b96"),
+    # tangent lines of the moment curve: not totally positive, a conjugate pair
+    "moment-tangent": (lambda: tangent_config(CurveSpec.moment(), (Fraction(1, 20), Fraction(37, 100),
+                                                                   Fraction(9, 10), Fraction(49, 50))),
+                       "2937f913eccebabe84b2e83c05409e97fa7ce1e4ed744005572975cd7a8380d8"),
 }
 
 #: name -> (seed, block, row, column, new entry, witness columns, digest)
@@ -113,6 +141,13 @@ def test_solve(tmp_path, bound, seed):
     _, blocks = random_tp_instance(seed, bound)
     argv = ["solve", "--input", write_blocks(tmp_path, blocks)]
     assert cli_digest(tmp_path, argv) == (0, SOLVE_DIGESTS[bound, seed])
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_BRANCHES))
+def test_solve_branch(tmp_path, name):
+    blocks, digest = SOLVE_BRANCHES[name]
+    argv = ["solve", "--input", write_blocks(tmp_path, blocks())]
+    assert cli_digest(tmp_path, argv) == (0, digest)
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))

@@ -25,7 +25,7 @@ from fourlines import (
 
 from fourlines.totalpos import y_sign_times
 
-from conftest import X1_ENTRIES, premultiply, rand_mat, rand_params, rand_pos_det
+from conftest import X1_ENTRIES, concat, premultiply, rand_mat, rand_params, rand_pos_det
 
 
 class TestParams:
@@ -120,7 +120,7 @@ class TestChecks:
         bad = ConfigBlocks(w1, blocks_x1.w2, blocks_x1.w3, blocks_x1.w4)
         rep = check_tp_config(bad)
         assert not rep.ok
-        a = bad.concat()
+        a = concat(bad)
         assert a.minor(rep.witness_rows, rep.witness_cols) == rep.witness_minor
         assert rep.witness_minor <= 0
         # lexicographically first: every earlier column set has a positive minor

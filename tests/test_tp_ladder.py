@@ -47,6 +47,7 @@ from fourlines.exact import maximal_minors, minor_table
 from conftest import (
     AT_INFINITY_X,
     SQUARE_X,
+    concat,
     det_cofactor,
     premultiply,
     rand_frac,
@@ -78,7 +79,7 @@ def minor(m: MatQ, rows, cols):
 
 def oracle_config(blocks: ConfigBlocks) -> tuple:
     """Lexicographically first non-positive maximal minor of [W1 W2 W3 W4]."""
-    a = blocks.concat()
+    a = concat(blocks)
     for cols in combinations(range(1, 9), 4):
         m = minor(a, ROWS4, cols)
         if m <= 0:
@@ -118,9 +119,9 @@ def zeroing_change(blocks: ConfigBlocks, block: int, row: int, col: int, target)
     """
     ws = entries(blocks)
     v0 = ws[block][row][col]
-    m0 = minor(blocks.concat(), ROWS4, target)
+    m0 = minor(concat(blocks), ROWS4, target)
     ws[block][row][col] = v0 + 1
-    slope = minor(from_entries(ws).concat(), ROWS4, target) - m0
+    slope = minor(concat(from_entries(ws)), ROWS4, target) - m0
     if slope == 0:
         return None
     ws[block][row][col] = v0 - m0 / slope
@@ -368,7 +369,7 @@ class TestCheckTpConfig:
             canon = check_tp_config(blocks).canonical
             g = Y_SIGN @ blocks.w3.hstack(blocks.w4).inverse()
             assert (canon.g, canon.x, canon.y) == (g, g @ blocks.w1.hstack(blocks.w2), Y_SIGN)
-            assert g @ blocks.concat() == canon.x.hstack(canon.y)
+            assert g @ concat(blocks) == canon.x.hstack(canon.y)
             assert canon.orientation == (1 if g.det() > 0 else -1)
             assert canonicalize(blocks) == canon
         assert {check_tp_config(b).canonical.orientation for b in cases} == {1, -1}
@@ -485,11 +486,11 @@ class TestCertificatesRaise:
         _, blocks = random_tp_instance(0)
         original = transversal._meeting_span
 
-        def tampered(blocks, x, y):
-            a, b = original(blocks, x, y)
+        def tampered(*args):
+            a, b, k = original(*args)
             a = [list(r) for r in a]
             a[0][0] += 1
-            return a, b
+            return a, b, k
 
         monkeypatch.setattr(transversal, "_meeting_span", tampered)
         with pytest.raises(CertificateFailure, match="misses an input line"):
@@ -500,11 +501,11 @@ class TestCertificatesRaise:
         assert solve_transversals(blocks).roots[0][0].b != 0  # the conjugate-pair path
         original = transversal._meeting_span
 
-        def tampered(blocks, x, y):
-            a, b = original(blocks, x, y)
+        def tampered(*args):
+            a, b, k = original(*args)
             b = [list(r) for r in b]
             b[0][0] += 1
-            return a, b
+            return a, b, k
 
         monkeypatch.setattr(transversal, "_meeting_span", tampered)
         with pytest.raises(CertificateFailure, match="misses an input line"):
@@ -512,21 +513,23 @@ class TestCertificatesRaise:
 
     @staticmethod
     def tamper_certificate(monkeypatch, tampered):
-        """Hand the line certificate tampered(roots, lines) in place of the
-        stored roots and lines."""
+        """Hand the line certificate tampered(roots, lines, parts) in place of
+        the stored roots and lines and the integer parts (pa, pb) of the
+        lines built."""
         original = transversal._certify_lines
         monkeypatch.setattr(transversal, "_certify_lines",
-                            lambda roots, lines, ells, d: original(*tampered(roots, lines), ells, d))
+                            lambda roots, lines, parts, ells, d:
+                            original(*tampered(roots, lines, parts), ells, d))
 
     @pytest.mark.parametrize("flipped", [range(6), range(3, 4)], ids=["all", "p23"])
     def test_tampered_conjugate_line(self, monkeypatch, flipped):
         # line 2 stored with the sign of (some of) its sqrt(d) parts not flipped
         _, blocks = random_tp_instance(0)
 
-        def tampered(roots, lines):
+        def tampered(roots, lines, parts):
             one, two = lines
             p = tuple(v.conjugate() if k in flipped else v for k, v in enumerate(two.plucker))
-            return roots, (one, transversal.LineRep(two.span, p))
+            return roots, (one, transversal.LineRep(two.span, p)), parts
 
         self.tamper_certificate(monkeypatch, tampered)
         with pytest.raises(CertificateFailure, match="not the conjugate of line 1"):
@@ -538,57 +541,61 @@ class TestCertificatesRaise:
         (lambda pa, pb: ((1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)), "conjugate solution lines coincide"),
     ], ids=["quadric", "coincident"])
     def test_tampered_conjugate_pair(self, monkeypatch, change, message):
-        # both lines stay conjugate, with the parts (pa, pb) changed
+        # the parts (pa, pb) of line 1, from which line 2 is the conjugate, changed
         _, blocks = random_tp_instance(0)
-
-        def tampered(roots, lines):
-            one, two = lines
-            d = one.plucker[0].d
-            pa, pb = change(tuple(v.a for v in one.plucker), tuple(v.b for v in one.plucker))
-            return roots, (transversal.LineRep(one.span, tuple(QuadNum(u, v, d) for u, v in zip(pa, pb))),
-                           transversal.LineRep(two.span, tuple(QuadNum(u, -v, d) for u, v in zip(pa, pb))))
-
-        self.tamper_certificate(monkeypatch, tampered)
+        self.tamper_certificate(monkeypatch, lambda roots, lines, parts: (roots, lines, [change(*parts[0])]))
         with pytest.raises(CertificateFailure, match=message):
             solve_transversals(blocks)
 
     def test_tampered_conjugate_root(self, monkeypatch):
         # root 2 is never chart-checked; it must be stored as root 1's conjugate
         _, blocks = random_tp_instance(0)
-        self.tamper_certificate(monkeypatch, lambda roots, lines: ((roots[0], roots[0]), lines))
+        self.tamper_certificate(monkeypatch, lambda roots, lines, parts: ((roots[0], roots[0]), lines, parts))
         with pytest.raises(CertificateFailure, match="root 2 is not the conjugate of root 1"):
             solve_transversals(blocks)
 
     @pytest.mark.parametrize("tampered, message", [
         (lambda one, two: (one, one), "the two solution lines coincide"),
-        (lambda one, two: (one, transversal.LineRep(two.span, tuple(QuadNum(v.a, 1, v.d) for v in two.plucker))),
-         r"has a sqrt\(d\) part"),
+        (lambda one, two: (one, (two[0], (1,) * 6)), r"has a sqrt\(d\) part"),
     ], ids=["coincident", "sqrt-part"])
     def test_tampered_rational_lines(self, monkeypatch, tampered, message):
         blocks = blocks_of_canonical(MatQ(SQUARE_X))
         assert solve_transversals(blocks).roots[0][0].b == 0  # the rational-lines path
-        self.tamper_certificate(monkeypatch, lambda roots, lines: (roots, tampered(*lines)))
+        self.tamper_certificate(monkeypatch, lambda roots, lines, parts: (roots, lines, tampered(*parts)))
         with pytest.raises(CertificateFailure, match=message):
             solve_transversals(blocks)
 
+    @staticmethod
+    def tamper_y(monkeypatch):
+        """Recover every y of a chart root as y + 1: (u + w, v, w) for the
+        integer triple (u, v, w) meaning (u + v sqrt(d))/w."""
+        original = transversal._y_at
+
+        def tampered(*args):
+            u, v, w = original(*args)
+            return u + w, v, w
+
+        monkeypatch.setattr(transversal, "_y_at", tampered)
+
     def test_tampered_root(self, monkeypatch):
         _, blocks = random_tp_instance(0)
-        original = transversal._recover_y
-        monkeypatch.setattr(transversal, "_recover_y", lambda *args: original(*args) + 1)
+        self.tamper_y(monkeypatch)
         with pytest.raises(CertificateFailure, match="misses a bilinear form"):
             solve_transversals(blocks)
 
     def test_tampered_root_of_degenerate_quadratic(self, monkeypatch):
         # the one finite root when A = 0 is chart-checked like every other
         blocks = blocks_of_canonical(MatQ(AT_INFINITY_X))
-        original = transversal._recover_y
-        monkeypatch.setattr(transversal, "_recover_y", lambda *args: original(*args) + 1)
+        self.tamper_y(monkeypatch)
         with pytest.raises(CertificateFailure, match="misses a bilinear form"):
             solve_transversals(blocks)
 
     def test_tampered_discriminant(self, monkeypatch):
         # The quadratic has one source; a wrong one yields roots that the
-        # chart-root or the incidence certificate rejects.
+        # chart-root or the incidence certificate rejects.  The solver's
+        # quadratic is the resultant of the integer forms of X over den^2,
+        # each divided by its content c_f or c_h, so C - 1 moves the printed
+        # C by c_f * c_h / den^4.
         original = transversal.eliminate_to_quadratic
 
         def tampered(f, h):

@@ -33,16 +33,22 @@ from fourlines import (
     solve_transversals,
     tangent_config,
 )
+from fourlines import NonGenericConfiguration, chart
 from fourlines.curves import POLYNOMIAL
-from fourlines.transversal import Quadratic, quadric_value, span_from_plucker
+from fourlines.exact import rational_sqrt
+from fourlines.transversal import Quadratic, _integer_chart, _printed, quadric_value, span_from_plucker
 
 from conftest import (
     AT_INFINITY_X,
     SQUARE_X,
     X1_ENTRIES,
+    concat,
     det_cofactor,
     exact_fields,
+    integer_rows,
     premultiply,
+    quad_roots,
+    recover_y,
     rand_frac,
     rand_mat,
     rand_params,
@@ -98,7 +104,7 @@ class TestPlucker:
 
 class TestBilinearForms:
     def test_x1_coefficients(self, x1):
-        f, h = bilinear_forms(x1)
+        f, h = bilinear_forms(x1.entries())
         assert f.coeffs() == (2, 1, 3, 2)
         assert h.coeffs() == (4, 6, 10, 20)
 
@@ -108,7 +114,7 @@ class TestBilinearForms:
         rng = random.Random(79)
         for _ in range(30):
             x = lw_compose(rand_params(rng))
-            f, h = bilinear_forms(x)
+            f, h = bilinear_forms(x.entries())
             xv, yv = rand_frac(rng), rand_frac(rng)
             span = MatQ([[1, 0], [-xv, 0], [0, -1], [0, yv]])
             w1 = MatQ.from_cols([x.col(0), x.col(1)])
@@ -123,7 +129,7 @@ class TestBilinearForms:
 
 class TestElimination:
     def test_x1_quadratic(self, x1):
-        quad = eliminate_to_quadratic(*bilinear_forms(x1))
+        quad = eliminate_to_quadratic(*bilinear_forms(x1.entries()))
         assert (quad.a, quad.b, quad.c) == (8, 40, 40)
         assert quad.disc == 320
 
@@ -131,11 +137,11 @@ class TestElimination:
         rng = random.Random(83)
         checked = 0
         while checked < 30:
-            x = lw_compose(rand_params(rng))
-            f, h = bilinear_forms(x)
+            # the integer forms of X over den^2 have the same roots
+            f, h = bilinear_forms(integer_rows(lw_compose(rand_params(rng)))[0])
             quad = eliminate_to_quadratic(f, h)
             roots, _ = solve_canonical((f, h), quad)
-            for xv, yv in roots:
+            for xv, yv in quad_roots(roots, quad.disc):
                 if xv is None:
                     continue
                 ax2 = quad.a * xv * xv + quad.b * xv + QuadNum.of(quad.c, xv.d)
@@ -158,13 +164,15 @@ class TestElimination:
         rng = random.Random(89)
         for _ in range(50):
             x = lw_compose(rand_params(rng))
-            assert eliminate_to_quadratic(*bilinear_forms(x)).disc == discriminant_from_minors(x)
+            assert eliminate_to_quadratic(*bilinear_forms(x.entries())).disc == discriminant_from_minors(x)
 
 
 class TestSolveCanonical:
-    def test_x1_roots(self, x1):
-        forms = bilinear_forms(x1)
-        roots, warnings = solve_canonical(forms, eliminate_to_quadratic(*forms))
+    def test_x1_roots(self):
+        forms = bilinear_forms(X1_ENTRIES)
+        quad = eliminate_to_quadratic(*forms)
+        roots, warnings = solve_canonical(forms, quad)
+        roots = quad_roots(roots, quad.disc)
         assert warnings == []
         assert len(roots) == 2
         assert all(v.d == 320 for root in roots for v in root)
@@ -177,24 +185,28 @@ class TestSolveCanonical:
         assert xp.same_value(QuadNum(Fraction(-5, 2), Fraction(1, 2), Fraction(5)))
 
     def test_negative_discriminant(self):
-        f = BilinearForm(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-        h = BilinearForm(Fraction(0), Fraction(1), Fraction(-1), Fraction(0))
+        f = BilinearForm(1, 0, 0, 1)
+        h = BilinearForm(0, 1, -1, 0)
         assert eliminate_to_quadratic(f, h).disc == -4
         with pytest.raises(NoRealSolution):
             solve_canonical((f, h), eliminate_to_quadratic(f, h))
 
     def test_double_root(self):
-        f = BilinearForm(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-        h = BilinearForm(Fraction(0), Fraction(1), Fraction(1), Fraction(0))
-        roots, warnings = solve_canonical((f, h), eliminate_to_quadratic(f, h))
+        f = BilinearForm(1, 0, 0, 0)
+        h = BilinearForm(0, 1, 1, 0)
+        quad = eliminate_to_quadratic(f, h)
+        roots, warnings = solve_canonical((f, h), quad)
+        roots = quad_roots(roots, quad.disc)
         assert "double-root" in warnings
         assert len(roots) == 1
         assert roots[0][0] == 0 and roots[0][1] == 0
 
     def test_linear_degeneration(self):
-        f = BilinearForm(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
-        h = BilinearForm(Fraction(0), Fraction(0), Fraction(1), Fraction(1))
-        roots, warnings = solve_canonical((f, h), eliminate_to_quadratic(f, h))
+        f = BilinearForm(0, 1, 0, 1)
+        h = BilinearForm(0, 0, 1, 1)
+        quad = eliminate_to_quadratic(f, h)
+        roots, warnings = solve_canonical((f, h), quad)
+        roots = quad_roots(roots, quad.disc)
         assert "degenerate-leading-coefficient" in warnings
         assert len(roots) == 1
         assert roots[0][0] == -1 and roots[0][1] == -1
@@ -202,11 +214,11 @@ class TestSolveCanonical:
     def test_perfect_square_discriminant_stays_rational(self):
         # f: xy - 3x + 2 = 0 on the diagonal y = x gives x^2 - 3x + 2,
         # roots 1 and 2; D = 1 is a perfect square
-        f = BilinearForm(Fraction(1), Fraction(-3), Fraction(0), Fraction(2))
-        h = BilinearForm(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
+        f = BilinearForm(1, -3, 0, 2)
+        h = BilinearForm(0, -1, 1, 0)
         quad = eliminate_to_quadratic(f, h)
         assert (quad.a, quad.b, quad.c) == (-1, 3, -2) and quad.disc == 1
-        roots, _ = solve_canonical((f, h), quad)
+        roots = quad_roots(solve_canonical((f, h), quad)[0], quad.disc)
         xs = sorted(r[0].a for r in roots)
         assert xs == [1, 2]
         assert all(r[0].b == 0 for r in roots)
@@ -321,6 +333,19 @@ class TestConjugatePair:
         assert sol.warnings == ("hypothesis-not-verified", "canonical-basis-orientation-flipped")
         assert sol.canonical.g.det() < 0
 
+    def test_wrong_printed_values_are_caught(self, monkeypatch):
+        # the solver certifies integers and then prints them through lam with
+        # no further check, so this comparison is what catches a wrong step
+        blocks = random_tp_instance(0)[1]
+        assert _integer_chart(check_tp_config(blocks).canonical.x)[4] != 1
+        want = exact_fields(two_root_solve(blocks))
+        monkeypatch.setattr("fourlines.transversal._printed",
+                            lambda v, lam, disc: _printed(v, 1 / lam, disc))
+        got = exact_fields(solve_transversals(blocks))
+        assert got["quadratic"] == want["quadratic"]
+        assert got["roots"] != want["roots"]
+        assert got["spans"] != want["spans"] and got["plucker"] != want["plucker"]
+
 
 def positive_fractions(lo: int, hi: int):
     return st.builds(Fraction, st.integers(lo, hi), st.integers(lo, hi))
@@ -358,6 +383,14 @@ def configurations(draw):
     return ConfigBlocks(*(blocks.blocks()[i] for i in order))
 
 
+#: Entries of X: zeros, small signed rationals and 10^30-sized ones.
+X_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+
+
 def maximal_minors(m: MatQ) -> list:
     """The 70 maximal minors of a 4x8 matrix, by cofactor expansion."""
     return [det_cofactor(m.submatrix((1, 2, 3, 4), cols)) for cols in combinations(range(1, 9), 4)]
@@ -375,7 +408,7 @@ class TestProperties:
     @given(configurations(), positive_det_matrices())
     def test_gl4_plus_equivariance(self, blocks, g):
         moved, det_g = premultiply(blocks, g), g.det()
-        assert maximal_minors(moved.concat()) == [det_g * m for m in maximal_minors(blocks.concat())]
+        assert maximal_minors(concat(moved)) == [det_g * m for m in maximal_minors(concat(blocks))]
         rep, moved_rep = check_tp_config(blocks), check_tp_config(moved)
         assert moved_rep.ok == rep.ok and moved_rep.witness_cols == rep.witness_cols
         sol, moved_sol = solve_outcome(blocks), solve_outcome(moved)
@@ -399,6 +432,42 @@ class TestProperties:
         f = BilinearForm(*coeffs)
         x, y = QuadNum(parts[0], parts[1], d), QuadNum(parts[2], parts[3], d)
         assert f.eval(x.conjugate(), y.conjugate()) == f.eval(x, y).conjugate()
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(st.lists(X_ENTRIES, min_size=16, max_size=16))
+    def test_integer_chart_matches_fractions(self, entries):
+        # the solver's integer forms, (A, B, C) and D, and each printed root,
+        # against chart and the quadratic formula on Fractions and QuadNums
+        x = MatQ([entries[i:i + 4] for i in range(0, 16, 4)])
+        f, h = chart.bilinear_forms(x.entries())
+        assume(any(f) and any(h))
+        a, b, c = chart.resultant(f, h)
+        try:
+            forms, quadratic, pforms, quad, lam = _integer_chart(x)
+        except DegeneratePencil:
+            assert a == 0 == c  # proportional forms
+            return
+        assert tuple(form.coeffs() for form in forms) == (f, h)
+        assert all(isinstance(v, int) for form in pforms for v in form.coeffs())
+        assert lam > 0 and all(isinstance(v, int) for v in (quad.a, quad.b, quad.c, quad.disc))
+        assert (quadratic.a, quadratic.b, quadratic.c) == (a, b, c) == (lam * quad.a, lam * quad.b, lam * quad.c)
+        assert quadratic.disc == chart.discriminant(a, b, c) == lam * lam * quad.disc
+        try:
+            roots, _ = solve_canonical(pforms, quad)
+        except (NoRealSolution, NonGenericConfiguration):
+            return
+        d = quadratic.disc
+        r = rational_sqrt(d)
+        sq = QuadNum(Fraction(0), Fraction(1), d) if r is None else QuadNum.of(r, d)
+        for k, (xv, yv) in enumerate(roots):
+            y = _printed(yv, lam, d)
+            if xv is None:  # the limit line: y = -c_x / c_xy of h, else f
+                lead = h if h[0] else f
+                assert a == 0 and y == QuadNum.of(-lead[1] / lead[0], d)
+                continue
+            want = QuadNum.of(-c / b, d) if a == 0 else (QuadNum.of(-b, d) + (-sq if k else sq)) / (2 * a)
+            assert _printed(xv, lam, d) == want
+            assert y == recover_y(want, f, h)
 
     @pytest.mark.parametrize("regime", sorted(LW_REGIMES))
     def test_solver_matches_oracle(self, regime):
