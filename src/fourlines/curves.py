@@ -129,34 +129,6 @@ _SAMPLE_ROWS = tuple(IndexSet(rows) for rows in combinations(range(1, 9), 4))
 _SAMPLE_KAPPAS = tuple(kappa_of(rows) for rows in _SAMPLE_ROWS)
 
 
-def _epsilon_terms() -> tuple:
-    """For each sample row set I, the positions (in lexicographic order) of
-    the maximal minors of the (v, d) matrix that sum to each coefficient of
-    the epsilon-polynomial P_I.
-
-    The (v, d) matrix has rows v_1, d_1, ..., v_4, d_4.  In the sample, a
-    full pair {2k-1, 2k} of I has rows v_k and v_k + eps*d_k, worth v_k and
-    eps*d_k: the factor eps^kappa_I.  A lone even row 2k is v_k + eps*d_k
-    and splits into v_k, on row 2k-1, which I lacks, so the row order and
-    the sign stay, plus eps*d_k.  The coefficient of eps^j sums over the
-    ways to keep j lone even rows as d.
-    """
-    position = {rows: k for k, rows in enumerate(combinations(range(1, 9), 4))}
-    table = []
-    for rows in position:
-        lone = [r for r in rows if r % 2 == 0 and r - 1 not in rows]
-        table.append(tuple(
-            tuple(position[tuple(r - 1 if r in lone and r not in kept else r for r in rows)]
-                  for kept in combinations(lone, j))
-            for j in range(len(lone) + 1)
-        ))
-    return tuple(table)
-
-
-#: Per sample row set, the (v, d) minors feeding each power of epsilon.
-_EPSILON_TERMS = _epsilon_terms()
-
-
 @dataclass(frozen=True)
 class SampleReport:
     ts: tuple
@@ -185,7 +157,8 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[tuple] = None) 
 
     ``frames`` holds the (value, derivative) pair at each t in the Frenet
     basis at 0; they do not depend on epsilon, so the search passes them
-    in, and they are computed here when not given.
+    in, and they are computed here when not given.  The minors of a report
+    that fails are all the search needs to refuse (``_certifying_sample``).
     """
     ts = _validate_ts(ts)
     epsilon = as_rat(epsilon)
@@ -215,34 +188,6 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[tuple] = None) 
     )
 
 
-def _epsilon_polynomials(frames: tuple) -> tuple:
-    """Coefficients, ascending, of the 70 polynomials P_I with sample minor
-    ``eps**kappa_I * P_I(eps)``, in the order of ``_SAMPLE_ROWS``.
-
-    All of them come from the maximal minors of the (v, d) matrix, one
-    ``exact.maximal_minors`` call.
-    """
-    base = maximal_minors(MatQ([row for frame in frames for row in frame]))
-    return tuple(
-        tuple(sum(base[k] for k in terms) for terms in degrees)
-        for degrees in _EPSILON_TERMS
-    )
-
-
-def _nonpositive_below(poly: tuple, eps: Fraction) -> bool:
-    """True when the polynomial is zero or negative at every eps' in (0, eps].
-
-    With c the lowest nonzero coefficient, of degree m, and eps <= 1,
-    |poly(eps') / eps'^m - c| <= eps * (sum of |higher coefficients|); so
-    when that bound is below -c, poly(eps') < 0 throughout.
-    """
-    low = next((m for m, c in enumerate(poly) if c), None)
-    if low is None:
-        return True
-    c = poly[low]
-    return c < 0 and eps <= 1 and eps * sum(abs(h) for h in poly[low + 1:]) < -c
-
-
 def _certifying_sample(curve: CurveSpec, ts, frames: Optional[tuple] = None) -> SampleReport:
     """Deterministic halving search; the first sample report that certifies
     the sampling lemma.
@@ -253,32 +198,33 @@ def _certifying_sample(curve: CurveSpec, ts, frames: Optional[tuple] = None) -> 
     keep every shifted sample inside its gap, so ``lemma_sample`` accepts
     each of them.
 
-    After the first failed halving the search reads the 70
-    epsilon-polynomials once, and stops as soon as one of them is provably
-    non-positive at the next eps and every smaller one: no later halving
-    could certify, so it raises a ``SearchFailure`` that names that sample
-    minor I and the sign of P_I(0).  The constant term of each P_I is
-    itself a sample minor free of eps, so this happens before the second
-    halving or never.
+    A row set I with no lone even row (each even row 2k comes with 2k-1)
+    has sample minor eps^kappa_I * c_I, with c_I free of eps: its full
+    pairs give v_k and eps*d_k, its odd rows v_k.  When such a minor of a
+    failed sample is not positive, no eps certifies, so before its next
+    halving the search raises a ``SearchFailure`` naming the first such I
+    and the sign of c_I.  Every other minor is eps^kappa_I * P_I(eps) with
+    P_I(0) the c of an eps-free set, so when all those c are positive a
+    small enough eps certifies: the search refuses after one halving or
+    never.
     """
     ts = _validate_ts(ts)
     if frames is None:
         frames = _frames(curve, ts, frenet_basis(curve))
     gaps = [ts[i + 1] - ts[i] for i in range(3)] + [Fraction(1) - ts[3]]
     eps = min(gaps) / 4
-    polys = None
+    report = None
     for _ in range(MAX_HALVINGS):
-        for rows, kappa, poly in zip(_SAMPLE_ROWS, _SAMPLE_KAPPAS, polys or ()):
-            if _nonpositive_below(poly, eps):
+        # kappa_I counts every even row of I exactly when I is eps-free
+        for (rows, minor), kappa in zip(report.minors if report else (), _SAMPLE_KAPPAS):
+            if minor <= 0 and kappa == sum(1 - r % 2 for r in rows):
                 raise SearchFailure(
                     f"no certifying epsilon: sample minor {rows} is eps^{kappa} * P(eps) "
-                    f"with P(0) {'< 0' if poly[0] < 0 else '= 0'}, and P <= 0 on (0, {eps}]"
+                    f"with P(0) {'< 0' if minor < 0 else '= 0'}, and P <= 0 on (0, {eps}]"
                 )
         report = lemma_sample(curve, ts, eps, frames=frames)
         if report.ok:
             return report
-        if polys is None:
-            polys = _epsilon_polynomials(frames)
         eps /= 2
     raise SearchFailure(f"no certifying epsilon found after {MAX_HALVINGS} halvings")
 

@@ -54,11 +54,7 @@ class NonGenericConfiguration(DegenerateConfiguration):
 
 
 class HypothesisViolation(FourLinesError):
-    """Total-positivity (or convexity) hypothesis fails; carries a witness when known."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """Total-positivity (or convexity) hypothesis fails."""
 
 
 class NotTotallyPositive(HypothesisViolation):
@@ -74,7 +70,8 @@ class NotConvex(HypothesisViolation):
 
 
 class SearchFailure(FourLinesError):
-    """An iterative deterministic search exceeded its cap."""
+    """A deterministic search found nothing: it ran out of steps, or proved
+    that no step could succeed."""
 
 
 class CertificateFailure(FourLinesError):

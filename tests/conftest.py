@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -47,14 +48,32 @@ def det_cofactor(m: MatQ):
     rows = m.entries()
     if len(rows) != len(rows[0]):
         raise ValueError("determinant of non-square matrix")
+    return _cofactor(rows)
+
+
+def _cofactor(rows):
     if len(rows) == 1:
         return rows[0][0]
     total = 0
     for j, x in enumerate(rows[0]):
         if x:
-            sub = MatQ([r[:j] + r[j + 1:] for r in rows[1:]])
-            total = total + (-1) ** j * x * det_cofactor(sub)
+            total = total + (-1) ** j * x * _cofactor([r[:j] + r[j + 1:] for r in rows[1:]])
     return total
+
+
+def sample_constants(frames) -> list:
+    """P_I(0) for every curve sample row set I, in lexicographic order, where
+    the sample minor on I is eps^kappa_I * P_I(eps).  Each is the cofactor
+    determinant of the (value, derivative) frame rows that I picks: the
+    even row 2k of a full pair {2k-1, 2k} is d_k, every other row of I is
+    v_k.  Row sets that pick the same rows share one expansion."""
+    dets, constants = {}, []
+    for rows in combinations(range(1, 9), 4):
+        pick = tuple(((r - 1) // 2, r % 2 == 0 and r - 1 in rows) for r in rows)
+        if pick not in dets:
+            dets[pick] = det_cofactor(MatQ([frames[k][d] for k, d in pick]))
+        constants.append(dets[pick])
+    return constants
 
 
 def poly_eval_oracle(p, values) -> Fraction:

@@ -31,7 +31,7 @@ from fourlines import (
 from fourlines import curves
 from fourlines.transversal import quadric_value
 
-from conftest import ACCEPTANCE_LINES, X1_ENTRIES, rand_params
+from conftest import ACCEPTANCE_LINES, X1_ENTRIES, rand_params, sample_constants
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -182,8 +182,7 @@ def test_criterion_6_sampling_lemma():
         if not Fraction(1, 2) <= ratio / target <= 2:
             scaling_ok = False
     # each minor is eps^kappa_I * P_I(eps); P_I(0) > 0 makes its eps-order exactly kappa_I
-    polys = curves._epsilon_polynomials(curves._frames(curve, ts, frenet_basis(curve)))
-    order_ok = all(p[0] > 0 for p in polys)
+    order_ok = all(c > 0 for c in sample_constants(curves._frames(curve, ts, frenet_basis(curve))))
     ok = rep.ok and all(v > 0 for _, v in rep.minors) and len(rep.minors) == 70 and scaling_ok and order_ok
     _report(6, ok, f"ε = {eps}: all 70 sample minors positive, of ε-order exactly κ, "
                    "halving ratios track 2^(−κ) within factor 2")

@@ -15,6 +15,7 @@ from fourlines import (
 )
 from fourlines import curves, transversal
 from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N, lemma_sample
+from fourlines.exact import maximal_minors
 from fourlines.identity import MAX_SPOTS
 from fourlines.totalpos import MAX_BOUND
 from fourlines import serialize as ser
@@ -40,6 +41,37 @@ def write_scaled_instance(path, block, factor):
 #: Numerator and denominator of 2,000 digits each: the input literals stay
 #: under 4,096 characters, but the solution holds numbers of 8,006 digits.
 LONG = Fraction(10**1999 + 7, 10**1999 + 3)
+
+#: The quartic (1, t, t^2, t^3 - t^4), not convex on [0, 1].
+QUARTIC_MINUS_1 = [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1", "-1"]]
+#: Refused ``curve-sample --epsilon auto`` runs: name -> (curve components,
+#: ts, MAX_HALVINGS, exact stderr).  Each exits 3 and writes nothing.
+REFUSALS = {
+    "kappa-2-negative": (
+        QUARTIC_MINUS_1, "48/100,61/100,78/100,81/100", 64,
+        "error: no certifying epsilon: sample minor {1,2,3,4} is eps^2 * P(eps) "
+        "with P(0) < 0, and P <= 0 on (0, 3/800]\n"),
+    "kappa-1-negative": (
+        QUARTIC_MINUS_1, "17/100,31/100,70/100,76/100", 64,
+        "error: no certifying epsilon: sample minor {1,2,3,5} is eps^1 * P(eps) "
+        "with P(0) < 0, and P <= 0 on (0, 3/400]\n"),
+    "kappa-2-zero": (
+        QUARTIC_MINUS_1, "1/100,10/100,14/100,40/100", 64,
+        "error: no certifying epsilon: sample minor {3,4,7,8} is eps^2 * P(eps) "
+        "with P(0) = 0, and P <= 0 on (0, 1/200]\n"),
+    "sum-ts-1": (
+        QUARTIC_MINUS_1, "1/10,2/10,3/10,4/10", 64,
+        "error: no certifying epsilon: sample minor {1,2,7,8} is eps^2 * P(eps) "
+        "with P(0) = 0, and P <= 0 on (0, 1/80]\n"),
+    "kappa-0-negative": (
+        [["5/6", "9/2", "1", "5", "1"], ["8/3", "2/5", "0", "3/5"], ["-1", "3", "3/2", "4/7"], ["-9/4"]],
+        "1/10,3/10,5/10,7/10", 64,
+        "error: no certifying epsilon: sample minor {1,3,5,7} is eps^0 * P(eps) "
+        "with P(0) < 0, and P <= 0 on (0, 1/40]\n"),
+    "run-out": (
+        QUARTIC_MINUS_1, "1/10,3/10,5/10,9/10", 1,
+        "error: no certifying epsilon found after 1 halvings\n"),
+}
 
 
 class TestCheckTP:
@@ -263,17 +295,21 @@ class TestCurveSample:
 
     def test_refused_search_stops_early(self, tmp_path, capsys, monkeypatch):
         # the golden refused case: (1, t, t^2, t^3 - t^4) at 1/10,3/10,5/10,9/10
-        spec = {"kind": "polynomial",
-                "components": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1", "-1"]]}
+        spec = {"kind": "polynomial", "components": QUARTIC_MINUS_1}
         path = tmp_path / "curve.json"
         path.write_text(json.dumps(spec))
-        calls = []
+        calls, tables = [], []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return lemma_sample(*args, **kwargs)
 
+        def counted_minors(m):
+            tables.append(m)
+            return maximal_minors(m)
+
         monkeypatch.setattr(curves, "lemma_sample", counted)
+        monkeypatch.setattr(curves, "maximal_minors", counted_minors)
         out = tmp_path / "out.json"
         argv = ["curve-sample", "--ts", "1/10,3/10,5/10,9/10", "--epsilon", "auto",
                 "--curve", str(path), "--output", str(out)]
@@ -284,6 +320,20 @@ class TestCurveSample:
             "error: no certifying epsilon: sample minor {1,2,3,5} is eps^1 * P(eps) "
             "with P(0) = 0, and P <= 0 on (0, 1/80]\n")
         assert len(calls) == 1
+        # the refusal reads the failed sample's own minors: one table in all
+        assert len(tables) == 1
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refusal_stderr(self, tmp_path, capsys, monkeypatch, name):
+        components, ts, halvings, err = REFUSALS[name]
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"kind": "polynomial", "components": components}))
+        monkeypatch.setattr(curves, "MAX_HALVINGS", halvings)
+        out = tmp_path / "out.json"
+        argv = ["curve-sample", "--ts", ts, "--epsilon", "auto", "--curve", str(path), "--output", str(out)]
+        assert run(argv) == 3
+        assert not out.exists()
+        assert capsys.readouterr() == ("", err)
 
     def test_custom_curve(self, tmp_path, capsys):
         spec = {"kind": "polynomial", "components": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]}

@@ -32,6 +32,8 @@ from fourlines import (
 from fourlines import curves
 from fourlines.curves import POLYNOMIAL
 
+from conftest import sample_constants
+
 TS = (Fraction(1, 10), Fraction(3, 10), Fraction(5, 10), Fraction(7, 10))
 
 
@@ -191,17 +193,15 @@ def search(curve, ts, frames, tried) -> tuple:
             return exc, calls
 
 
-def horner(poly, x):
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
+def epsilon_free(rows) -> bool:
+    """No lone even row: each even row 2k of I comes with 2k - 1."""
+    return all(r - 1 in rows for r in rows if r % 2 == 0)
 
 
 def assert_search_matches_oracle(curve, ts, frames) -> None:
     tried, certified = halving_oracle(curve, ts, frames)
     report, calls = search(curve, ts, frames, tried)
-    polys = curves._epsilon_polynomials(frames)
+    constants = sample_constants(frames)
     if certified is None:
         # the refusal names a sample minor I with P_I(0) <= 0, its kappa_I and the sign
         witness = re.fullmatch(r"no certifying epsilon: sample minor \{([1-8,]+)\} is eps\^(\d) "
@@ -211,19 +211,22 @@ def assert_search_matches_oracle(curve, ts, frames) -> None:
         rows = tuple(int(r) for r in witness[1].split(","))
         k = [tuple(r) for r in curves._SAMPLE_ROWS].index(rows)
         assert int(witness[2]) == kappa_of(rows)
-        assert witness[3] == ("< 0" if polys[k][0] < 0 else "= 0") and polys[k][0] <= 0
+        assert witness[3] == ("< 0" if constants[k] < 0 else "= 0") and constants[k] <= 0
+        # and it is the first such I, which is eps-free
+        assert k == next(j for j, c in enumerate(constants) if c <= 0)
         assert Fraction(witness[4]) == tried[0].epsilon / 2
     else:
         assert (report.epsilon, report.minors) == (certified.epsilon, certified.minors)
     assert calls == [rep.epsilon for rep in tried[:1 if certified is None else len(tried)]]
-    # P_I(eps) * eps^kappa_I is the sample minor at every epsilon the search tried
+    # each eps-free sample minor is eps^kappa_I * P_I(0) at every epsilon the search tried
     for rep in tried[:len(calls)]:
         eps = rep.epsilon
-        assert [horner(p, eps) * eps**k for p, k in zip(polys, rep.kappas)] == [m for _, m in rep.minors]
-    # a certifying epsilon exists iff every P_I(0) > 0 (the constant term of
-    # P_I is itself a sample minor free of epsilon), so the search either
-    # certifies or refuses before its second halving
-    assert (certified is None) == any(p[0] <= 0 for p in polys)
+        assert all(m == eps**k * c for (rows, m), k, c in zip(rep.minors, rep.kappas, constants)
+                   if epsilon_free(tuple(rows)))
+    # a certifying epsilon exists iff every P_I(0) > 0 (each P_I(0) is the c
+    # of an eps-free row set), so the search either certifies or refuses
+    # before its second halving
+    assert (certified is None) == any(c <= 0 for c in constants)
 
 
 #: The (curve, ts) of the golden ``curve-sample`` commands.
@@ -309,32 +312,24 @@ class TestEpsilonSearch:
             mp.setattr(curves, "MAX_HALVINGS", SWEEP_HALVINGS)
             check()
 
-    def test_epsilon_polynomial_terms(self):
-        # the lone even row 2 of {2,3,5,7} is v_1 + eps*d_1: P = |v1 v2 v3 v4| + eps |d1 v2 v3 v4|
-        rows = [tuple(r) for r in curves._SAMPLE_ROWS]
-        terms = curves._EPSILON_TERMS[rows.index((2, 3, 5, 7))]
-        assert terms == ((rows.index((1, 3, 5, 7)),), (rows.index((2, 3, 5, 7)),))
-        # full pairs only: a constant polynomial
-        assert curves._EPSILON_TERMS[rows.index((1, 2, 5, 6))] == ((rows.index((1, 2, 5, 6)),),)
-        # four lone even rows: degrees 0..4 with C(4, j) terms
-        assert [len(t) for t in curves._EPSILON_TERMS[rows.index((2, 4, 6, 8))]] == [1, 4, 6, 4, 1]
+    @pytest.mark.parametrize("name", sorted(SWEEP))
+    def test_epsilon_free_minors_scale_by_kappa(self, name):
+        # the invariant the refusal rests on: an eps-free sample minor over
+        # eps^kappa_I does not depend on eps, whether or not eps certifies
+        curve, small_sum, _ = SWEEP[name]
 
-    @pytest.mark.parametrize("poly, eps, nonpositive", [
-        ((0, 0), Fraction(1, 2), True),
-        ((-1, 3), Fraction(1, 4), True),
-        ((-1, 3), Fraction(1, 3), False),  # bound met with equality: not refused
-        ((0, -2, 1, 1), Fraction(1), False),
-        ((0, -2, 1, 1), Fraction(1, 2), True),
-        ((1, -5), Fraction(1, 100), False),
-        ((-1,), Fraction(2), False),  # the bound needs eps <= 1
-    ])
-    def test_nonpositive_below(self, poly, eps, nonpositive):
-        poly = tuple(map(Fraction, poly))
-        assert curves._nonpositive_below(poly, eps) is nonpositive
-        if nonpositive:
-            for k in range(6):
-                e = eps / 2**k
-                assert sum(c * e**j for j, c in enumerate(poly)) <= 0
+        @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+        @given(hundredths(small_sum))
+        def check(ts):
+            frames = curves._frames(curve, ts, basis)
+            eps0 = min([b - a for a, b in zip(ts, ts[1:])] + [1 - ts[3]]) / 4
+            reports = [lemma_sample(curve, ts, eps0 / 2**j, frames=frames) for j in range(4)]
+            for k, rows in enumerate(curves._SAMPLE_ROWS):
+                if epsilon_free(tuple(rows)):
+                    assert len({rep.minors[k][1] / rep.epsilon**rep.kappas[k] for rep in reports}) == 1
+
+        basis = frenet_basis(curve)
+        check()
 
 
 class TestTangentConfig:
