@@ -10,9 +10,8 @@ certificate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .chart import discriminant_of, lw_product
 from .errors import InputError
@@ -71,15 +70,15 @@ def rhs_poly() -> Poly16:
     return m2n2 * (f * g + h * h)
 
 
-@dataclass(frozen=True)
-class SpotEvaluation:
+# NamedTuples rather than frozen dataclasses: ``dataclasses`` imports
+# ``inspect``, about 10 ms of each verify-identity process.
+class SpotEvaluation(NamedTuple):
     point: Tuple[Fraction, ...]
     lhs: Fraction
     rhs: Fraction
 
 
-@dataclass(frozen=True)
-class IdentityCertificate:
+class IdentityCertificate(NamedTuple):
     lhs: Poly16
     rhs: Poly16
     equal: bool

@@ -2,7 +2,8 @@
 
 Rationals travel as strings "p/q" (or "p" when the denominator is 1);
 quadratic numbers as objects {a, b, d} meaning a + b*sqrt(d); matrices as
-row-major nested arrays.
+row-major nested arrays.  Output is the byte format of
+``json.dumps(obj, indent=2)``, written by ``dumps``.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -53,16 +55,21 @@ def rat_from_str(s, max_length: int = MAX_RATIONAL_LENGTH) -> Fraction:
         raise InputError(f"rational literal of {len(s)} characters exceeds {max_length}")
     if not _RATIONAL.fullmatch(s):
         raise InputError(f"bad rational literal {s!r}: expected p or p/q in decimal digits")
+    p, _, q = s.partition("/")
     try:
-        return Fraction(s)
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except ZeroDivisionError as exc:
         raise InputError(f"bad rational literal {s!r}: zero denominator") from exc
 
 
-def quad_to_obj(q) -> dict:
+def quad_to_obj(q, disc: Fraction = None, disc_str: str = None) -> dict:
+    """{a, b, d} of a QuadNum, or of a Fraction as a + 0*sqrt(0).  A radicand
+    that is the object ``disc`` is written as ``disc_str``, its string, so a
+    solution stringifies its D once for every number it prints over D."""
     if isinstance(q, Fraction):
         return {"a": rat_to_str(q), "b": "0", "d": "0"}
-    return {"a": rat_to_str(q.a), "b": rat_to_str(q.b), "d": rat_to_str(q.d)}
+    return {"a": rat_to_str(q.a), "b": rat_to_str(q.b),
+            "d": disc_str if q.d is disc else rat_to_str(q.d)}
 
 
 def quad_from_obj(obj) -> QuadNum:
@@ -84,10 +91,6 @@ def mat_from_obj(obj) -> MatQ:
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise InputError("matrix JSON must be a list of rows, each a list")
     return MatQ([[rat_from_str(x) for x in row] for row in obj])
-
-
-def quad_mat_to_obj(m: MatQ) -> list:
-    return [[quad_to_obj(x) for x in row] for row in m.entries()]
 
 
 def blocks_to_obj(blocks: ConfigBlocks) -> dict:
@@ -133,16 +136,13 @@ def params_from_obj(obj) -> LWParams:
         raise InputError("parameter JSON must map each letter a..p to a rational") from exc
 
 
-def _line_to_obj(line: LineRep) -> dict:
-    return {
-        "span": quad_mat_to_obj(line.span),
-        "plucker": [quad_to_obj(x) for x in line.plucker],
-        "approx": [x.approx() for x in line.plucker],
-    }
-
-
 def solution_to_obj(sol: TransversalSolution) -> dict:
     f, h = sol.forms
+    disc = sol.quadratic.disc
+
+    def quad(q) -> dict:
+        return quad_to_obj(q, disc, disc_str)
+
     return {
         "g": mat_to_obj(sol.canonical.g),
         "X": mat_to_obj(sol.canonical.x),
@@ -155,15 +155,24 @@ def solution_to_obj(sol: TransversalSolution) -> dict:
             "A": rat_to_str(sol.quadratic.a),
             "B": rat_to_str(sol.quadratic.b),
             "C": rat_to_str(sol.quadratic.c),
-            "D": rat_to_str(sol.quadratic.disc),
+            # D's one string, made in print order so that an over-limit error
+            # names the first such number printed; every {a, b, d} reuses it
+            "D": (disc_str := rat_to_str(disc)),
         },
         "roots": [
-            {"x": quad_to_obj(x), "y": quad_to_obj(y)}
+            {"x": quad(x), "y": quad(y)}
             for x, y in sol.roots
             if x is not None
         ],
-        "lines": [_line_to_obj(ln) for ln in sol.lines],
-        "incidence": [[quad_to_obj(v) for v in row] for row in sol.incidence],
+        "lines": [
+            {
+                "span": [[quad(x) for x in row] for row in ln.span.entries()],
+                "plucker": [quad(x) for x in ln.plucker],
+                "approx": [x.approx() for x in ln.plucker],
+            }
+            for ln in sol.lines
+        ],
+        "incidence": [[quad(v) for v in row] for row in sol.incidence],
         "warnings": list(sol.warnings),
     }
 
@@ -229,7 +238,75 @@ def curve_spec_to_obj(curve: CurveSpec) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte.  On Python 3.11
+    ``indent`` takes json off its C encoder; this writer keeps json's C
+    string escaper and appends each value's text to one list, joined once."""
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_CONTAINERS = (dict, list, tuple)
+_INFINITY = float("inf")
+
+
+def _write(o, out: list, nl: str) -> None:
+    """Append the text of o to out; ``nl`` is a newline and o's indent."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner, sep = nl + "  ", "{"
+        for k, v in o.items():
+            key = _escape(k if isinstance(k, str) else _scalar(k))  # json quotes a non-string key
+            if isinstance(v, str):
+                out.append(f"{sep}{inner}{key}: {_escape(v)}")
+            elif isinstance(v, _CONTAINERS):
+                out.append(f"{sep}{inner}{key}: ")
+                _write(v, out, inner)
+            else:
+                out.append(f"{sep}{inner}{key}: {_scalar(v)}")
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner, sep = nl + "  ", "["
+        for v in o:
+            if isinstance(v, str):
+                out.append(f"{sep}{inner}{_escape(v)}")
+            elif isinstance(v, _CONTAINERS):
+                out.append(sep + inner)
+                _write(v, out, inner)
+            else:
+                out.append(f"{sep}{inner}{_scalar(v)}")
+            sep = ","
+        out.append(nl + "]")
+    else:
+        out.append(_scalar(o))
+
+
+def _scalar(o) -> str:
+    """The text json writes for a value that is not a list or dict."""
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INFINITY:
+            return "Infinity"
+        return "-Infinity" if o == -_INFINITY else float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def loads(text: str):

@@ -196,7 +196,7 @@ class TestSolve:
         for line, ln in zip(obj["lines"], sol.lines):
             assert None in line["approx"]
             assert line["plucker"] == [ser.quad_to_obj(v) for v in ln.plucker]
-            assert line["span"] == ser.quad_mat_to_obj(ln.span)
+            assert line["span"] == [[ser.quad_to_obj(v) for v in row] for row in ln.span.entries()]
 
 
 class TestVerifyIdentity:

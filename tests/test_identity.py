@@ -2,6 +2,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from fourlines import (
     discriminant_from_minors,
     lw_compose,
@@ -130,6 +132,14 @@ class TestCertificate:
         assert first.lhs == first.rhs == 320
         for spot in cert.spot_evaluations:
             assert spot.lhs == spot.rhs
+
+    def test_fields_are_read_only(self):
+        cert = verify_identity(spot_count=2)
+        for obj, name in ((cert, "equal"), (cert.spot_evaluations[0], "lhs")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        spot = cert.spot_evaluations[1]
+        assert type(spot)(point=spot.point, lhs=spot.lhs, rhs=spot.rhs) == spot
 
     def test_deterministic(self):
         c1 = verify_identity(spot_count=3, seed=11)

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -6,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourlines import (ConfigBlocks, CurveSpec, InputError, LWParams, MatQ, QuadNum, lemma_sample,
-                       random_tp_instance, solve_transversals)
+from fourlines import (ConfigBlocks, CurveSpec, IndexSet, InputError, LWParams, MatQ, QuadNum,
+                       TPReport, check_tp_config, convexity_sample_check, lemma_sample, lw_factor,
+                       random_tp_instance, solve_transversals, verify_identity)
 from fourlines import serialize as ser
 from fourlines.curves import MAX_CURVE_COEFFS, _certifying_sample
 from fourlines.totalpos import MAX_BOUND
 
-from conftest import rand_frac
+from conftest import X1_ENTRIES, rand_frac
+from test_golden import MUTATIONS, SOLVE_BRANCHES, mutated
 
 
 class TestScalars:
@@ -266,3 +269,104 @@ class TestParserFuzz:
     def test_malformed_components(self, components):
         with pytest.raises(InputError):
             ser.curve_spec_from_obj({"kind": "polynomial", "components": components})
+
+
+def _json_dumps(obj) -> str:
+    """The reference for ``ser.dumps``."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+#: Text with everything the string escaper treats specially.
+json_text = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é€\U0001f600') | st.characters(),
+                    max_size=6)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80)
+                | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0,
+                                                 1e-300, 1e308]) | json_text)
+
+
+def _json_trees(depth: int):
+    """JSON values whose lists and dicts nest at most ``depth`` deep, empty ones included."""
+    if depth == 0:
+        return json_scalars
+    inner = _json_trees(depth - 1)
+    return (json_scalars | st.lists(inner, max_size=3) | st.lists(inner, max_size=2).map(tuple)
+            | st.dictionaries(json_text, inner, max_size=3))
+
+
+def _cli_objects() -> dict:
+    """name -> every kind of object the CLI writes."""
+    objs = {}
+    for name, bound in (("bound-10", 10), ("bound-1e30", 10**30)):
+        _, blocks = random_tp_instance(0, bound)
+        objs[f"solution-{name}"] = ser.solution_to_obj(solve_transversals(blocks))
+    for name, (blocks, _) in SOLVE_BRANCHES.items():
+        objs[f"solution-{name}"] = ser.solution_to_obj(solve_transversals(blocks()))
+    objs["tp-pass"] = ser.tp_report_to_obj(check_tp_config(random_tp_instance(0)[1]))
+    *change, _, _ = MUTATIONS["early"]
+    objs["tp-witness-rows"] = ser.tp_report_to_obj(check_tp_config(mutated(*change)))
+    objs["tp-witness-no-rows"] = ser.tp_report_to_obj(
+        TPReport(False, IndexSet((1, 2, 3, 4)), None, Fraction(-3, 7)))
+    quartic = CurveSpec(kind="polynomial", components=((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1, -1)))
+    ts = tuple(Fraction(k, 10) for k in (1, 3, 5, 9))
+    objs["sample-certified"] = ser.sample_report_to_obj(_certifying_sample(CurveSpec.moment(), ts))
+    objs["sample-refused"] = ser.sample_report_to_obj(lemma_sample(quartic, ts, Fraction(1, 40)))
+    objs["convexity-failures"] = ser.convexity_report_to_obj(convexity_sample_check(quartic, 12))
+    objs["identity"] = verify_identity(spot_count=3, seed=2).to_obj()
+    objs["factor"] = ser.params_to_obj(lw_factor(MatQ(X1_ENTRIES)))
+    params, blocks = random_tp_instance(3)
+    objs["random-instance"] = dict(ser.blocks_to_obj(blocks), params=ser.params_to_obj(params),
+                                   seed=3, bound=10)
+    return objs
+
+
+CLI_OBJECTS = _cli_objects()
+
+
+class TestWriter:
+    """``ser.dumps`` writes the bytes of ``json.dumps(indent=2)``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_json_trees(5))
+    def test_json_trees(self, obj):
+        assert ser.dumps(obj) == _json_dumps(obj)
+
+    @pytest.mark.parametrize("name", sorted(CLI_OBJECTS))
+    def test_cli_objects(self, name):
+        assert ser.dumps(CLI_OBJECTS[name]) == _json_dumps(CLI_OBJECTS[name])
+
+    def test_cli_objects_cover_each_shape(self):
+        assert not CLI_OBJECTS["sample-refused"]["ok"]
+        assert CLI_OBJECTS["convexity-failures"]["failures"]
+        assert "rows" in CLI_OBJECTS["tp-witness-rows"]["witness"]
+        assert "rows" not in CLI_OBJECTS["tp-witness-no-rows"]["witness"]
+        assert CLI_OBJECTS["tp-pass"] == {"ok": True, "witness": None}
+
+    @pytest.mark.parametrize("obj", [[], {}, "", 0, -0.0, None, {"": [[], {}]}, (1, "é"),
+                                     {1: "int key", 2.5: None, True: [], None: {}}])
+    def test_small_values(self, obj):
+        assert ser.dumps(obj) == _json_dumps(obj)
+
+    def test_unserializable(self):
+        with pytest.raises(TypeError, match="Object of type Fraction is not JSON serializable"):
+            ser.dumps({"x": [Fraction(1, 2)]})
+
+
+@pytest.mark.parametrize("bound", [10, 10**30], ids=["bound-10", "bound-1e30"])
+def test_solution_stringifies_d_once(monkeypatch, bound):
+    sol = solve_transversals(random_tp_instance(0, bound)[1])
+    disc, calls = sol.quadratic.disc, []
+    to_str = ser.rat_to_str
+
+    def counting(r):
+        calls.append(r)
+        return to_str(r)
+
+    monkeypatch.setattr(ser, "rat_to_str", counting)
+    obj = ser.solution_to_obj(sol)
+    assert sum(r == disc for r in calls) == 1  # 41 when each {a, b, d} wrote its own
+    assert len(calls) == 124  # 164 before
+    d_str = obj["quadratic"]["D"]
+    values = [v for root in obj["roots"] for v in root.values()] + [
+        v for line in obj["lines"] for v in line["plucker"] + sum(line["span"], [])] + sum(
+        obj["incidence"], [])
+    assert len(values) == 40 and all(v["d"] is d_str for v in values)
