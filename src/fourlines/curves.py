@@ -17,6 +17,7 @@ from .errors import (
     InputError,
     NotConvex,
     SearchFailure,
+    SingularMatrixError,
 )
 from .chart import wedge
 from .exact import IndexSet, MatQ, as_rat, maximal_minors
@@ -94,9 +95,10 @@ def curve_eval(curve: CurveSpec, t, order: int = 0) -> tuple:
 def frenet_basis(curve: CurveSpec) -> MatQ:
     """Change of coordinates making the Wronski matrix of the lift at 0 the identity."""
     wronskian = MatQ.from_cols([curve_eval(curve, 0, order) for order in range(4)])
-    if wronskian.det() == 0:
-        raise NotConvex("derivative vectors at t = 0 are linearly dependent")
-    return wronskian.inverse()
+    try:
+        return wronskian.inverse()
+    except SingularMatrixError:
+        raise NotConvex("derivative vectors at t = 0 are linearly dependent") from None
 
 
 def _frames(curve: CurveSpec, ts, basis: MatQ) -> tuple:
@@ -108,11 +110,7 @@ def _frames(curve: CurveSpec, ts, basis: MatQ) -> tuple:
 
 def tangent_block(curve: CurveSpec, t) -> MatQ:
     """4x2 block with columns (value, derivative) at t, in the basis at 0."""
-    return _block(_frames(curve, (t,), frenet_basis(curve))[0], t)
-
-
-def _block(frame: tuple, t) -> MatQ:
-    block = MatQ.from_cols(frame)
+    block = MatQ.from_cols(_frames(curve, (t,), frenet_basis(curve))[0])
     if not any(wedge(block.entries(), block.entries())):
         raise DegenerateConfiguration(f"cusp at t = {t}: value and derivative dependent")
     return block
@@ -235,16 +233,17 @@ def epsilon_threshold(curve: CurveSpec, ts) -> Fraction:
 
 
 def tangent_config(curve: CurveSpec, ts) -> ConfigBlocks:
-    """Exact tangent blocks at the four parameters, certified by the sampled basis.
+    """The tangent lines at the four parameters, as the certified sample.
 
-    The returned columns are (value, derivative); each spans the same
-    plane as the certified sample pair, since the second sample row
-    differs from the first by epsilon times the derivative.
+    Block k has the columns (v_k, v_k + eps*d_k), rows 2k-1 and 2k of the
+    certifying sample's W, so the configuration's 70 maximal minors are
+    the sample's, all positive, and ``check_tp_config`` verifies them.
+    Block k spans the same plane as ``tangent_block`` at t_k.  A cusp at
+    t_k zeroes every sample minor that holds both rows of pair k, so the
+    search refuses it.
     """
-    ts = _validate_ts(ts)
-    frames = _frames(curve, ts, frenet_basis(curve))
-    _certifying_sample(curve, ts, frames=frames)
-    return ConfigBlocks(*(_block(frame, t) for frame, t in zip(frames, ts)))
+    w = _certifying_sample(curve, ts).w
+    return ConfigBlocks(*(MatQ.from_cols([w.row(2 * k), w.row(2 * k + 1)]) for k in range(4)))
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,8 @@ class CanonicalForm:
     orientation: int
 
 
+#: The refusal of a configuration with a singular [W3 W4]: it has no canonical form.
+SINGULAR_W34 = "[W3 W4] is singular: degenerate configuration"
 _ROWS4 = IndexSet((1, 2, 3, 4))
 #: The columns of [W3 W4] among the eight of a configuration (0-based).
 _W34 = (4, 5, 6, 7)
@@ -129,7 +131,7 @@ def _canonical(blocks: ConfigBlocks, minors: dict, scales: list) -> CanonicalFor
     """
     det34 = minors[_W34]
     if not det34:
-        raise DegenerateConfiguration("[W3 W4] is singular: degenerate configuration")
+        raise DegenerateConfiguration(SINGULAR_W34)
     x = [[Fraction(minors[(j, *(c for c in _W34 if c != 7 - r))] * scales[7 - r], det34 * scales[j])
           for j in range(4)] for r in range(4)]
     g = y_sign_times(blocks.w3.hstack(blocks.w4).inverse())

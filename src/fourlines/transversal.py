@@ -32,12 +32,7 @@ from .errors import (
 from . import chart
 from .chart import plucker_meet, wedge
 from .exact import MatQ, QuadNum, integer_scaled, rational_sqrt
-from .totalpos import (
-    CanonicalForm,
-    ConfigBlocks,
-    canonicalize,
-    check_tp_config,
-)
+from .totalpos import SINGULAR_W34, CanonicalForm, ConfigBlocks, check_tp_config
 
 
 @dataclass(frozen=True)
@@ -314,15 +309,17 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     """End-to-end solver: two real transversal lines with exact certificates.
 
     The canonical form is the one the total-positivity verdict was read
-    from; incidence of each solution line with each input line is
-    certified by the Pluecker pairing, which equals det[W_i | L_j] exactly.
+    from, and a singular [W3 W4], which has none, is refused; incidence
+    of each solution line with each input line is certified by the
+    Pluecker pairing, which equals det[W_i | L_j] exactly.
     The certificates run on the integer parts of each line, and the printed
     roots, spans and Pluecker vectors are one division each of those
     integers (``_printed``).
     """
     tp = check_tp_config(blocks)
-    # Only a singular [W3 W4] leaves no canonical form; canonicalize raises for it.
-    canon = tp.canonical or canonicalize(blocks)
+    canon = tp.canonical
+    if canon is None:
+        raise DegenerateConfiguration(SINGULAR_W34)
     warnings: List[str] = [] if tp.ok else ["hypothesis-not-verified"]
     if not tp.ok and canon.orientation < 0:
         warnings.append("canonical-basis-orientation-flipped")

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -7,13 +8,16 @@ import pytest
 from fourlines import (
     CertificateFailure,
     ConfigBlocks,
+    InputError,
     MatQ,
+    NoRealSolution,
+    NotTotallyPositive,
     SingularMatrixError,
     Y_SIGN,
     blocks_of_canonical,
     random_tp_instance,
 )
-from fourlines import curves, transversal
+from fourlines import curves, totalpos, transversal
 from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N, lemma_sample
 from fourlines.exact import maximal_minors
 from fourlines.identity import MAX_SPOTS
@@ -424,3 +428,98 @@ class TestExitCodes:
         sols = sorted(p.name for p in outdir.glob("*.solution.json"))
         assert sols == ["inst1.solution.json", "inst3.solution.json"]
         assert "inst2.json: tampered" in capsys.readouterr().err
+
+
+#: X of [X Y] with D = -476: no real transversal.
+NEGATIVE_D_X = [[3, 0, 0, 2], [-2, -1, 1, 2], [3, 2, 2, -1], [-3, 0, 2, 1]]
+#: X with D = 0: one double root.
+DOUBLE_ROOT_X = [[2, 3, -3, 1], [0, 0, 0, -1], [-1, 3, 3, -1], [0, 3, 2, -2]]
+
+
+def run_err(argv, capsys) -> tuple:
+    """Exit code and stderr of a command that must write nothing to stdout."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def write_obj(tmp_path, obj) -> str:
+    path = tmp_path / "in.json"
+    path.write_text(ser.dumps(obj))
+    return str(path)
+
+
+class TestErrorPaths:
+    """Each refusal's exit code and exact stderr through ``run``."""
+
+    def test_negative_discriminant(self, tmp_path, capsys):
+        path = write_obj(tmp_path, ser.blocks_to_obj(blocks_of_canonical(MatQ(NEGATIVE_D_X))))
+        assert run_err(["solve", "--input", path], capsys) == (
+            3, "error: negative discriminant -476\n")
+
+    def test_double_root(self, tmp_path, capsys):
+        path = write_obj(tmp_path, ser.blocks_to_obj(blocks_of_canonical(MatQ(DOUBLE_ROOT_X))))
+        assert run_err(["solve", "--input", path], capsys) == (
+            4, "error: expected exactly two chart solutions\n")
+
+    def test_singular_w34_builds_one_minor_table(self, tmp_path, capsys, monkeypatch):
+        b = random_tp_instance(0)[1]
+        blocks = ConfigBlocks(b.w1, b.w2, b.w3, b.w3.map(lambda v: 2 * v))
+        calls = []
+        table = totalpos.minor_table
+        monkeypatch.setattr(totalpos, "minor_table", lambda cols: calls.append(1) or table(cols))
+        path = write_obj(tmp_path, ser.blocks_to_obj(blocks))
+        assert run_err(["solve", "--input", path], capsys) == (
+            4, "error: [W3 W4] is singular: degenerate configuration\n")
+        assert len(calls) == 1
+
+    def test_block_shape(self, tmp_path, capsys):
+        obj = ser.blocks_to_obj(random_tp_instance(0)[1])
+        obj["blocks"][0] = obj["blocks"][0][:3]
+        assert run_err(["solve", "--input", write_obj(tmp_path, obj)], capsys) == (
+            2, "error: blocks must be 4x2, got 3x2\n")
+
+    def test_epsilon_beyond_the_domain(self, capsys):
+        argv = ["curve-sample", "--ts", "1/10,3/10,5/10,9/10", "--epsilon", "15/100"]
+        assert run_err(argv, capsys) == (
+            2, "error: epsilon 3/20 pushes the last sample beyond the domain\n")
+
+    def test_params_need_every_letter(self):
+        with pytest.raises(InputError, match="^parameter JSON must map each letter a..p to a rational$"):
+            ser.params_from_obj({})
+
+    def test_factor_recomposition_certificate(self, tmp_path, capsys, monkeypatch):
+        x = totalpos.lw_compose(random_tp_instance(0)[0])
+        path = write_obj(tmp_path, ser.mat_to_obj(x))
+        compose = totalpos.lw_compose
+        monkeypatch.setattr(totalpos, "lw_compose", lambda params: compose(params).map(lambda v: v + 1))
+        with pytest.raises(NotTotallyPositive, match="^matrix is outside the positive factorization chart$"):
+            totalpos.lw_factor(x)
+        assert run_err(["factor", "--input", path], capsys) == (
+            3, "error: matrix is outside the positive factorization chart\n")
+
+    def test_auto_epsilon_computes_no_det(self, capsys, monkeypatch):
+        calls = []
+        det = MatQ.det
+        monkeypatch.setattr(MatQ, "det", lambda self: calls.append(1) or det(self))
+        assert run(["curve-sample", "--ts", "1/10,3/10,5/10,7/10"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert calls == []
+
+    @pytest.mark.parametrize("quad", [(1, 0, 1), (1, 2, 1)], ids=["d<0", "d=0"])
+    @pytest.mark.parametrize("config", ["random", "tangent"])
+    def test_discriminant_not_positive_despite_tp(self, tmp_path, capsys, monkeypatch, quad, config):
+        # total positivity implies D > 0, so only a wrong elimination reaches this guard
+        if config == "random":
+            blocks = random_tp_instance(0)[1]
+        else:
+            blocks = curves.tangent_config(curves.CurveSpec.moment(), (Fraction(1, 20), Fraction(37, 100),
+                                                                       Fraction(9, 10), Fraction(49, 50)))
+        assert totalpos.check_tp_config(blocks).ok
+        monkeypatch.setattr(transversal, "eliminate_to_quadratic", lambda f, h: transversal.Quadratic(*quad))
+        message = r"discriminant (0|-\d+(/\d+)?) not positive despite verified total positivity"
+        with pytest.raises(NoRealSolution, match=f"^{message}$"):
+            transversal.solve_transversals(blocks)
+        code, err = run_err(["solve", "--input", write_obj(tmp_path, ser.blocks_to_obj(blocks))], capsys)
+        assert code == 3 and re.fullmatch(f"error: {message}\n", err)

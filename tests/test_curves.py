@@ -332,26 +332,90 @@ class TestEpsilonSearch:
         check()
 
 
+def tangent_blocks(curve, ts) -> ConfigBlocks:
+    """The (value, derivative) blocks of the four tangent lines."""
+    return ConfigBlocks(*(tangent_block(curve, t) for t in ts))
+
+
+def assert_certified_tangent_config(curve, ts) -> None:
+    """tangent_config is the certified sample: block k is rows 2k-1 and 2k
+    of its W and spans the tangent plane at t_k, the configuration is TP,
+    and it solves with no warning, D > 0 and the lines of the (value,
+    derivative) blocks."""
+    cfg = tangent_config(curve, ts)
+    report = curves._certifying_sample(curve, ts)
+    plain = tangent_blocks(curve, ts)
+    for k, (blk, tb) in enumerate(zip(cfg.blocks(), plain.blocks())):
+        assert blk == MatQ.from_cols([report.w.row(2 * k), report.w.row(2 * k + 1)])
+        # (v, v + eps d) = (v, d) [[1, 1], [0, eps]]: the same plane
+        assert plucker_of_span(blk) == tuple(report.epsilon * p for p in plucker_of_span(tb))
+    assert check_tp_config(cfg).ok
+    sol = solve_transversals(cfg)
+    assert sol.warnings == () and sol.quadratic.disc > 0
+    lines = solve_transversals(plain).lines
+    assert all(any(ln.same_line(other) for other in lines) for ln in sol.lines)
+
+
 class TestTangentConfig:
     def test_blocks_are_tangent_lines(self):
-        cfg = tangent_config(CurveSpec.moment(), TS)
-        assert isinstance(cfg, ConfigBlocks)
-        for t, blk in zip(TS, cfg.blocks()):
-            assert blk == tangent_block(CurveSpec.moment(), t)
+        assert_certified_tangent_config(CurveSpec.moment(), TS)
 
     def test_transversals_of_tangent_lines(self):
-        # the exact (value, derivative) basis itself is not totally
-        # positive, so the solver must flag the unverified hypothesis but
-        # still produce both real transversals
         cfg = tangent_config(CurveSpec.moment(), TS)
+        sol = solve_transversals(cfg)
+        assert sol.warnings == ()
+        oracle = oracle_plucker_solve(cfg)
+        assert len(sol.lines) == len(oracle) == 2
+        for ln in sol.lines:
+            assert any(ln.same_line(o) for o in oracle)
+
+    def test_value_derivative_basis_is_not_tp(self):
+        # the exact (value, derivative) basis of the same lines is not
+        # totally positive, so the solver flags the unverified hypothesis
+        # but still produces both real transversals
+        cfg = tangent_blocks(CurveSpec.moment(), TS)
         assert not check_tp_config(cfg).ok
         sol = solve_transversals(cfg)
         assert "hypothesis-not-verified" in sol.warnings
-        assert len(sol.lines) == 2
         oracle = oracle_plucker_solve(cfg)
-        assert len(oracle) == 2
+        assert len(sol.lines) == len(oracle) == 2
         for ln in sol.lines:
             assert any(ln.same_line(o) for o in oracle)
+
+    @pytest.mark.parametrize("name", ["moment", "quartic-1/10", "quartic-1/4"])
+    def test_certified_on_convex_curves(self, name):
+        # the paper's statement on its own example: four tangent lines of a
+        # convex curve, given by the certified sample, are totally positive
+        # and have two real transversals
+        curve = SWEEP[name][0]
+
+        @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+        @given(hundredths(None))
+        def check(ts):
+            assert_certified_tangent_config(curve, ts)
+
+        check()
+
+    def test_refused_on_non_convex_quartic(self):
+        # the search refuses most ts on the quartic c = -1, and tangent_config
+        # with it; the few it certifies keep every fact above
+        curve, seen = quartic(-1), []
+
+        @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+        @given(hundredths(None))
+        def check(ts):
+            try:
+                epsilon_threshold(curve, ts)
+            except SearchFailure:
+                seen.append(True)
+                with pytest.raises(SearchFailure):
+                    tangent_config(curve, ts)
+            else:
+                seen.append(False)
+                assert_certified_tangent_config(curve, ts)
+
+        check()
+        assert True in seen and False in seen
 
 
 class TestConvexitySample:

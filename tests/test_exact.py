@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from fourlines import (
     SingularMatrixError,
     Y_SIGN,
 )
-from fourlines.exact import rational_sqrt
+from fourlines.exact import as_rat, rational_sqrt
 
 from conftest import det_cofactor, rand_frac, rand_mat
 
@@ -204,6 +205,35 @@ class TestQuadNum:
         assert q(10**400, 0, 0).approx() is None  # float(a) overflows
         assert q(1, 10**300, 10**300).approx() is None  # b * sqrt(d) is inf
         assert q(10**300, 0, 0).approx() == 1e300
+
+
+#: Input checks of the exact kernel: name -> (call, error, exact message).
+INPUT_CHECKS = {
+    "empty matrix": (lambda: MatQ([]), DimensionError, "matrix must be non-empty"),
+    "ragged rows": (lambda: MatQ([[1, 2], [3]]), DimensionError, "ragged rows"),
+    "product shapes": (lambda: MatQ([[1, 2]]) @ MatQ([[1, 2]]), DimensionError,
+                       "cannot multiply 1x2 by 1x2"),
+    "hstack rows": (lambda: MatQ([[1]]).hstack(MatQ([[1], [2]])), DimensionError,
+                    "row counts differ in hstack"),
+    "non-square inverse": (lambda: MatQ([[1, 2]]).inverse(), DimensionError,
+                           "inverse of non-square matrix"),
+    "submatrix range": (lambda: MatQ([[1]]).submatrix((1,), (2,)), DimensionError,
+                        "index out of range for 1x1 matrix"),
+    "negative radicand": (lambda: QuadNum(1, 1, -2), RadicandMismatch,
+                          "negative radicand: values would not be real"),
+    "zero divisor": (lambda: QuadNum(1, 1, 1).inverse(), ArithmeticError,
+                     "zero-divisor: radicand is a perfect square and the conjugate vanishes"),
+    "irrational as rational": (lambda: as_rat(QuadNum(0, 1, 2)), RadicandMismatch,
+                               "quadratic number with irrational part is not rational"),
+    "float as rational": (lambda: as_rat(0.5), TypeError, "not a rational scalar: 0.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_checks(name):
+    call, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_rational_sqrt():

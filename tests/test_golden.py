@@ -22,6 +22,7 @@ from fourlines import (
     MatQ,
     blocks_of_canonical,
     random_tp_instance,
+    tangent_block,
     tangent_config,
 )
 from fourlines import serialize as ser
@@ -56,6 +57,8 @@ SOLVE_DIGESTS = {
     (10**30, 3): "09682d2b23f31119a5a9d0a46b6e09a789cbb06c964138123384acb195e0cf03",
 }
 
+#: The parameters of the golden moment-curve tangent lines.
+TANGENT_TS = (Fraction(1, 20), Fraction(37, 100), Fraction(9, 10), Fraction(49, 50))
 #: name -> (input, digest) for ``solve`` on the branches that random TP
 #: instances do not take
 SOLVE_BRANCHES = {
@@ -68,10 +71,14 @@ SOLVE_BRANCHES = {
     # det[W3 W4] < 0: canonical-basis-orientation-flipped
     "orientation-flipped": (lambda: swap_w3_columns(random_tp_instance(0)[1]),
                             "604483119108dc472f6b4a119785ddcf605955f9f86a814ef46dec95a3f87b96"),
-    # tangent lines of the moment curve: not totally positive, a conjugate pair
-    "moment-tangent": (lambda: tangent_config(CurveSpec.moment(), (Fraction(1, 20), Fraction(37, 100),
-                                                                   Fraction(9, 10), Fraction(49, 50))),
+    # the (value, derivative) tangent blocks of the moment curve: not
+    # totally positive, a conjugate pair
+    "moment-tangent": (lambda: ConfigBlocks(*(tangent_block(CurveSpec.moment(), t) for t in TANGENT_TS)),
                        "2937f913eccebabe84b2e83c05409e97fa7ce1e4ed744005572975cd7a8380d8"),
+    # the same tangent lines as tangent_config's certified sample blocks:
+    # totally positive, no warning
+    "moment-tangent-sample": (lambda: tangent_config(CurveSpec.moment(), TANGENT_TS),
+                              "371619f9343a52d4b1176616b479b0d9de00415f800b6e57b578dad17db632af"),
 }
 
 #: name -> (seed, block, row, column, new entry, witness columns, digest)

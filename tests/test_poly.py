@@ -213,3 +213,10 @@ class TestSerialization:
 def test_bad_parse():
     with pytest.raises(ValueError):
         Poly16.parse("1·q")
+    with pytest.raises(ValueError, match="^bad term 'x'$"):
+        Poly16.parse("x")
+
+
+def test_coerce_refuses_a_float():
+    with pytest.raises(TypeError, match="^cannot coerce 0.5 to Poly16$"):
+        Poly16.constant(1) + 0.5

@@ -103,6 +103,10 @@ class TestChecks:
     def test_x1_square_tp(self, x1):
         assert check_tp_square(x1).ok
 
+    def test_square_shape(self):
+        with pytest.raises(DimensionError, match="^expected a 4x4 matrix$"):
+            check_tp_square(MatQ([[1]]))
+
     def test_square_witness_is_first_failure(self, x1):
         rows = [list(r) for r in x1.entries()]
         rows[0][0] = Fraction(0)

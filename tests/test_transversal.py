@@ -18,7 +18,6 @@ from fourlines import (
     MatQ,
     NoRealSolution,
     QuadNum,
-    SearchFailure,
     bilinear_forms,
     blocks_of_canonical,
     check_tp_config,
@@ -31,6 +30,7 @@ from fourlines import (
     random_tp_instance,
     solve_canonical,
     solve_transversals,
+    tangent_block,
     tangent_config,
 )
 from fourlines import NonGenericConfiguration, chart
@@ -80,6 +80,8 @@ class TestPlucker:
     def test_rank_deficient_span(self):
         with pytest.raises(DegenerateLine):
             plucker_of_span(MatQ([[1, 2], [2, 4], [3, 6], [4, 8]]))
+        with pytest.raises(DegenerateLine, match="^span must be 4x2, got 2x2$"):
+            plucker_of_span(MatQ([[1, 0], [0, 1]]))
 
     def test_span_round_trip(self):
         rng = random.Random(73)
@@ -277,17 +279,18 @@ class TestSolveTransversals:
 
 def tangent_configs(count: int) -> list:
     """Tangent configurations of the moment curve and two convex quartics at
-    seeded parameters, skipping those the epsilon search refuses."""
+    seeded parameters: (certified, plain) holds ``tangent_config``'s
+    certified sample blocks and the (value, derivative) blocks of the same
+    four tangent lines."""
     quartic = lambda c: CurveSpec(POLYNOMIAL, ((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1, c)))
     curves = (CurveSpec.moment(), quartic(Fraction(-1, 10)), quartic(Fraction(-1, 4)))
     rng = random.Random(43)
     configs = []
-    while len(configs) < count:
+    for i in range(count):
+        curve = curves[i % 3]
         ts = tuple(Fraction(k, 100) for k in sorted(rng.sample(range(1, 100), 4)))
-        try:
-            configs.append(tangent_config(curves[len(configs) % 3], ts))
-        except SearchFailure:
-            pass
+        configs.append((tangent_config(curve, ts),
+                        ConfigBlocks(*(tangent_block(curve, t) for t in ts))))
     return configs
 
 
@@ -311,9 +314,12 @@ class TestConjugatePair:
         assert sol.quadratic.disc == 320
 
     def test_tangent_configurations(self):
-        for blocks in tangent_configs(20):
-            sol = self.assert_matches(blocks)
-            assert "hypothesis-not-verified" in sol.warnings
+        # the certified sample blocks are TP and solve with no warning; the
+        # (value, derivative) blocks of the same lines are not TP
+        for certified, plain in tangent_configs(20):
+            assert check_tp_config(certified).ok
+            assert self.assert_matches(certified).warnings == ()
+            assert "hypothesis-not-verified" in self.assert_matches(plain).warnings
 
     def test_perfect_square_discriminant(self):
         sol = self.assert_matches(blocks_of_canonical(MatQ(SQUARE_X)))
