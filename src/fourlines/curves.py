@@ -8,7 +8,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     CertificateFailure,
@@ -20,7 +21,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .chart import wedge
-from .exact import IndexSet, MatQ, as_rat, maximal_minors
+from .exact import IndexSet, MatQ, as_rat, integer_scaled, maximal_minors, minor_table
 from .totalpos import ConfigBlocks
 
 RATIONAL_NORMAL = "rational_normal"
@@ -75,45 +76,101 @@ def _poly_derivative(coeffs: tuple, order: int) -> tuple:
     return coeffs
 
 
-def _poly_eval(coeffs: tuple, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+def _integer_points(curve: CurveSpec, ts, orders: Sequence[int] = (0, 1)) -> list:
+    """(s, s * the order-th derivative of the lift at t for each order) at
+    each t in [0, 1], on integers.
+
+    At t = p/q, s = q^n * L, where n is the curve's degree and L the LCM of
+    its coefficient denominators, so entry j of order o is the integer
+    polynomial sum_i L * c^(o)_(j,i) * p^i * q^(n-i).
+    """
+    comps = curve.components
+    n = max(map(len, comps)) - 1
+    lcm = math.lcm(*(c.denominator for comp in comps for c in comp))
+    ints = [tuple(c.numerator * (lcm // c.denominator) for c in comp) for comp in comps]
+    tables = [[_poly_derivative(c, order) for c in ints] for order in orders]
+    points = []
+    for t in ts:
+        t = as_rat(t)
+        if not 0 <= t <= 1:
+            raise InputError(f"parameter {t} outside the domain [0, 1]")
+        p, q = t.numerator, t.denominator
+        weights = [p**i * q**(n - i) for i in range(n + 1)]
+        points.append((q**n * lcm, *(tuple(sum(map(mul, c, weights)) for c in table)
+                                     for table in tables)))
+    return points
 
 
 def curve_eval(curve: CurveSpec, t, order: int = 0) -> tuple:
     """Exact value of the order-th derivative of the lift at t in [0, 1]."""
-    t = as_rat(t)
-    if not 0 <= t <= 1:
-        raise InputError(f"parameter {t} outside the domain [0, 1]")
     if not 0 <= order <= 3:
         raise InputError(f"derivative order {order} not in 0..3")
-    return tuple(_poly_eval(_poly_derivative(c, order), t) for c in curve.components)
+    (s, value), = _integer_points(curve, (t,), (order,))
+    return tuple(Fraction(x, s) for x in value)
+
+
+def _wronskian(curve: CurveSpec) -> MatQ:
+    """W0, the Wronski matrix of the lift at 0: column o is the o-th
+    derivative there, so W0[j][o] = o! * c_(j,o)."""
+    return MatQ([[math.factorial(o) * c for o, c in enumerate((comp + (0, 0, 0))[:4])]
+                 for comp in curve.components])
 
 
 def frenet_basis(curve: CurveSpec) -> MatQ:
     """Change of coordinates making the Wronski matrix of the lift at 0 the identity."""
-    wronskian = MatQ.from_cols([curve_eval(curve, 0, order) for order in range(4)])
     try:
-        return wronskian.inverse()
+        return _wronskian(curve).inverse()
     except SingularMatrixError:
         raise NotConvex("derivative vectors at t = 0 are linearly dependent") from None
 
 
-def _frames(curve: CurveSpec, ts, basis: MatQ) -> tuple:
-    """(value, derivative) of the lift at each t, in the basis at 0: one
-    product of the basis with every value and derivative column."""
-    moved = basis @ MatQ.from_cols([curve_eval(curve, t, order) for t in ts for order in (0, 1)])
-    return tuple((moved.col(2 * k), moved.col(2 * k + 1)) for k in range(len(ts)))
+class _Frames(NamedTuple):
+    """The (value, derivative) of the lift at each t in curve coordinates,
+    on integers, and the way to the Frenet basis at 0.
+
+    ``points[k]`` is (s, V, D), s > 0 times the value and the derivative at
+    t_k (``_integer_points``).  The Frenet basis W0^-1 is ``basis`` over
+    ``basis_den``.  Rows in curve coordinates have det W0 times the maximal
+    minors of the same rows in the Frenet basis (the determinant is
+    multiplicative), so no minor needs the basis.
+    """
+
+    points: tuple
+    basis: tuple
+    basis_den: int
+    det_w0: Fraction
+
+    def frenet(self, row, scale: int) -> tuple:
+        """The curve-coordinate vector row / scale in the Frenet basis at 0,
+        with one division per entry."""
+        den = self.basis_den * scale
+        return tuple(Fraction(sum(map(mul, b, row)), den) for b in self.basis)
+
+
+def _frames(curve: CurveSpec, ts) -> _Frames:
+    basis = frenet_basis(curve)
+    ints, den = integer_scaled([x for row in basis.entries() for x in row])
+    return _Frames(points=tuple(_integer_points(curve, ts)),
+                   basis=tuple(tuple(ints[i:i + 4]) for i in range(0, 16, 4)),
+                   basis_den=den, det_w0=maximal_minors(_wronskian(curve))[0])
+
+
+def _over_det(minors: dict, scales: Sequence[int], det_w0: Fraction) -> list:
+    """Each integer minor of rows scaled by ``scales`` as a minor of the
+    unscaled rows in the Frenet basis: one division by det W0 apiece."""
+    num, den = det_w0.numerator, det_w0.denominator
+    pair = {ij: scales[ij[0]] * scales[ij[1]] for ij in combinations(range(len(scales)), 2)}
+    return [Fraction(m * den, pair[sub[:2]] * pair[sub[2:]] * num) for sub, m in minors.items()]
 
 
 def tangent_block(curve: CurveSpec, t) -> MatQ:
     """4x2 block with columns (value, derivative) at t, in the basis at 0."""
-    block = MatQ.from_cols(_frames(curve, (t,), frenet_basis(curve))[0])
-    if not any(wedge(block.entries(), block.entries())):
+    frames = _frames(curve, (t,))
+    (s, v, d), = frames.points
+    pair = tuple(zip(v, d))
+    if not any(wedge(pair, pair)):
         raise DegenerateConfiguration(f"cusp at t = {t}: value and derivative dependent")
-    return block
+    return MatQ.from_cols([frames.frenet(v, s), frames.frenet(d, s)])
 
 
 def kappa_of(index_set) -> int:
@@ -148,15 +205,18 @@ def _validate_ts(ts) -> tuple:
     return ts
 
 
-def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[tuple] = None) -> SampleReport:
-    """8x4 sample matrix with row pairs (value, value + eps*derivative) and all
-    70 maximal minors (``exact.maximal_minors``) with their pair-count
+def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[_Frames] = None) -> SampleReport:
+    """8x4 sample matrix with row pairs (value, value + eps*derivative) in
+    the Frenet basis at 0, and all 70 maximal minors with their pair-count
     exponents.
 
-    ``frames`` holds the (value, derivative) pair at each t in the Frenet
-    basis at 0; they do not depend on epsilon, so the search passes them
-    in, and they are computed here when not given.  The minors of a report
-    that fails are all the search needs to refuse (``_certifying_sample``).
+    ``frames`` (``_frames``) holds the curve-coordinate (value, derivative)
+    pair at each t on integers; they do not depend on epsilon, so the
+    search passes them in, and they are computed here when not given.  For
+    eps = a/b the sample rows are V_k and b*V_k + a*D_k, whose 70 integer
+    minors come from ``exact.minor_table``; each printed minor is one of
+    them over its row scales and det W0.  The minors of a report that fails
+    are all the search needs to refuse (``_certifying_sample``).
     """
     ts = _validate_ts(ts)
     epsilon = as_rat(epsilon)
@@ -169,30 +229,31 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[tuple] = None) 
     if shifted[3] > 1:
         raise InputError(f"epsilon {epsilon} pushes the last sample beyond the domain")
     if frames is None:
-        frames = _frames(curve, ts, frenet_basis(curve))
-    rows = []
-    for v, d in frames:
-        rows.append(v)
-        rows.append(tuple(a + epsilon * b for a, b in zip(v, d)))
-    w = MatQ(rows)
-    values = maximal_minors(w)
+        frames = _frames(curve, ts)
+    a, b = epsilon.numerator, epsilon.denominator
+    rows, scales = [], []
+    for s, v, d in frames.points:
+        rows += (v, tuple(b * x + a * y for x, y in zip(v, d)))
+        scales += (s, b * s)
+    minors, _, _ = minor_table(rows)
+    sign = 1 if frames.det_w0 > 0 else -1  # of each printed minor over its integer m
     return SampleReport(
         ts=ts,
         epsilon=epsilon,
-        w=w,
-        minors=tuple(zip(_SAMPLE_ROWS, values)),
+        w=MatQ([frames.frenet(row, s) for row, s in zip(rows, scales)]),
+        minors=tuple(zip(_SAMPLE_ROWS, _over_det(minors, scales, frames.det_w0))),
         kappas=_SAMPLE_KAPPAS,
-        ok=all(v > 0 for v in values),
+        ok=all(m * sign > 0 for m in minors.values()),
     )
 
 
-def _certifying_sample(curve: CurveSpec, ts, frames: Optional[tuple] = None) -> SampleReport:
+def _certifying_sample(curve: CurveSpec, ts, frames: Optional[_Frames] = None) -> SampleReport:
     """Deterministic halving search; the first sample report that certifies
     the sampling lemma.
 
     The frames (as in ``lemma_sample``) are computed once, when not given;
-    each halving only forms the shifted rows and reads their 70 minors
-    from ``exact.maximal_minors``.  eps0 = min gap / 4 and its halvings
+    each halving only forms the shifted integer rows and reads their 70
+    minors from ``exact.minor_table``.  eps0 = min gap / 4 and its halvings
     keep every shifted sample inside its gap, so ``lemma_sample`` accepts
     each of them.
 
@@ -208,7 +269,7 @@ def _certifying_sample(curve: CurveSpec, ts, frames: Optional[tuple] = None) -> 
     """
     ts = _validate_ts(ts)
     if frames is None:
-        frames = _frames(curve, ts, frenet_basis(curve))
+        frames = _frames(curve, ts)
     gaps = [ts[i + 1] - ts[i] for i in range(3)] + [Fraction(1) - ts[3]]
     eps = min(gaps) / 4
     report = None
@@ -266,17 +327,17 @@ def convexity_sample_check(curve: CurveSpec, grid_size: int) -> ConvexityReport:
     if not 4 <= grid_size <= MAX_GRID:
         raise InputError(f"grid size must lie in 4..{MAX_GRID}, got {grid_size}")
     grid = tuple(Fraction(i, grid_size + 1) for i in range(1, grid_size + 1))
-    degenerate = False
-    try:
-        fb = frenet_basis(curve)
-    except NotConvex:
-        degenerate = True
-        fb = MatQ.identity(4)
-    values = (fb @ MatQ.from_cols([curve_eval(curve, t, 0) for t in grid])).transpose()
+    det_w0 = maximal_minors(_wronskian(curve))[0]
+    degenerate = det_w0 == 0
+    if degenerate:  # no Frenet basis: the minors are read in curve coordinates
+        det_w0 = Fraction(1)
+    points = _integer_points(curve, grid, (0,))
+    minors, _, _ = minor_table([v for _, v in points])
+    sign = 1 if det_w0 > 0 else -1
+    bad = {sub: m for sub, m in minors.items() if m * sign <= 0}
     failures = tuple(
-        (IndexSet(tuple(i + 1 for i in sub)), det)
-        for sub, det in zip(combinations(range(grid_size), 4), maximal_minors(values))
-        if det <= 0
+        (IndexSet(tuple(i + 1 for i in sub)), value)
+        for sub, value in zip(bad, _over_det(bad, [s for s, _ in points], det_w0))
     )
     return ConvexityReport(
         grid=grid,

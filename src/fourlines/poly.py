@@ -206,11 +206,10 @@ class Poly16:
             ev = [0] * NVARS
             if m.group(2):
                 for factor in m.group(2).split("·"):
-                    if "^" in factor:
-                        var, e = factor.split("^")
-                        ev[VARS.index(var)] += int(e)
-                    else:
-                        ev[VARS.index(factor)] += 1
+                    var, caret, e = factor.partition("^")
+                    if len(var) != 1 or var not in VARS or (caret and not e.isdecimal()):
+                        raise ValueError(f"bad term {chunk!r}")
+                    ev[VARS.index(var)] += int(e) if caret else 1
             key = tuple(ev)
             t[key] = t.get(key, 0) + coeff
         return cls(t)

@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from fourlines import LWParams, MatQ, blocks_of_canonical, lw_compose
+from fourlines import LWParams, MatQ, SampleReport, blocks_of_canonical, frenet_basis, lw_compose
+from fourlines import curves
+from fourlines.exact import maximal_minors
 
 X1_ENTRIES = [[1, 3, 3, 1], [3, 10, 11, 4], [3, 11, 14, 6], [1, 4, 6, 4]]
 
@@ -74,6 +76,49 @@ def sample_constants(frames) -> list:
             dets[pick] = det_cofactor(MatQ([frames[k][d] for k, d in pick]))
         constants.append(dets[pick])
     return constants
+
+
+def lift_pairs(curve, ts) -> list:
+    """(value, derivative) of the lift at each t in curve coordinates,
+    evaluated term by term in Fractions: an oracle independent of the
+    library's integer evaluation."""
+    return [(tuple(sum(c * t**i for i, c in enumerate(comp)) for comp in curve.components),
+             tuple(sum(i * c * t**(i - 1) for i, c in enumerate(comp) if i) for comp in curve.components))
+            for t in ts]
+
+
+def frame_pairs(frames) -> list:
+    """The curve-coordinate (value, derivative) pairs that ``curves._frames``
+    holds on integers: (V / s, D / s) at each t."""
+    return [tuple(tuple(Fraction(x, s) for x in u) for u in (v, d)) for s, v, d in frames.points]
+
+
+def frenet_frames(curve, pairs) -> tuple:
+    """Curve-coordinate (value, derivative) pairs moved to the Frenet basis
+    at 0 by ``frenet_basis(curve) @``: the frames as the search used to
+    hold them."""
+    fb = frenet_basis(curve)
+    return tuple(tuple((fb @ MatQ.from_cols([u])).col(0) for u in pair) for pair in pairs)
+
+
+def late(frames):
+    """``curves._frames`` with the first derivative d_1 replaced by
+    d_1 - 100 v_1.  The frames hold s * (v_1, d_1) in curve coordinates and
+    the change to the Frenet basis is linear, so D_1 - 100 V_1 there is the
+    same change."""
+    (s, v1, d1), *rest = frames.points
+    return frames._replace(points=((s, v1, tuple(d - 100 * v for v, d in zip(v1, d1))), *rest))
+
+
+def sample_oracle(curve, ts, epsilon, pairs) -> SampleReport:
+    """The epsilon sample by its definition: W's rows are ``frenet_basis(curve) @``
+    v_k and v_k + eps*d_k for the curve-coordinate ``pairs`` (v_k, d_k), and
+    its minors are ``maximal_minors(W)``."""
+    cols = [u for v, d in pairs for u in (v, tuple(a + epsilon * b for a, b in zip(v, d)))]
+    w = (frenet_basis(curve) @ MatQ.from_cols(cols)).transpose()
+    minors = maximal_minors(w)
+    return SampleReport(ts=tuple(ts), epsilon=epsilon, w=w, minors=tuple(zip(curves._SAMPLE_ROWS, minors)),
+                        kappas=curves._SAMPLE_KAPPAS, ok=all(m > 0 for m in minors))
 
 
 def poly_eval_oracle(p, values) -> Fraction:

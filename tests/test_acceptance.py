@@ -16,7 +16,6 @@ from fourlines import (
     check_tp_square,
     discriminant_from_minors,
     epsilon_threshold,
-    frenet_basis,
     lemma_sample,
     lw_compose,
     lw_factor,
@@ -31,7 +30,7 @@ from fourlines import (
 from fourlines import curves
 from fourlines.transversal import quadric_value
 
-from conftest import ACCEPTANCE_LINES, X1_ENTRIES, rand_params, sample_constants
+from conftest import ACCEPTANCE_LINES, X1_ENTRIES, frame_pairs, frenet_frames, rand_params, sample_constants
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -182,7 +181,8 @@ def test_criterion_6_sampling_lemma():
         if not Fraction(1, 2) <= ratio / target <= 2:
             scaling_ok = False
     # each minor is eps^kappa_I * P_I(eps); P_I(0) > 0 makes its eps-order exactly kappa_I
-    order_ok = all(c > 0 for c in sample_constants(curves._frames(curve, ts, frenet_basis(curve))))
+    pairs = frame_pairs(curves._frames(curve, ts))
+    order_ok = all(c > 0 for c in sample_constants(frenet_frames(curve, pairs)))
     ok = rep.ok and all(v > 0 for _, v in rep.minors) and len(rep.minors) == 70 and scaling_ok and order_ok
     _report(6, ok, f"ε = {eps}: all 70 sample minors positive, of ε-order exactly κ, "
                    "halving ratios track 2^(−κ) within factor 2")

@@ -19,13 +19,13 @@ from fourlines import (
 )
 from fourlines import curves, totalpos, transversal
 from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N, lemma_sample
-from fourlines.exact import maximal_minors
+from fourlines.exact import minor_table
 from fourlines.identity import MAX_SPOTS
 from fourlines.totalpos import MAX_BOUND
 from fourlines import serialize as ser
 from fourlines.cli import run
 
-from conftest import X1_ENTRIES, swap_w3_columns
+from conftest import X1_ENTRIES, late, swap_w3_columns
 
 
 def write_x1_config(path):
@@ -308,12 +308,12 @@ class TestCurveSample:
             calls.append(args)
             return lemma_sample(*args, **kwargs)
 
-        def counted_minors(m):
-            tables.append(m)
-            return maximal_minors(m)
+        def counted_minors(rows):
+            tables.append(rows)
+            return minor_table(rows)
 
         monkeypatch.setattr(curves, "lemma_sample", counted)
-        monkeypatch.setattr(curves, "maximal_minors", counted_minors)
+        monkeypatch.setattr(curves, "minor_table", counted_minors)
         out = tmp_path / "out.json"
         argv = ["curve-sample", "--ts", "1/10,3/10,5/10,9/10", "--epsilon", "auto",
                 "--curve", str(path), "--output", str(out)]
@@ -326,6 +326,37 @@ class TestCurveSample:
         assert len(calls) == 1
         # the refusal reads the failed sample's own minors: one table in all
         assert len(tables) == 1
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_auto_epsilon_counts(self, tmp_path, monkeypatch, moved):
+        # The search runs in curve coordinates: no matrix product, the one
+        # inverse of frenet_basis (to print W), one lemma_sample per halving.
+        # ``moved`` takes d_1 to d_1 - 100 v_1 (``late``): four halvings.
+        counts = {"@": 0, "inverse": 0}
+        epsilons = []
+        matmul, inverse, sample, frames = MatQ.__matmul__, MatQ.inverse, lemma_sample, curves._frames
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def halving(*args, **kwargs):
+            epsilons.append(args[2])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(MatQ, "__matmul__", counted("@", matmul))
+        monkeypatch.setattr(MatQ, "inverse", counted("inverse", inverse))
+        monkeypatch.setattr(curves, "lemma_sample", halving)
+        if moved:
+            monkeypatch.setattr(curves, "_frames", lambda curve, ts: late(frames(curve, ts)))
+        out = tmp_path / "out.json"
+        assert run(["curve-sample", "--ts", "1/10,3/10,5/10,7/10", "--epsilon", "auto", "--output", str(out)]) == 0
+        eps = Fraction(json.loads(out.read_text())["epsilon"])
+        assert eps == (Fraction(1, 160) if moved else Fraction(1, 20))
+        assert counts == {"@": 0, "inverse": 1}
+        assert epsilons == [Fraction(1, 20) / 2**k for k in range(4 if moved else 1)]
 
     @pytest.mark.parametrize("name", sorted(REFUSALS))
     def test_refusal_stderr(self, tmp_path, capsys, monkeypatch, name):

@@ -32,7 +32,7 @@ from fourlines import (
 from fourlines import curves
 from fourlines.curves import POLYNOMIAL
 
-from conftest import sample_constants
+from conftest import frame_pairs, frenet_frames, late, lift_pairs, sample_constants, sample_oracle
 
 TS = (Fraction(1, 10), Fraction(3, 10), Fraction(5, 10), Fraction(7, 10))
 
@@ -201,7 +201,7 @@ def epsilon_free(rows) -> bool:
 def assert_search_matches_oracle(curve, ts, frames) -> None:
     tried, certified = halving_oracle(curve, ts, frames)
     report, calls = search(curve, ts, frames, tried)
-    constants = sample_constants(frames)
+    constants = sample_constants(frenet_frames(curve, frame_pairs(frames)))
     if certified is None:
         # the refusal names a sample minor I with P_I(0) <= 0, its kappa_I and the sign
         witness = re.fullmatch(r"no certifying epsilon: sample minor \{([1-8,]+)\} is eps\^(\d) "
@@ -250,12 +250,12 @@ SWEEP = {
 SWEEP_HALVINGS = 2
 
 
-def frames_of(curve, ts) -> tuple:
-    return curves._frames(curve, ts, frenet_basis(curve))
+def frames_of(curve, ts) -> curves._Frames:
+    return curves._frames(curve, ts)
 
 
-def late_frames() -> tuple:
-    """Moment-curve frames at TS with d_1 replaced by d_1 - 100 v_1.
+def late_frames() -> curves._Frames:
+    """Moment-curve frames at TS with d_1 replaced by d_1 - 100 v_1 (``late``).
 
     The lone sample row 2 becomes (1 - 100 eps) v_1 + eps d_1, whose v_1
     part is negative while eps > 1/100: eps0 = 1/20 and its next two
@@ -263,8 +263,7 @@ def late_frames() -> tuple:
     to eps0/8 = 1/160, where the row is a positive multiple of
     v_1 + (1/60) d_1 and the sample certifies.
     """
-    (v1, d1), *rest = frames_of(CurveSpec.moment(), TS)
-    return ((v1, tuple(d - 100 * v for v, d in zip(v1, d1))), *rest)
+    return late(frames_of(CurveSpec.moment(), TS))
 
 
 @st.composite
@@ -305,9 +304,8 @@ class TestEpsilonSearch:
         @settings(derandomize=True, max_examples=examples, deadline=None, database=None)
         @given(hundredths(small_sum))
         def check(ts):
-            assert_search_matches_oracle(curve, ts, curves._frames(curve, ts, basis))
+            assert_search_matches_oracle(curve, ts, curves._frames(curve, ts))
 
-        basis = frenet_basis(curve)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(curves, "MAX_HALVINGS", SWEEP_HALVINGS)
             check()
@@ -321,14 +319,91 @@ class TestEpsilonSearch:
         @settings(derandomize=True, max_examples=12, deadline=None, database=None)
         @given(hundredths(small_sum))
         def check(ts):
-            frames = curves._frames(curve, ts, basis)
+            frames = curves._frames(curve, ts)
             eps0 = min([b - a for a, b in zip(ts, ts[1:])] + [1 - ts[3]]) / 4
             reports = [lemma_sample(curve, ts, eps0 / 2**j, frames=frames) for j in range(4)]
             for k, rows in enumerate(curves._SAMPLE_ROWS):
                 if epsilon_free(tuple(rows)):
                     assert len({rep.minors[k][1] / rep.epsilon**rep.kappas[k] for rep in reports}) == 1
 
-        basis = frenet_basis(curve)
+        check()
+
+
+#: A convex-looking curve with non-integer coefficients and det W0 = 4.
+RATIONAL_CURVE = poly_curve((1, Fraction(1, 3)), (0, Fraction(1, 2), Fraction(-1, 5)),
+                            (0, 0, Fraction(2, 3), Fraction(1, 7)), (0, 0, 0, 1, Fraction(-1, 10)))
+#: The distinct SWEEP curves and the rational one.
+ORACLE_CURVES = {"moment": CurveSpec.moment(), "quartic-1/10": quartic(Fraction(-1, 10)),
+                 "quartic-1/4": quartic(Fraction(-1, 4)), "quartic-1": quartic(-1),
+                 "rational": RATIONAL_CURVE}
+
+
+def linear_image(curve, a) -> CurveSpec:
+    """The lift A * gamma: component j is sum_l A[j][l] * gamma_l."""
+    n = max(map(len, curve.components))
+    comps = [comp + (0,) * (n - len(comp)) for comp in curve.components]
+    return CurveSpec(kind=POLYNOMIAL, components=tuple(
+        tuple(sum(a[j][l] * comps[l][i] for l in range(4)) for i in range(n)) for j in range(4)))
+
+
+@st.composite
+def orientation_reversing(draw):
+    """A rational 4x4 matrix A with det A < 0."""
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    a = draw(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=4, max_size=4)
+             .filter(lambda rows: MatQ(rows).det() != 0))
+    return a if MatQ(a).det() < 0 else [a[1], a[0], *a[2:]]
+
+
+def search_outcome(curve, ts):
+    try:
+        return curves._certifying_sample(curve, ts)
+    except SearchFailure as exc:
+        return str(exc)
+
+
+class TestOldDefinition:
+    """The search runs on integers in curve coordinates; its reports are the
+    sample as defined in the Frenet basis."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+    def test_reports_match_old_definition(self, name):
+        curve = ORACLE_CURVES[name]
+
+        @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+        @given(hundredths(None))
+        def check(ts):
+            pairs = lift_pairs(curve, ts)
+            assert frame_pairs(curves._frames(curve, ts)) == pairs
+            eps0 = min([b - a for a, b in zip(ts, ts[1:])] + [1 - ts[3]]) / 4
+            for eps in (eps0, eps0 / 2, eps0 / 8):
+                assert lemma_sample(curve, ts, eps) == sample_oracle(curve, ts, eps, pairs)
+            outcome = search_outcome(curve, ts)
+            if isinstance(outcome, str):
+                assert "no certifying epsilon" in outcome
+            else:
+                assert outcome == sample_oracle(curve, ts, outcome.epsilon, pairs)
+            assert tangent_block(curve, ts[0]) == MatQ.from_cols(frenet_frames(curve, pairs[:1])[0])
+
+        check()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+    def test_orientation_reversing_image_gives_the_same_report(self, name):
+        # A * gamma has Wronskian A * W0 and Frenet basis W0^-1 A^-1, so every
+        # Frenet-coordinate output is A's; det A < 0 flips det W0 and the
+        # sign of every integer curve-coordinate minor
+        curve = ORACLE_CURVES[name]
+
+        @settings(derandomize=True, max_examples=8, deadline=None, database=None)
+        @given(hundredths(None), orientation_reversing())
+        def check(ts, a):
+            image = linear_image(curve, a)
+            assert curves._frames(image, ts).det_w0 < 0 < curves._frames(curve, ts).det_w0
+            assert search_outcome(image, ts) == search_outcome(curve, ts)
+            assert lemma_sample(image, ts, Fraction(1, 10**4)) == lemma_sample(curve, ts, Fraction(1, 10**4))
+            assert tangent_block(image, ts[1]) == tangent_block(curve, ts[1])
+            assert convexity_sample_check(image, 7) == convexity_sample_check(curve, 7)
+
         check()
 
 

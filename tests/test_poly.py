@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -211,10 +212,14 @@ class TestSerialization:
 
 
 def test_bad_parse():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad term '1·q'$"):
         Poly16.parse("1·q")
     with pytest.raises(ValueError, match="^bad term 'x'$"):
         Poly16.parse("x")
+    # each factor is one of the 16 variables with an optional exponent
+    for term in ("1·ab", "1·a·", "3·a^-1", "2·a^x"):
+        with pytest.raises(ValueError, match=f"^bad term {re.escape(repr(term))}$"):
+            Poly16.parse(term)
 
 
 def test_coerce_refuses_a_float():
