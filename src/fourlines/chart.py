@@ -4,7 +4,8 @@
 Every function here uses only ``+``, ``-`` and ``*`` (and multiplication by
 the integer 4), so the same code runs on ``Fraction`` entries, where the
 solver evaluates it, and on ``Poly16`` variables, where
-``fourlines.identity`` expands it symbolically.  Matrices are row-major
+``fourlines.identity`` expands it symbolically; the predicate
+``proportional`` also compares with ``==``.  Matrices are row-major
 nested sequences indexed ``x[r][s]``.
 
 The chart writes a totally positive 4x4 matrix as X = L * diag(m,n,o,p) * U
@@ -25,7 +26,7 @@ from itertools import combinations
 
 #: The row pairs (0-based) of the six Pluecker coordinates p12, p13, p14,
 #: p23, p24, p34 of a 4x2 span.
-_PLUCKER_ROWS = tuple(combinations(range(4), 2))
+PLUCKER_ROWS = tuple(combinations(range(4), 2))
 
 
 def lw_product(params) -> tuple:
@@ -78,7 +79,13 @@ def wedge(s, t) -> tuple:
     """The six 2x2 minors, in the order p12..p34, of column 0 of the 4x2 matrix
     s beside column 1 of t.  wedge(s, s) is the Pluecker vector of the span of
     s, and wedge(s, t) + wedge(t, s) is bilinear in s and t."""
-    return tuple(s[r][0] * t[q][1] - s[q][0] * t[r][1] for r, q in _PLUCKER_ROWS)
+    return tuple(s[r][0] * t[q][1] - s[q][0] * t[r][1] for r, q in PLUCKER_ROWS)
+
+
+def proportional(p, q) -> bool:
+    """Whether two vectors of one length over a field are proportional:
+    every 2x2 minor of p beside q vanishes."""
+    return all(p[i] * q[j] == p[j] * q[i] for i, j in combinations(range(len(p)), 2))
 
 
 def plucker_meet(p: tuple, q: tuple):

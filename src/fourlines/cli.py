@@ -108,25 +108,22 @@ def _emit(obj, output, fmt="json"):
 
 
 def _render_text(obj, indent=0) -> str:
+    """One ``key: value`` or ``- value`` line per scalar, and a ``key:`` or
+    ``-`` line above each dict or list, which is nested below it."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        lines = []
-        for key, val in obj.items():
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}{key}:")
+        items = [(f"{key}:", val) for key, val in obj.items()]
+    else:
+        items = [("-", val) for val in obj]
+    lines = []
+    for head, val in items:
+        if isinstance(val, (dict, list)):
+            lines.append(f"{pad}{head}")
+            if val:
                 lines.append(_render_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {val}")
-        return "\n".join(lines) + ("\n" if indent == 0 else "")
-    if isinstance(obj, list):
-        lines = []
-        for val in obj:
-            if isinstance(val, (dict, list)):
-                lines.append(_render_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}- {val}")
-        return "\n".join(lines)
-    return f"{pad}{obj}"
+        else:
+            lines.append(f"{pad}{head} {val}")
+    return "\n".join(lines) + ("\n" if indent == 0 else "")
 
 
 def _load_curve(path) -> CurveSpec:

@@ -20,8 +20,8 @@ from .errors import (
     SearchFailure,
     SingularMatrixError,
 )
-from .chart import wedge
-from .exact import IndexSet, MatQ, as_rat, integer_scaled, maximal_minors, minor_table
+from .chart import proportional
+from .exact import IndexSet, MatQ, as_rat, integer_rows, maximal_minors, minor_table, table_minor
 from .totalpos import ConfigBlocks
 
 RATIONAL_NORMAL = "rational_normal"
@@ -70,24 +70,22 @@ class CurveSpec:
         return CurveSpec(kind=RATIONAL_NORMAL)
 
 
-def _poly_derivative(coeffs: tuple, order: int) -> tuple:
-    for _ in range(order):
-        coeffs = tuple(coeffs[i] * i for i in range(1, len(coeffs)))
-    return coeffs
+def _poly_derivative(coeffs: Sequence, order: int) -> tuple:
+    """The order-th derivative: coefficient i moves to i - order, times i!/(i - order)!."""
+    return tuple(c * math.perm(i, order) for i, c in enumerate(coeffs) if i >= order)
 
 
 def _integer_points(curve: CurveSpec, ts, orders: Sequence[int] = (0, 1)) -> list:
     """(s, s * the order-th derivative of the lift at t for each order) at
     each t in [0, 1], on integers.
 
-    At t = p/q, s = q^n * L, where n is the curve's degree and L the LCM of
-    its coefficient denominators, so entry j of order o is the integer
-    polynomial sum_i L * c^(o)_(j,i) * p^i * q^(n-i).
+    At t = p/q, s = q^n * L, where n is the curve's degree (0 for the zero
+    curve) and L the LCM of its coefficient denominators, so entry j of
+    order o is the integer polynomial sum_i L * c^(o)_(j,i) * p^i * q^(n-i).
     """
     comps = curve.components
-    n = max(map(len, comps)) - 1
-    lcm = math.lcm(*(c.denominator for comp in comps for c in comp))
-    ints = [tuple(c.numerator * (lcm // c.denominator) for c in comp) for comp in comps]
+    n = max(1, *map(len, comps)) - 1
+    ints, lcm = integer_rows(comps)
     tables = [[_poly_derivative(c, order) for c in ints] for order in orders]
     points = []
     for t in ts:
@@ -109,17 +107,13 @@ def curve_eval(curve: CurveSpec, t, order: int = 0) -> tuple:
     return tuple(Fraction(x, s) for x in value)
 
 
-def _wronskian(curve: CurveSpec) -> MatQ:
-    """W0, the Wronski matrix of the lift at 0: column o is the o-th
-    derivative there, so W0[j][o] = o! * c_(j,o)."""
-    return MatQ([[math.factorial(o) * c for o, c in enumerate((comp + (0, 0, 0))[:4])]
-                 for comp in curve.components])
-
-
 def frenet_basis(curve: CurveSpec) -> MatQ:
-    """Change of coordinates making the Wronski matrix of the lift at 0 the identity."""
+    """Change of coordinates making the Wronski matrix W0 of the lift at 0
+    the identity: W0^-1.  Column o of W0 is the o-th derivative at 0, and
+    ``_integer_points`` gives it times s."""
+    (s, *cols), = _integer_points(curve, (0,), range(4))
     try:
-        return _wronskian(curve).inverse()
+        return MatQ.from_cols([[Fraction(v, s) for v in col] for col in cols]).inverse()
     except SingularMatrixError:
         raise NotConvex("derivative vectors at t = 0 are linearly dependent") from None
 
@@ -136,7 +130,7 @@ class _Frames(NamedTuple):
     """
 
     points: tuple
-    basis: tuple
+    basis: list
     basis_den: int
     det_w0: Fraction
 
@@ -147,28 +141,23 @@ class _Frames(NamedTuple):
         return tuple(Fraction(sum(map(mul, b, row)), den) for b in self.basis)
 
 
+def _det_w0(basis: MatQ) -> Fraction:
+    """det W0 from the Frenet basis W0^-1."""
+    return 1 / maximal_minors(basis)[0]
+
+
 def _frames(curve: CurveSpec, ts) -> _Frames:
     basis = frenet_basis(curve)
-    ints, den = integer_scaled([x for row in basis.entries() for x in row])
-    return _Frames(points=tuple(_integer_points(curve, ts)),
-                   basis=tuple(tuple(ints[i:i + 4]) for i in range(0, 16, 4)),
-                   basis_den=den, det_w0=maximal_minors(_wronskian(curve))[0])
-
-
-def _over_det(minors: dict, scales: Sequence[int], det_w0: Fraction) -> list:
-    """Each integer minor of rows scaled by ``scales`` as a minor of the
-    unscaled rows in the Frenet basis: one division by det W0 apiece."""
-    num, den = det_w0.numerator, det_w0.denominator
-    pair = {ij: scales[ij[0]] * scales[ij[1]] for ij in combinations(range(len(scales)), 2)}
-    return [Fraction(m * den, pair[sub[:2]] * pair[sub[2:]] * num) for sub, m in minors.items()]
+    ints, den = integer_rows(basis.entries())
+    return _Frames(points=tuple(_integer_points(curve, ts)), basis=ints, basis_den=den,
+                   det_w0=_det_w0(basis))
 
 
 def tangent_block(curve: CurveSpec, t) -> MatQ:
     """4x2 block with columns (value, derivative) at t, in the basis at 0."""
     frames = _frames(curve, (t,))
     (s, v, d), = frames.points
-    pair = tuple(zip(v, d))
-    if not any(wedge(pair, pair)):
+    if proportional(v, d):
         raise DegenerateConfiguration(f"cusp at t = {t}: value and derivative dependent")
     return MatQ.from_cols([frames.frenet(v, s), frames.frenet(d, s)])
 
@@ -241,19 +230,20 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[_Frames] = None
         ts=ts,
         epsilon=epsilon,
         w=MatQ([frames.frenet(row, s) for row, s in zip(rows, scales)]),
-        minors=tuple(zip(_SAMPLE_ROWS, _over_det(minors, scales, frames.det_w0))),
+        minors=tuple((idx, table_minor(minors, scales, sub, frames.det_w0))
+                     for idx, sub in zip(_SAMPLE_ROWS, minors)),
         kappas=_SAMPLE_KAPPAS,
         ok=all(m * sign > 0 for m in minors.values()),
     )
 
 
-def _certifying_sample(curve: CurveSpec, ts, frames: Optional[_Frames] = None) -> SampleReport:
+def _certifying_sample(curve: CurveSpec, ts) -> SampleReport:
     """Deterministic halving search; the first sample report that certifies
     the sampling lemma.
 
-    The frames (as in ``lemma_sample``) are computed once, when not given;
-    each halving only forms the shifted integer rows and reads their 70
-    minors from ``exact.minor_table``.  eps0 = min gap / 4 and its halvings
+    The frames (as in ``lemma_sample``) are computed once; each halving
+    only forms the shifted integer rows and reads their 70 minors from
+    ``exact.minor_table``.  eps0 = min gap / 4 and its halvings
     keep every shifted sample inside its gap, so ``lemma_sample`` accepts
     each of them.
 
@@ -268,8 +258,7 @@ def _certifying_sample(curve: CurveSpec, ts, frames: Optional[_Frames] = None) -
     never.
     """
     ts = _validate_ts(ts)
-    if frames is None:
-        frames = _frames(curve, ts)
+    frames = _frames(curve, ts)
     gaps = [ts[i + 1] - ts[i] for i in range(3)] + [Fraction(1) - ts[3]]
     eps = min(gaps) / 4
     report = None
@@ -327,18 +316,16 @@ def convexity_sample_check(curve: CurveSpec, grid_size: int) -> ConvexityReport:
     if not 4 <= grid_size <= MAX_GRID:
         raise InputError(f"grid size must lie in 4..{MAX_GRID}, got {grid_size}")
     grid = tuple(Fraction(i, grid_size + 1) for i in range(1, grid_size + 1))
-    det_w0 = maximal_minors(_wronskian(curve))[0]
-    degenerate = det_w0 == 0
-    if degenerate:  # no Frenet basis: the minors are read in curve coordinates
-        det_w0 = Fraction(1)
+    try:
+        det_w0, degenerate = _det_w0(frenet_basis(curve)), False
+    except NotConvex:  # no Frenet basis: the minors are read in curve coordinates
+        det_w0, degenerate = Fraction(1), True
     points = _integer_points(curve, grid, (0,))
     minors, _, _ = minor_table([v for _, v in points])
+    scales = [s for s, _ in points]
     sign = 1 if det_w0 > 0 else -1
-    bad = {sub: m for sub, m in minors.items() if m * sign <= 0}
-    failures = tuple(
-        (IndexSet(tuple(i + 1 for i in sub)), value)
-        for sub, value in zip(bad, _over_det(bad, [s for s, _ in points], det_w0))
-    )
+    failures = tuple((IndexSet(tuple(i + 1 for i in sub)), table_minor(minors, scales, sub, det_w0))
+                     for sub, m in minors.items() if m * sign <= 0)
     return ConvexityReport(
         grid=grid,
         failures=failures,

@@ -413,11 +413,11 @@ class MatQ:
         return basis
 
 
-def integer_scaled(values: Sequence) -> tuple:
-    """``(ints, s)``: rational values times the LCM ``s`` of their
-    denominators, so that value i is ``Fraction(ints[i], s)``."""
-    s = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (s // v.denominator) for v in values], s
+def integer_rows(rows: Sequence[Sequence]) -> tuple:
+    """``(ints, s)``: rational rows, of any lengths, times the LCM ``s`` of
+    their denominators, so that entry j of row i is ``Fraction(ints[i][j], s)``."""
+    s = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (s // v.denominator) for v in row] for row in rows], s
 
 
 def minor_table(rows: Sequence[Sequence]) -> tuple:
@@ -430,12 +430,12 @@ def minor_table(rows: Sequence[Sequence]) -> tuple:
     minors of scaled rows i < j, and ``minors[i, j, k, l]`` the 4x4 minor
     on scaled rows i < j < k < l, read as the pairing
     ``<wedges[i, j], wedges[k, l]>``: Laplace expansion along two rows.  So
-    that minor of the matrix itself is ``Fraction(minors[R],
-    prod(scales[i] for i in R))``, and the ints alone carry every sign.
+    that minor of the matrix itself is ``table_minor(minors, scales, R)``,
+    and the ints alone carry every sign.
     """
     a, scales = [], []
     for row in rows:
-        ints, s = integer_scaled(row)
+        (ints,), s = integer_rows((row,))
         a.append(ints)
         scales.append(s)
     wedges = {}
@@ -447,6 +447,15 @@ def minor_table(rows: Sequence[Sequence]) -> tuple:
     return minors, scales, wedges
 
 
+def table_minor(minors: dict, scales: Sequence[int], rows: tuple,
+                over: Fraction = Fraction(1)) -> Fraction:
+    """The maximal minor on ``rows`` of the matrix behind a ``minor_table``,
+    divided by ``over`` (non-zero): one division of two integers."""
+    i, j, k, l = rows
+    return Fraction(minors[rows] * over.denominator,
+                    scales[i] * scales[j] * scales[k] * scales[l] * over.numerator)
+
+
 def maximal_minors(m: MatQ) -> list:
     """Exact maximal minors of a k x 4 rational matrix.
 
@@ -454,4 +463,4 @@ def maximal_minors(m: MatQ) -> list:
     ``minor_table``: each equals ``MatQ.minor`` on those rows.
     """
     minors, scales, _ = minor_table(m.entries())
-    return [Fraction(v, math.prod(scales[i] for i in sub)) for sub, v in minors.items()]
+    return [table_minor(minors, scales, rows) for rows in minors]

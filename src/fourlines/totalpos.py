@@ -4,7 +4,6 @@
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +18,7 @@ from .errors import (
     NotTotallyPositive,
 )
 from .chart import lw_product
-from .exact import IndexSet, MatQ, as_rat, minor_table
+from .exact import IndexSet, MatQ, as_rat, minor_table, table_minor
 
 #: The fixed anti-diagonal sign matrix of the canonical form [X Y].
 Y_SIGN = MatQ(
@@ -162,33 +161,40 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     canon = _canonical(blocks, minors, scales) if minors[_W34] else None
     for cols, v in minors.items():
         if v <= 0:
-            witness = Fraction(v, math.prod(scales[c] for c in cols))
-            return TPReport(False, IndexSet(tuple(c + 1 for c in cols)), _ROWS4, witness,
-                            canonical=canon)
+            return TPReport(False, IndexSet(tuple(c + 1 for c in cols)), _ROWS4,
+                            table_minor(minors, scales, cols), canonical=canon)
     return TPReport(True, canonical=canon)
+
+
+def _square_minors(x: MatQ):
+    """minor_X(R, J) of a 4x4 matrix as a function of 0-based row and column
+    tuples, read from the maximal minors of [X Y].
+
+    The columns of Y are signed unit vectors, and Y is chosen so that
+    minor_X(R, J) is the maximal minor of [X Y] on the columns J and 8 - r
+    for every row r not in R, with sign +1.
+    """
+    if x.rows != 4 or x.cols != 4:
+        raise DimensionError("expected a 4x4 matrix")
+    minors, scales, _ = minor_table(_columns(blocks_of_canonical(x)))
+    return lambda rows, cols: table_minor(
+        minors, scales, (*cols, *(7 - r for r in (3, 2, 1, 0) if r not in rows)))
 
 
 def check_tp_square(x: MatQ) -> TPReport:
     """All 69 minors of orders 1..4 of a 4x4 matrix strictly positive?
 
-    Walks the minors by order, then rows, then columns, and reads each
-    from the maximal minors of [X Y]: the columns of Y are signed unit
-    vectors, and Y is chosen so that minor_X(R, J) is the maximal minor of
-    [X Y] on the columns J and 8 - r for every row r not in R, with sign
-    +1.  The witness is the first non-positive one.
+    Walks the minors by order, then rows, then columns; the witness is the
+    first non-positive one.
     """
-    if x.rows != 4 or x.cols != 4:
-        raise DimensionError("expected a 4x4 matrix")
-    minors, scales, _ = minor_table(_columns(blocks_of_canonical(x)))
+    minor = _square_minors(x)
     for order in range(1, 5):
         for rows in combinations(range(4), order):
-            missed = tuple(7 - r for r in reversed(range(4)) if r not in rows)
             for cols in combinations(range(4), order):
-                v = minors[cols + missed]
+                v = minor(rows, cols)
                 if v <= 0:
-                    witness = Fraction(v, math.prod(scales[c] for c in cols))
                     return TPReport(False, IndexSet(tuple(c + 1 for c in cols)),
-                                    IndexSet(tuple(r + 1 for r in rows)), witness)
+                                    IndexSet(tuple(r + 1 for r in rows)), v)
     return TPReport(True)
 
 
@@ -203,30 +209,6 @@ def canonicalize(blocks: ConfigBlocks) -> CanonicalForm:
 def lw_compose(params: LWParams) -> MatQ:
     """Totally positive 4x4 matrix L * diag(m,n,o,p) * U from positive parameters."""
     return MatQ(lw_product(params.values))
-
-
-def _ldu(x: MatQ):
-    """LDU decomposition without pivoting; zero pivot names the diagonal parameter."""
-    n = 4
-    a = [list(x.row(i)) for i in range(n)]
-    lower = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    upper = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    pivots = []
-    for k in range(n):
-        piv = a[k][k]
-        if piv == 0:
-            raise NotTotallyPositive(
-                f"zero pivot: diagonal parameter {'mnop'[k]} would vanish"
-            )
-        pivots.append(piv)
-        for j in range(k + 1, n):
-            upper[k][j] = a[k][j] / piv
-        for i in range(k + 1, n):
-            lower[i][k] = a[i][k] / piv
-            for j in range(k + 1, n):
-                a[i][j] -= a[i][k] * a[k][j] / piv
-            a[i][k] = Fraction(0)
-    return MatQ(lower), pivots, MatQ(upper)
 
 
 def _positive(name: str, value: Fraction) -> Fraction:
@@ -244,34 +226,41 @@ def _nonzero(name: str, value: Fraction) -> Fraction:
 def lw_factor(x: MatQ) -> LWParams:
     """Recover the 16 positive parameters of a totally positive 4x4 matrix.
 
-    Back-solves the triangular factors entry by entry:
-    c = u34, b = u24/u34, e = u23 - b, a = u14/(bc), d = (u13 - a u23)/e,
-    f = u12 - d - a; and on the lower side i = l43, k = l42/l43,
-    l = l41/l42, h = l32 - k, j = (l31 - l32 l)/h, g = l21 - j - l.
+    The factors of X = L * diag(m,n,o,p) * U are ratios of the initial
+    minors of X (``_square_minors``): with D_k the leading principal minor
+    of order k, the k-th pivot is D_k/D_(k-1), u_kj = minor_X(1..k,
+    1..k-1 j)/D_k and l_ik = minor_X(1..k-1 i, 1..k)/D_k.  A zero D_k names
+    the pivot that would vanish.  Then it back-solves the triangular factors
+    entry by entry: c = u34, b = u24/u34, e = u23 - b, a = u14/(bc),
+    d = (u13 - a u23)/e, f = u12 - d - a; and on the lower side i = l43,
+    k = l42/l43, l = l41/l42, h = l32 - k, j = (l31 - l32 l)/h,
+    g = l21 - j - l.
     """
-    if x.rows != 4 or x.cols != 4:
-        raise DimensionError("expected a 4x4 matrix")
-    lower, pivots, upper = _ldu(x)
-    u12, u13, u14 = upper[0, 1], upper[0, 2], upper[0, 3]
-    u23, u24, u34 = upper[1, 2], upper[1, 3], upper[2, 3]
-    l21, l31, l41 = lower[1, 0], lower[2, 0], lower[3, 0]
-    l32, l42, l43 = lower[2, 1], lower[3, 1], lower[3, 2]
+    minor = _square_minors(x)
+    lead = [Fraction(1)] + [minor(range(k), range(k)) for k in range(1, 5)]
+    for k in range(4):
+        if not lead[k + 1]:
+            raise NotTotallyPositive(f"zero pivot: diagonal parameter {'mnop'[k]} would vanish")
+    # u_kj and l_jk for 1-based k < j
+    pairs = tuple(combinations(range(1, 5), 2))
+    u = {(k, j): minor(range(k), (*range(k - 1), j - 1)) / lead[k] for k, j in pairs}
+    low = {(j, k): minor((*range(k - 1), j - 1), range(k)) / lead[k] for k, j in pairs}
 
-    c = _positive("c", _nonzero("c", u34))
-    b = _positive("b", u24 / u34)
-    e = _positive("e", u23 - b)
-    a = _positive("a", u14 / _nonzero("b·c", b * c))
-    d = _positive("d", (u13 - a * u23) / e)
-    f = _positive("f", u12 - d - a)
+    c = _positive("c", _nonzero("c", u[3, 4]))
+    b = _positive("b", u[2, 4] / c)
+    e = _positive("e", u[2, 3] - b)
+    a = _positive("a", u[1, 4] / (b * c))
+    d = _positive("d", (u[1, 3] - a * u[2, 3]) / e)
+    f = _positive("f", u[1, 2] - d - a)
 
-    i = _positive("i", _nonzero("i", l43))
-    k = _positive("k", l42 / l43)
-    l = _positive("l", l41 / _nonzero("i·k", l42))
-    h = _positive("h", l32 - k)
-    j = _positive("j", (l31 - l32 * l) / h)
-    g = _positive("g", l21 - j - l)
+    i = _positive("i", _nonzero("i", low[4, 3]))
+    k = _positive("k", low[4, 2] / i)
+    l = _positive("l", low[4, 1] / low[4, 2])
+    h = _positive("h", low[3, 2] - k)
+    j = _positive("j", (low[3, 1] - low[3, 2] * l) / h)
+    g = _positive("g", low[2, 1] - j - l)
 
-    m, n, o, p = (_positive("mnop"[t], pivots[t]) for t in range(4))
+    m, n, o, p = (_positive("mnop"[t], lead[t + 1] / lead[t]) for t in range(4))
     params = LWParams((a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p))
     if lw_compose(params) != x:
         raise NotTotallyPositive("matrix is outside the positive factorization chart")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, isqrt
 from typing import List, Tuple
 
@@ -30,8 +29,8 @@ from .errors import (
     NonGenericConfiguration,
 )
 from . import chart
-from .chart import plucker_meet, wedge
-from .exact import MatQ, QuadNum, integer_scaled, rational_sqrt
+from .chart import PLUCKER_ROWS, plucker_meet, proportional, wedge
+from .exact import MatQ, QuadNum, integer_rows, rational_sqrt
 from .totalpos import SINGULAR_W34, CanonicalForm, ConfigBlocks, check_tp_config
 
 
@@ -69,9 +68,6 @@ class Quadratic:
         object.__setattr__(self, "disc", chart.discriminant(self.a, self.b, self.c))
 
 
-PLUCKER_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-
-
 def plucker_of_span(span: MatQ) -> tuple:
     """The six 2x2 row-minors of a 4x2 span, in order (12,13,14,23,24,34)."""
     if span.rows != 4 or span.cols != 2:
@@ -100,15 +96,6 @@ class LineRep:
         if quadric_value(p) != 0:
             raise DegenerateLine("Pluecker quadric violated")  # pragma: no cover
         return LineRep(span=span, plucker=p)
-
-    def proportional(self, other: "LineRep") -> bool:
-        """Pluecker proportionality within one field context (15 cross products)."""
-        p, q = self.plucker, other.plucker
-        for i in range(6):
-            for j in range(i + 1, 6):
-                if p[i] * q[j] != p[j] * q[i]:
-                    return False
-        return True
 
     def normalized_plucker(self) -> tuple:
         for i, v in enumerate(self.plucker):
@@ -158,10 +145,9 @@ def bilinear_forms(x) -> Tuple[BilinearForm, BilinearForm]:
 def eliminate_to_quadratic(f: BilinearForm, h: BilinearForm) -> Quadratic:
     """Resultant of f and h with respect to y (both are linear in y)."""
     quad = Quadratic(*chart.resultant(f.coeffs(), h.coeffs()))
-    # A and C are two of the six 2x2 minors of the coefficients of f and h
-    # side by side, which all vanish exactly when the forms are proportional
-    m = tuple(zip(f.coeffs(), h.coeffs()))
-    if quad.a == 0 == quad.c and not any(chart.wedge(m, m)):
+    # A and C are two of the six 2x2 minors of the coefficients of f beside
+    # those of h, which all vanish exactly when the forms are proportional
+    if quad.a == 0 == quad.c and proportional(f.coeffs(), h.coeffs()):
         raise DegeneratePencil("the two bilinear forms are proportional")
     return quad
 
@@ -259,12 +245,6 @@ def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
     return (((p, q, r), (u, v, w)), ((p, -q, r), (u, -v, w))), []
 
 
-def _integer_rows(m: MatQ) -> tuple:
-    """The rows of m scaled to integers over one denominator s: (rows, s)."""
-    flat, s = integer_scaled([v for row in m.entries() for v in row])
-    return [flat[i:i + m.cols] for i in range(0, len(flat), m.cols)], s
-
-
 def _integer_chart(x: MatQ) -> tuple:
     """The chart's forms and quadratic at X, printed and on integers:
     (forms, quadratic, pforms, quad, lam).
@@ -277,7 +257,7 @@ def _integer_chart(x: MatQ) -> tuple:
     certificate are scale-free in each form and in (A, B, C), and the
     primitive integers stay near the height of the reduced values.
     """
-    rows, den = _integer_rows(x)
+    rows, den = integer_rows(x.entries())
     ints = bilinear_forms(rows)
     contents = [gcd(*form.coeffs()) for form in ints]
     pforms = tuple(BilinearForm(*(v // c for v in form.coeffs())) for form, c in zip(ints, contents))
@@ -340,7 +320,7 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     # root 2 of a conjugate pair is the conjugate of root 1 and the meeting
     # points are rational in x and y, so line 2 is the conjugate of line 1
     pair = roots[0][0][1] != 0
-    ints = [_integer_rows(w) for w in blocks.blocks()]
+    ints = [integer_rows(w.entries()) for w in blocks.blocks()]
     lines, parts = [], []
     for x, y in roots[:1] if pair else roots:
         a, b, (k4, k3) = _meeting_span(*ints[2:], x, y)
@@ -444,7 +424,7 @@ def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], parts: list, el
     # a conjugate pair coincides exactly when pa and pb are proportional
     # (d > 0); two rational lines when pa_1 and pa_2 are
     u, v = parts[0] if pair else (parts[0][0], parts[1][0])
-    if all(u[i] * v[j] == u[j] * v[i] for i, j in combinations(range(6), 2)):
+    if proportional(u, v):
         raise CertificateFailure(f"the two {'conjugate ' if pair else ''}solution lines coincide")
     if any(plucker_meet(ell, p) for ell in ells for part in parts for p in part):
         raise CertificateFailure("a solution line misses an input line")
@@ -459,9 +439,9 @@ def span_from_plucker(p: tuple) -> MatQ:
     n = 4
     m = [[None] * n for _ in range(n)]
     zero = p[0] * 0
-    for idx, (r, s) in enumerate(PLUCKER_PAIRS):
-        m[r - 1][s - 1] = p[idx]
-        m[s - 1][r - 1] = -p[idx]
+    for idx, (r, s) in enumerate(PLUCKER_ROWS):
+        m[r][s] = p[idx]
+        m[s][r] = -p[idx]
     for i in range(n):
         m[i][i] = zero
     cols = [tuple(m[i][j] for i in range(n)) for j in range(n)]
@@ -469,9 +449,7 @@ def span_from_plucker(p: tuple) -> MatQ:
     if first is None:
         raise DegenerateLine("zero Pluecker vector")
     for c in cols:
-        if c is first:
-            continue
-        if any(first[r] * c[s] - first[s] * c[r] for r in range(n) for s in range(r + 1, n)):
+        if c is not first and not proportional(first, c):
             return MatQ.from_cols([first, c])
     raise DegenerateLine("Pluecker vector has rank < 2")
 

@@ -7,6 +7,7 @@ import pytest
 
 from fourlines import LWParams, MatQ, SampleReport, blocks_of_canonical, frenet_basis, lw_compose
 from fourlines import curves
+from fourlines.chart import proportional
 from fourlines.exact import maximal_minors
 
 X1_ENTRIES = [[1, 3, 3, 1], [3, 10, 11, 4], [3, 11, 14, 6], [1, 4, 6, 4]]
@@ -291,7 +292,7 @@ def two_root_solve(blocks):
     g_inv = blocks.w3.hstack(blocks.w4) @ Y_SIGN.transpose()
     lines = tuple(T.LineRep.from_span(_map_span(g_inv, _chart_span(x, y, disc), disc))
                   for x, y in roots)
-    if lines[0].proportional(lines[1]):
+    if proportional(lines[0].plucker, lines[1].plucker):
         raise NonGenericConfiguration("the two solution lines coincide")
     incidence = tuple(tuple(_meet_by_parts(T.plucker_of_span(w), ln.plucker, disc) for ln in lines)
                       for w in blocks.blocks())

@@ -28,6 +28,7 @@ from fourlines import (
     verify_identity,
 )
 from fourlines import curves
+from fourlines.chart import proportional
 from fourlines.transversal import quadric_value
 
 from conftest import ACCEPTANCE_LINES, X1_ENTRIES, frame_pairs, frenet_frames, rand_params, sample_constants
@@ -137,7 +138,7 @@ def test_criterion_4_tangent_configurations():
         cfg = tangent_config(curve, ts)
         sol = solve_transversals(cfg)
         assert len(sol.lines) == schubert_count(1, 3) == 2
-        assert not sol.lines[0].proportional(sol.lines[1])
+        assert not proportional(sol.lines[0].plucker, sol.lines[1].plucker)
         oracle = oracle_plucker_solve(cfg)
         assert len(oracle) == 2
         for ln in sol.lines:

@@ -142,6 +142,15 @@ class TestSolve:
         assert run(["solve", "--input", str(inp), "--format", "text"]) == 0
         text = capsys.readouterr().out
         assert "quadratic" in text and "D: 320" in text
+        # each row of g and X and each form, root and line is its own "-"
+        # item, with its entries nested below it
+        lines = text.splitlines()
+        keys = [i for i, line in enumerate(lines) if not line.startswith(" ")] + [len(lines)]
+        items = {lines[i]: lines[i + 1:j] for i, j in zip(keys, keys[1:])}
+        markers = {key: body.count("  -") for key, body in items.items()}
+        assert markers == {"g:": 4, "X:": 4, "forms:": 2, "quadratic:": 0, "roots:": 2, "lines:": 2,
+                           "incidence:": 4, "warnings:": 0}
+        assert items["g:"][:2] == ["  -", "    - 1"] and items["forms:"][:2] == ["  -", "    c_xy: 2"]
 
     def test_batch(self, tmp_path, capsys):
         indir = tmp_path / "batch"

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from fourlines import (
     CurveSpec,
     DegenerateConfiguration,
     DomainError,
+    FourLinesError,
     InputError,
     MatQ,
     NotConvex,
@@ -30,6 +32,8 @@ from fourlines import (
     tangent_config,
 )
 from fourlines import curves
+from fourlines import serialize as ser
+from fourlines.cli import run
 from fourlines.curves import POLYNOMIAL
 
 from conftest import frame_pairs, frenet_frames, late, lift_pairs, sample_constants, sample_oracle
@@ -100,6 +104,46 @@ class TestFrenet:
                            match=re.escape("cusp at t = 1/2: value and derivative dependent")):
             tangent_block(c, half)
         assert tangent_block(c, Fraction(1, 4)).rank() == 2
+
+
+#: Curve components with ``zero`` as the zero polynomial in the first
+#: component (a degenerate moment curve), or in all four.
+ZERO_COMPONENTS = {"one": lambda zero: [zero, ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]],
+                   "four": lambda zero: [zero] * 4}
+
+
+class TestEmptyComponent:
+    """A component [] is the zero polynomial, as ["0"] is."""
+
+    @staticmethod
+    def outcomes(tmp_path, capsys, components) -> list:
+        """(exit code, stdout, stderr) of each curve command, then each
+        value or error of ``curve_eval`` and ``tangent_block``."""
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"kind": "polynomial", "components": components}))
+        found = []
+        for argv in (["curve-sample", "--ts", "1/10,3/10,5/10,7/10"],
+                     ["curve-sample", "--ts", "1/10,3/10,5/10,7/10", "--epsilon", "1/20"],
+                     ["convexity-check", "--grid", "4"], ["convexity-check"]):
+            found.append((run([*argv, "--curve", str(path)]), *capsys.readouterr()))
+        curve = ser.curve_spec_from_obj(json.loads(path.read_text()))
+        t = Fraction(1, 3)
+        calls = [lambda o=o: curve_eval(curve, t, o) for o in range(4)] + [lambda: tangent_block(curve, t)]
+        for call in calls:
+            try:
+                found.append(call())
+            except FourLinesError as exc:
+                found.append((type(exc), str(exc)))
+        return found
+
+    @pytest.mark.parametrize("where", sorted(ZERO_COMPONENTS))
+    def test_empty_is_zero(self, tmp_path, capsys, where):
+        empty = self.outcomes(tmp_path, capsys, ZERO_COMPONENTS[where]([]))
+        assert empty == self.outcomes(tmp_path, capsys, ZERO_COMPONENTS[where](["0"]))
+        refusal = "derivative vectors at t = 0 are linearly dependent"
+        assert empty[0] == empty[1] == (3, "", f"error: {refusal}\n")
+        assert all(code == 3 and '"frenet_degenerate": true' in out for code, out, _ in empty[2:4])
+        assert empty[-1] == (NotConvex, refusal)
 
 
 class TestKappa:
@@ -174,7 +218,8 @@ def halving_oracle(curve, ts, frames) -> tuple:
 
 
 def search(curve, ts, frames, tried) -> tuple:
-    """The library search: its report or its SearchFailure, and the epsilons it passed to
+    """The library search on ``frames`` (in place of ``curves._frames``): its
+    report or its SearchFailure, and the epsilons it passed to
     ``lemma_sample``.  That function is pure, so each epsilon the oracle
     tried is answered with the oracle's report."""
     known = {rep.epsilon: rep for rep in tried}
@@ -187,8 +232,9 @@ def search(curve, ts, frames, tried) -> tuple:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curves, "lemma_sample", counted)
+        mp.setattr(curves, "_frames", lambda *args: frames)
         try:
-            return curves._certifying_sample(curve, ts, frames), calls
+            return curves._certifying_sample(curve, ts), calls
         except SearchFailure as exc:
             return exc, calls
 
@@ -295,7 +341,8 @@ class TestEpsilonSearch:
     def test_certifies_after_halvings(self):
         frames = late_frames()
         assert_search_matches_oracle(CurveSpec.moment(), TS, frames)
-        assert curves._certifying_sample(CurveSpec.moment(), TS, frames).epsilon == Fraction(1, 160)
+        report, _ = search(CurveSpec.moment(), TS, frames, [])
+        assert report.epsilon == Fraction(1, 160)
 
     @pytest.mark.parametrize("name", sorted(SWEEP))
     def test_seeded_matches_oracle(self, name):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,7 +25,8 @@ from fourlines import (
     random_tp_instance,
 )
 
-from fourlines.totalpos import y_sign_times
+from fourlines.chart import lw_product
+from fourlines.totalpos import PARAM_NAMES, y_sign_times
 
 from conftest import X1_ENTRIES, concat, premultiply, rand_mat, rand_params, rand_pos_det
 
@@ -64,6 +67,33 @@ class TestCompose:
             assert rep.ok, (rep.witness_rows, rep.witness_cols, rep.witness_minor)
 
 
+#: A 4x4 matrix whose first vanishing leading principal minor has the
+#: order of each diagonal parameter.
+ZERO_PIVOTS = {
+    "m": [[0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 2, 2], [1, 1, 2, 3]],
+    "n": [[1, 1, 1, 1], [1, 1, 2, 2], [1, 2, 3, 3], [1, 2, 3, 4]],
+    "o": [[1, 1, 1, 1], [1, 2, 2, 2], [1, 2, 2, 3], [1, 2, 3, 4]],
+    "p": [[1, 1, 1, 1], [1, 2, 2, 2], [1, 2, 3, 3], [1, 2, 3, 3]],
+}
+
+
+def factor_corpus():
+    """1,200 derandomized small-integer 4x4 matrices, most not totally
+    positive: entries in -1..3; the chart with one parameter in -2..0; and
+    the chart with one entry moved by up to 2."""
+    rng = random.Random(1807)
+    for _ in range(400):
+        yield [[rng.randint(-1, 3) for _ in range(4)] for _ in range(4)]
+    for _ in range(400):
+        params = [rng.randint(1, 3) for _ in range(16)]
+        params[rng.randrange(16)] = rng.randint(-2, 0)
+        yield lw_product(params)
+    for _ in range(400):
+        rows = [list(r) for r in lw_product([rng.randint(1, 3) for _ in range(16)])]
+        rows[rng.randrange(4)][rng.randrange(4)] += rng.choice((-2, -1, 1, 2))
+        yield rows
+
+
 class TestFactor:
     def test_round_trip_from_params(self):
         rng = random.Random(47)
@@ -84,9 +114,47 @@ class TestFactor:
             lw_factor(MatQ.identity(4))
 
     def test_zero_pivot_named(self):
-        m = MatQ([[0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 2, 2], [1, 1, 2, 3]])
-        with pytest.raises(NotTotallyPositive, match="m"):
+        m = MatQ(ZERO_PIVOTS["m"])
+        with pytest.raises(NotTotallyPositive, match="^zero pivot: diagonal parameter m would vanish$"):
             lw_factor(m)
+
+    @pytest.mark.parametrize("name", sorted(ZERO_PIVOTS))
+    def test_zero_pivot_messages(self, name):
+        # the first vanishing leading principal minor of order k names pivot k
+        with pytest.raises(NotTotallyPositive, match=f"^zero pivot: diagonal parameter {name} would vanish$"):
+            lw_factor(MatQ(ZERO_PIVOTS[name]))
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_first_non_positive_parameter(self, name, value):
+        # the chart at all ones but one parameter: that one is the first
+        # refused, except a zero pivot parameter, which vanishes first, and
+        # c and i, whose zero is the boundary of the chart
+        params = [1] * 16
+        params[PARAM_NAMES.index(name)] = value
+        if value == -1:
+            message = f"recovered parameter {name} = -1 is not positive"
+        elif name in "mnop":
+            message = f"zero pivot: diagonal parameter {name} would vanish"
+        elif name in "ci":
+            message = f"recovered parameter {name} vanishes (boundary of total positivity)"
+        else:
+            message = f"recovered parameter {name} = 0 is not positive"
+        with pytest.raises(NotTotallyPositive, match=f"^{re.escape(message)}$"):
+            lw_factor(MatQ(lw_product(params)))
+
+    def test_non_tp_corpus(self):
+        # parameters or message of each corpus matrix, as recorded when
+        # lw_factor still ran its own elimination: 44 factored, 1,156 refused
+        outcomes = []
+        for rows in factor_corpus():
+            try:
+                outcomes.append(" ".join(map(str, lw_factor(MatQ(rows)).values)))
+            except NotTotallyPositive as exc:
+                outcomes.append(f"NotTotallyPositive: {exc}")
+        assert sum(":" not in o for o in outcomes) == 44
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == "a3a6260babd3cf15c446917fab0ff701a378ae18aaec26e36c593526ed35de4a"
 
     def test_negative_entry_rejected(self, x1):
         rows = [list(r) for r in x1.entries()]

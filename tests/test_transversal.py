@@ -88,7 +88,7 @@ class TestPlucker:
         for _ in range(50):
             s = rand_span(rng)
             back = LineRep.from_span(span_from_plucker(plucker_of_span(s)))
-            assert LineRep.from_span(s).proportional(back)
+            assert chart.proportional(LineRep.from_span(s).plucker, back.plucker)
 
     def test_same_line_across_radicands(self):
         # sqrt(320) = 8 sqrt(5): the same point of the quadric in two fields
@@ -233,7 +233,7 @@ class TestSolveTransversals:
         assert (sol.quadratic.a, sol.quadratic.b, sol.quadratic.c) == (8, 40, 40)
         assert sol.quadratic.disc == 320
         assert len(sol.lines) == 2
-        assert not sol.lines[0].proportional(sol.lines[1])
+        assert not chart.proportional(sol.lines[0].plucker, sol.lines[1].plucker)
         for row in sol.incidence:
             assert all(v == 0 for v in row)
         # the two lines are complex-conjugation-symmetric as a pair
@@ -326,7 +326,7 @@ class TestConjugatePair:
         assert sol.quadratic.disc == 966**2 and sol.warnings == ()
         assert all(v.b == 0 for root in sol.roots for v in root)
         assert all(v.b == 0 for ln in sol.lines for v in ln.plucker)
-        assert not sol.lines[0].proportional(sol.lines[1])
+        assert not chart.proportional(sol.lines[0].plucker, sol.lines[1].plucker)
 
     def test_solution_at_infinity(self):
         sol = self.assert_matches(blocks_of_canonical(MatQ(AT_INFINITY_X)))
