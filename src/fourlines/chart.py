@@ -91,7 +91,8 @@ def proportional(p, q) -> bool:
 def plucker_meet(p: tuple, q: tuple):
     """Incidence pairing <p, q> of two vectors of 2x2 minors in the order
     p12..p34.  By Laplace expansion along two rows (or columns), it is the
-    4x4 determinant of the rows (columns) behind p beside those behind q."""
+    4x4 determinant of the rows (columns) behind p beside those behind q.
+    ``<p, p> = 0`` exactly when p is decomposable (the Klein quadric)."""
     return (
         p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2] - p[4] * q[1] + p[5] * q[0]
     )

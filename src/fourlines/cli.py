@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input/parse error, 3 hypothesis violation
-(non-totally-positive input, failed sampling search), 4 degenerate
-configuration or singular matrix, 5 failed certificate.  Every library
-error maps to one of them (see ``fourlines.errors``).
+A command exits 0 on success, 3 when its hypothesis check fails, and
+otherwise with the ``exit_code`` of the library error that ended it (see
+``fourlines.errors``); an unreadable or unwritable file exits 2.
 """
 from __future__ import annotations
 
@@ -14,26 +13,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import serialize as ser
-from .errors import (
-    CertificateFailure,
-    DegenerateConfiguration,
-    FourLinesError,
-    HypothesisViolation,
-    InputError,
-    SearchFailure,
-    SingularMatrixError,
-)
+from .errors import FourLinesError, HypothesisViolation, InputError
 
 # Each command imports the library functions it runs, so a process loads
 # only the modules of the command it was started for.
 if TYPE_CHECKING:
     from .curves import CurveSpec
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_HYPOTHESIS = 3
-EXIT_DEGENERATE = 4
-EXIT_CERTIFICATE = 5
 
 
 @functools.cache
@@ -44,50 +29,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact solver for the two transversals of four totally positive lines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output")
+    out_fmt = argparse.ArgumentParser(add_help=False, parents=[output])
+    out_fmt.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("check-tp", help="check total positivity of a configuration")
+    p = sub.add_parser("check-tp", parents=[out_fmt], help="check total positivity of a configuration")
     p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("factor", help="recover the 16 factorization parameters of a TP matrix")
+    p = sub.add_parser("factor", parents=[out_fmt],
+                       help="recover the 16 factorization parameters of a TP matrix")
     p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("solve", help="solve for the two transversal lines")
+    p = sub.add_parser("solve", parents=[out_fmt], help="solve for the two transversal lines")
     p.add_argument("--input")
-    p.add_argument("--output")
     p.add_argument("--batch", help="directory of instance files to solve")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("verify-identity", help="certify the discriminant decomposition")
+    p = sub.add_parser("verify-identity", parents=[out_fmt], help="certify the discriminant decomposition")
     p.add_argument("--spots", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("curve-sample", help="epsilon-sampling certificate on a curve")
+    p = sub.add_parser("curve-sample", parents=[out_fmt], help="epsilon-sampling certificate on a curve")
     p.add_argument("--ts", required=True, help="comma-separated rationals, e.g. 1/10,3/10,5/10,7/10")
     p.add_argument("--epsilon", default="auto")
     p.add_argument("--curve", help="curve spec JSON file (default: rational normal curve)")
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("schubert-count", help="count solutions of the general Schubert problem")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("convexity-check", help="sampled necessary convexity conditions")
+    p = sub.add_parser("convexity-check", parents=[out_fmt], help="sampled necessary convexity conditions")
     p.add_argument("--curve")
     p.add_argument("--grid", type=int, default=12)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("random-instance", help="generate a random totally positive instance")
+    p = sub.add_parser("random-instance", parents=[output],
+                       help="generate a random totally positive instance")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--bound", type=int, default=10)
-    p.add_argument("--output")
     return parser
 
 
@@ -99,7 +77,7 @@ def _read_json(path: str):
     return ser.loads(text)
 
 
-def _emit(obj, output, fmt="json"):
+def _emit(obj, output, fmt) -> None:
     text = ser.dumps(obj) if fmt == "json" else _render_text(obj)
     if output:
         Path(output).write_text(text)
@@ -109,7 +87,8 @@ def _emit(obj, output, fmt="json"):
 
 def _render_text(obj, indent=0) -> str:
     """One ``key: value`` or ``- value`` line per scalar, and a ``key:`` or
-    ``-`` line above each dict or list, which is nested below it."""
+    ``-`` line above each dict or list, which is nested below it.  A string
+    is written bare, any other scalar as JSON spells it."""
     pad = "  " * indent
     if isinstance(obj, dict):
         items = [(f"{key}:", val) for key, val in obj.items()]
@@ -122,7 +101,7 @@ def _render_text(obj, indent=0) -> str:
             if val:
                 lines.append(_render_text(val, indent + 1))
         else:
-            lines.append(f"{pad}{head} {val}")
+            lines.append(f"{pad}{head} {val if isinstance(val, str) else ser._scalar(val)}")
     return "\n".join(lines) + ("\n" if indent == 0 else "")
 
 
@@ -134,25 +113,30 @@ def _load_curve(path) -> CurveSpec:
     return ser.curve_spec_from_obj(_read_json(path))
 
 
-def _cmd_check_tp(args) -> int:
+def _verdict(ok: bool) -> int:
+    return 0 if ok else HypothesisViolation.exit_code
+
+
+# Each command returns the object to write (None when it wrote its own
+# files) and its exit code.
+
+def _cmd_check_tp(args):
     from .totalpos import check_tp_config
 
     blocks = ser.blocks_from_obj(_read_json(args.input))
     report = check_tp_config(blocks)
-    _emit(ser.tp_report_to_obj(report), args.output, args.format)
-    return EXIT_OK if report.ok else EXIT_HYPOTHESIS
+    return ser.tp_report_to_obj(report), _verdict(report.ok)
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args):
     from .totalpos import lw_factor
 
     x = ser.mat_from_obj(_read_json(args.input))
     params = lw_factor(x)
-    _emit(ser.params_to_obj(params), args.output, args.format)
-    return EXIT_OK
+    return ser.params_to_obj(params), 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     from .transversal import solve_transversals
 
     if args.batch:
@@ -161,35 +145,32 @@ def _cmd_solve(args) -> int:
             raise InputError(f"--batch {args.batch}: not a directory")
         outdir = Path(args.output) if args.output else indir
         outdir.mkdir(parents=True, exist_ok=True)
-        worst = EXIT_OK
+        worst = 0
         for path in sorted(indir.glob("*.json")):
             if path.name.endswith(".solution.json"):
                 continue
             try:
                 sol = solve_transversals(ser.blocks_from_obj(_read_json(str(path))))
                 text = ser.dumps(ser.solution_to_obj(sol))
-            except FourLinesError as exc:
+                (outdir / (path.stem + ".solution.json")).write_text(text)
+            except (FourLinesError, OSError) as exc:
                 sys.stderr.write(f"{path.name}: {exc}\n")
-                worst = max(worst, _code_of(exc))
-                continue
-            (outdir / (path.stem + ".solution.json")).write_text(text)
-        return worst
+                worst = max(worst, _exit_code(exc))
+        return None, worst
     if not args.input:
         raise InputError("solve needs --input or --batch")
     sol = solve_transversals(ser.blocks_from_obj(_read_json(args.input)))
-    _emit(ser.solution_to_obj(sol), args.output, args.format)
-    return EXIT_OK
+    return ser.solution_to_obj(sol), 0
 
 
-def _cmd_verify_identity(args) -> int:
+def _cmd_verify_identity(args):
     from .identity import verify_identity
 
     cert = verify_identity(spot_count=args.spots, seed=args.seed)
-    _emit(cert.to_obj(), args.output, args.format)
-    return EXIT_OK
+    return cert.to_obj(), 0
 
 
-def _cmd_curve_sample(args) -> int:
+def _cmd_curve_sample(args):
     from .curves import MAX_CURVE_LITERAL, _certifying_sample, lemma_sample
 
     curve = _load_curve(args.curve)
@@ -198,27 +179,24 @@ def _cmd_curve_sample(args) -> int:
         report = _certifying_sample(curve, ts)
     else:
         report = lemma_sample(curve, ts, ser.rat_from_str(args.epsilon, MAX_CURVE_LITERAL))
-    _emit(ser.sample_report_to_obj(report), args.output, args.format)
-    return EXIT_OK if report.ok else EXIT_HYPOTHESIS
+    return ser.sample_report_to_obj(report), _verdict(report.ok)
 
 
-def _cmd_schubert(args) -> int:
+def _cmd_schubert(args):
     from .curves import schubert_count
 
-    sys.stdout.write(f"{schubert_count(args.k, args.n)}\n")
-    return EXIT_OK
+    return schubert_count(args.k, args.n), 0
 
 
-def _cmd_convexity(args) -> int:
+def _cmd_convexity(args):
     from .curves import convexity_sample_check
 
     curve = _load_curve(args.curve)
     report = convexity_sample_check(curve, args.grid)
-    _emit(ser.convexity_report_to_obj(report), args.output, args.format)
-    return EXIT_OK if report.ok else EXIT_HYPOTHESIS
+    return ser.convexity_report_to_obj(report), _verdict(report.ok)
 
 
-def _cmd_random_instance(args) -> int:
+def _cmd_random_instance(args):
     from .totalpos import random_tp_instance
 
     params, blocks = random_tp_instance(args.seed, args.bound)
@@ -226,8 +204,7 @@ def _cmd_random_instance(args) -> int:
     obj["params"] = ser.params_to_obj(params)
     obj["seed"] = args.seed
     obj["bound"] = args.bound
-    _emit(obj, args.output)
-    return EXIT_OK
+    return obj, 0
 
 
 _COMMANDS = {
@@ -242,19 +219,9 @@ _COMMANDS = {
 }
 
 
-#: Exit code of each library error, the first matching class wins.
-_EXIT_CODES = (
-    (InputError, EXIT_INPUT),
-    (HypothesisViolation, EXIT_HYPOTHESIS),
-    (SearchFailure, EXIT_HYPOTHESIS),
-    (DegenerateConfiguration, EXIT_DEGENERATE),
-    (SingularMatrixError, EXIT_DEGENERATE),
-    (CertificateFailure, EXIT_CERTIFICATE),
-)
-
-
-def _code_of(exc: FourLinesError) -> int:
-    return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), EXIT_INPUT)
+def _exit_code(exc) -> int:
+    """A library error's own code; an OSError is an unreadable or unwritable file."""
+    return exc.exit_code if isinstance(exc, FourLinesError) else InputError.exit_code
 
 
 def run(argv) -> int:
@@ -262,15 +229,16 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+        return 0 if exc.code in (0, None) else InputError.exit_code
     try:
-        return _COMMANDS[args.command](args)
-    except FourLinesError as exc:
+        obj, code = _COMMANDS[args.command](args)
+        if obj is not None:
+            # schubert-count has neither option, random-instance no --format
+            _emit(obj, getattr(args, "output", None), getattr(args, "format", "json"))
+        return code
+    except (FourLinesError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return _code_of(exc)
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        return _exit_code(exc)
 
 
 def main() -> None:

@@ -1,17 +1,14 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI (``fourlines.cli``), for every command
-and for each file of ``solve --batch``:
-
-- InputError (and its subclasses) -> 2
-- HypothesisViolation, SearchFailure -> 3
-- DegenerateConfiguration, SingularMatrixError -> 4
-- CertificateFailure -> 5
+Each class's ``exit_code`` is the code the CLI (``fourlines.cli``) exits
+with when the error ends a command or a file of ``solve --batch``.
 """
 
 
 class FourLinesError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
 
 
 class InputError(FourLinesError):
@@ -33,12 +30,16 @@ class RadicandMismatch(InputError):
 class SingularMatrixError(FourLinesError):
     """Inversion of a matrix whose determinant vanishes."""
 
+    exit_code = 4
+
     def __init__(self, message="matrix is singular: determinant = 0"):
         super().__init__(message)
 
 
 class DegenerateConfiguration(FourLinesError):
     """The input configuration is too special for the requested construction."""
+
+    exit_code = 4
 
 
 class DegenerateLine(DegenerateConfiguration):
@@ -55,6 +56,8 @@ class NonGenericConfiguration(DegenerateConfiguration):
 
 class HypothesisViolation(FourLinesError):
     """Total-positivity (or convexity) hypothesis fails."""
+
+    exit_code = 3
 
 
 class NotTotallyPositive(HypothesisViolation):
@@ -73,6 +76,10 @@ class SearchFailure(FourLinesError):
     """A deterministic search found nothing: it ran out of steps, or proved
     that no step could succeed."""
 
+    exit_code = 3
+
 
 class CertificateFailure(FourLinesError):
     """An exact certificate did not check out: the computed result is wrong."""
+
+    exit_code = 5

@@ -78,11 +78,6 @@ def plucker_of_span(span: MatQ) -> tuple:
     return p
 
 
-def quadric_value(p: tuple):
-    """p12*p34 - p13*p24 + p14*p23; zero exactly on decomposable vectors."""
-    return p[0] * p[5] - p[1] * p[4] + p[2] * p[3]
-
-
 @dataclass(frozen=True)
 class LineRep:
     """A line in RP^3: a rank-2 span and its Pluecker coordinates."""
@@ -93,7 +88,7 @@ class LineRep:
     @staticmethod
     def from_span(span: MatQ) -> "LineRep":
         p = plucker_of_span(span)
-        if quadric_value(p) != 0:
+        if plucker_meet(p, p) != 0:
             raise DegenerateLine("Pluecker quadric violated")  # pragma: no cover
         return LineRep(span=span, plucker=p)
 
@@ -417,9 +412,9 @@ def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], parts: list, el
     elif any(any(pb) for _, pb in parts):
         raise CertificateFailure("a rational solution line has a sqrt(d) part")
     for pa, pb in parts:
-        # Q(pa + sqrt(d) pb) = Q(pa) + d Q(pb) + sqrt(d) <pa, pb>: the pairing
-        # is the polar form of the quadric Q
-        if quadric_value(pa) + d * quadric_value(pb) or plucker_meet(pa, pb):
+        # <p, p> = 0 is the Pluecker quadric, and <pa + sqrt(d) pb, same>
+        # = <pa, pa> + d <pb, pb> + 2 sqrt(d) <pa, pb>
+        if plucker_meet(pa, pa) + d * plucker_meet(pb, pb) or plucker_meet(pa, pb):
             raise CertificateFailure("a solution line is off the Pluecker quadric")
     # a conjugate pair coincides exactly when pa and pb are proportional
     # (d > 0); two rational lines when pa_1 and pa_2 are
@@ -472,9 +467,9 @@ def oracle_plucker_solve(blocks: ConfigBlocks) -> List[LineRep]:
             f"incidence conditions cut out a {len(ns)}-dimensional space, expected 2"
         )
     v1, v2 = ns
-    alpha = quadric_value(v1)
+    alpha = plucker_meet(v1, v1) / 2
     beta = plucker_meet(v1, v2)
-    gamma = quadric_value(v2)
+    gamma = plucker_meet(v2, v2) / 2
     sols: List[tuple] = []
     if alpha == 0 and beta == 0 and gamma == 0:
         raise DegenerateConfiguration("the whole incidence plane lies on the quadric")

@@ -20,6 +20,7 @@ from fourlines import (
     lw_compose,
     lw_factor,
     oracle_plucker_solve,
+    plucker_meet,
     printed_FGH,
     random_tp_instance,
     schubert_count,
@@ -29,7 +30,6 @@ from fourlines import (
 )
 from fourlines import curves
 from fourlines.chart import proportional
-from fourlines.transversal import quadric_value
 
 from conftest import ACCEPTANCE_LINES, X1_ENTRIES, frame_pairs, frenet_frames, rand_params, sample_constants
 
@@ -159,7 +159,7 @@ def test_criterion_5_oracle_equivalence():
         assert sol.quadratic.disc == discriminant_from_minors(sol.canonical.x) > 0
         assert len(sol.lines) == len(oracle) == 2
         for ln in sol.lines:
-            assert quadric_value(ln.plucker) == 0
+            assert plucker_meet(ln.plucker, ln.plucker) == 0
             assert any(ln.same_line(o) for o in oracle)
         assert sol.lines[0].conjugated().same_line(sol.lines[1])
         f, h = sol.forms

@@ -2,6 +2,7 @@ import json
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +18,14 @@ from fourlines import (
     blocks_of_canonical,
     random_tp_instance,
 )
+import fourlines
 from fourlines import curves, totalpos, transversal
 from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N, lemma_sample
 from fourlines.exact import minor_table
 from fourlines.identity import MAX_SPOTS
 from fourlines.totalpos import MAX_BOUND
 from fourlines import serialize as ser
-from fourlines.cli import run
+from fourlines.cli import _build_parser, run
 
 from conftest import X1_ENTRIES, late, swap_w3_columns
 
@@ -196,6 +198,25 @@ class TestSolve:
         assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 2
         assert [p.name for p in outdir.glob("*.solution.json")] == ["inst2.solution.json"]
         assert "inst1.json: an output number of 8006 digits" in capsys.readouterr().err
+
+    def test_batch_reports_an_unwritable_output_and_goes_on(self, tmp_path, capsys):
+        # inst1's output path is a directory, inst3 is degenerate (W4 = W3)
+        indir, outdir = tmp_path / "batch", tmp_path / "out"
+        indir.mkdir()
+        (outdir / "inst1.solution.json").mkdir(parents=True)
+        for seed in (1, 2, 3, 4):
+            ws = list(random_tp_instance(seed, bound=5)[1].blocks())
+            if seed == 3:
+                ws[3] = ws[2]
+            (indir / f"inst{seed}.json").write_text(ser.dumps(ser.blocks_to_obj(ConfigBlocks(*ws))))
+        assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 4
+        assert sorted(p.name for p in outdir.glob("*.solution.json") if p.is_file()) == [
+            "inst2.solution.json", "inst4.solution.json"]
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["inst1.json", "inst3.json"]
+        assert "Is a directory" in err[0] and "[W3 W4] is singular" in err[1]
+        (indir / "inst3.json").unlink()
+        assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 2
 
     @pytest.mark.parametrize("block", [0, 2])
     def test_approx_outside_the_float_range_is_null(self, tmp_path, capsys, block):
@@ -563,3 +584,57 @@ class TestErrorPaths:
             transversal.solve_transversals(blocks)
         code, err = run_err(["solve", "--input", write_obj(tmp_path, ser.blocks_to_obj(blocks))], capsys)
         assert code == 3 and re.fullmatch(f"error: {message}\n", err)
+
+
+#: ``vars(parse_args(argv))`` for the shortest argv of each subcommand: the
+#: options each one takes, with their defaults.
+PARSED = {
+    ("check-tp", "--input", "I"): {"command": "check-tp", "input": "I", "output": None, "format": "json"},
+    ("factor", "--input", "I"): {"command": "factor", "input": "I", "output": None, "format": "json"},
+    ("solve",): {"command": "solve", "input": None, "output": None, "batch": None, "format": "json"},
+    ("verify-identity",): {"command": "verify-identity", "spots": 5, "seed": 0,
+                           "output": None, "format": "json"},
+    ("curve-sample", "--ts", "T"): {"command": "curve-sample", "ts": "T", "epsilon": "auto", "curve": None,
+                                    "output": None, "format": "json"},
+    ("schubert-count", "--k", "1", "--n", "3"): {"command": "schubert-count", "k": 1, "n": 3},
+    ("convexity-check",): {"command": "convexity-check", "curve": None, "grid": 12,
+                           "output": None, "format": "json"},
+    ("random-instance", "--seed", "7"): {"command": "random-instance", "seed": 7, "bound": 10,
+                                         "output": None},
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("argv", sorted(PARSED))
+    def test_parsed_arguments(self, argv):
+        assert vars(_build_parser().parse_args(argv)) == PARSED[argv]
+
+    @pytest.mark.parametrize("argv", [
+        ["schubert-count", "--k", "1", "--n", "3", "--output", "out.json"],
+        ["schubert-count", "--k", "1", "--n", "3", "--format", "json"],
+        ["random-instance", "--seed", "7", "--format", "json"],
+    ])
+    def test_options_a_command_does_not_take(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    def test_text_format_spells_json_literals(self, tmp_path, capsys):
+        inp = tmp_path / "cfg.json"
+        write_x1_config(inp)
+        assert run(["check-tp", "--input", str(inp), "--format", "text"]) == 0
+        assert capsys.readouterr().out == "ok: true\nwitness: null\n"
+        assert run(["curve-sample", "--ts", "1/10,3/10,5/10,7/10", "--format", "text"]) == 0
+        assert capsys.readouterr().out.endswith("\nok: true\n")
+        assert run(["convexity-check", "--grid", "8", "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "frenet_degenerate: false" in lines and "ok: true" in lines
+
+    def test_readme_exit_codes_are_the_error_classes(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = re.findall(r"^\| `(\d)` \| [^|]+ \| (.+) \|$", readme, re.M)
+        named = {name: int(code) for code, errors in rows for name in re.findall(r"`(\w+)`", errors)}
+        assert {name: getattr(fourlines, name).exit_code for name in named} == named
+        # every class that sets its own code is in the table
+        assert {name for name, cls in vars(fourlines.errors).items()
+                if isinstance(cls, type) and "exit_code" in vars(cls)} <= named.keys()

@@ -36,7 +36,7 @@ from fourlines import (
 from fourlines import NonGenericConfiguration, chart
 from fourlines.curves import POLYNOMIAL
 from fourlines.exact import rational_sqrt
-from fourlines.transversal import Quadratic, _integer_chart, _printed, quadric_value, span_from_plucker
+from fourlines.transversal import Quadratic, _integer_chart, _printed, span_from_plucker
 
 from conftest import (
     AT_INFINITY_X,
@@ -75,7 +75,8 @@ class TestPlucker:
     def test_quadric_vanishes_on_spans(self):
         rng = random.Random(71)
         for _ in range(50):
-            assert quadric_value(plucker_of_span(rand_span(rng))) == 0
+            p = plucker_of_span(rand_span(rng))
+            assert plucker_meet(p, p) == 0
 
     def test_rank_deficient_span(self):
         with pytest.raises(DegenerateLine):
@@ -239,7 +240,7 @@ class TestSolveTransversals:
         # the two lines are complex-conjugation-symmetric as a pair
         assert sol.lines[0].conjugated().same_line(sol.lines[1])
         for ln in sol.lines:
-            assert quadric_value(ln.plucker) == 0
+            assert plucker_meet(ln.plucker, ln.plucker) == 0
 
     def test_matches_oracle(self, blocks_x1):
         sol = solve_transversals(blocks_x1)
