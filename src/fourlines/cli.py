@@ -149,11 +149,19 @@ def _cmd_solve(args):
         for path in sorted(indir.glob("*.json")):
             if path.name.endswith(".solution.json"):
                 continue
+            out = outdir / (path.stem + ".solution.json")
+            errors = []
             try:
                 sol = solve_transversals(ser.blocks_from_obj(_read_json(str(path))))
-                text = ser.dumps(ser.solution_to_obj(sol))
-                (outdir / (path.stem + ".solution.json")).write_text(text)
+                out.write_text(ser.dumps(ser.solution_to_obj(sol)))
             except (FourLinesError, OSError) as exc:
+                errors.append(exc)
+                try:
+                    if out.is_file():  # an earlier run's solution, stale now
+                        out.unlink()
+                except OSError as err:
+                    errors.append(err)
+            for exc in errors:
                 sys.stderr.write(f"{path.name}: {exc}\n")
                 worst = max(worst, _exit_code(exc))
         return None, worst

@@ -3,7 +3,8 @@
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator)
 and :class:`QuadNum`, the quadratic extension Q(sqrt(d)) with a fixed
 radicand per context.  :class:`MatQ` is a small immutable dense matrix
-over either scalar type, with exact determinants, minors and inverses.
+over either scalar type; one Gauss-Jordan pass, ``MatQ._rref``, gives its
+exact determinants, minors, inverses, ranks and nullspaces.
 Every maximal minor of a k x 4 rational matrix comes from one integer
 kernel, ``minor_table``: the Pluecker pairing of two row wedges.
 """
@@ -306,28 +307,11 @@ class MatQ:
         return self.rows == self.cols
 
     def det(self) -> Scalar:
-        """Exact determinant by fraction-free (Bareiss) elimination with pivoting."""
+        """Exact determinant: the signed product of the pivots of ``_rref``."""
         if not self.is_square():
             raise DimensionError(f"determinant of non-square {self.rows}x{self.cols} matrix")
-        n = self.rows
-        a = [list(row) for row in self._e]
-        sign = 1
-        prev: Scalar = Fraction(1)
-        for k in range(n - 1):
-            if not a[k][k]:
-                for r in range(k + 1, n):
-                    if a[r][k]:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return self._zero_like()
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-                a[i][k] = self._zero_like()
-            prev = a[k][k]
-        return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
+        _, pivots, det = self._rref()
+        return det if len(pivots) == self.rows else self._zero_like()
 
     def _zero_like(self) -> Scalar:
         x = self._e[0][0]
@@ -344,14 +328,17 @@ class MatQ:
     def _rref(self, right: Optional[list] = None) -> tuple:
         """Gauss-Jordan elimination of [self | right], pivoting in the columns of self.
 
-        Returns the reduced rows and the pivot columns (0-based, increasing);
-        a column without a pivot is spanned by the columns before it.
+        Returns the reduced rows, the pivot columns (0-based, increasing) and
+        the product of the pivots, negated once per row swap; a column without
+        a pivot is spanned by the columns before it.  A square matrix with a
+        pivot in every column has that product as its determinant.
         """
         if right is None:
             a = [list(row) for row in self._e]
         else:
             a = [list(row) + extra for row, extra in zip(self._e, right)]
         pivots = []
+        det = 1
         for c in range(self.cols):
             r = len(pivots)
             if r == self.rows:
@@ -361,15 +348,18 @@ class MatQ:
                     break
             else:
                 continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = self._invert_scalar(a[r][c])
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+                det = -det
+            det *= a[r][c]
+            inv = 1 / a[r][c]
             a[r] = [x * inv for x in a[r]]
             for i in range(self.rows):
                 if i != r and a[i][c]:
                     f = a[i][c]
                     a[i] = [x - f * y for x, y in zip(a[i], a[r])]
             pivots.append(c)
-        return a, pivots
+        return a, pivots, det
 
     def inverse(self) -> "MatQ":
         """Exact inverse by Gauss-Jordan elimination of [self | I]."""
@@ -377,7 +367,7 @@ class MatQ:
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
         one, zero = self._one_like(), self._zero_like()
-        a, pivots = self._rref([[one if i == j else zero for j in range(n)] for i in range(n)])
+        a, pivots, _ = self._rref([[one if i == j else zero for j in range(n)] for i in range(n)])
         if len(pivots) < n:
             k = min(set(range(n)) - set(pivots))
             raise SingularMatrixError(
@@ -391,18 +381,12 @@ class MatQ:
             return QuadNum.of(1, x.d)
         return Fraction(1)
 
-    @staticmethod
-    def _invert_scalar(x: Scalar) -> Scalar:
-        if isinstance(x, QuadNum):
-            return x.inverse()
-        return Fraction(1) / x
-
     def rank(self) -> int:
         return len(self._rref()[1])
 
     def nullspace(self) -> list:
         """Basis of the right kernel, as tuples of Fractions."""
-        a, pivots = self._rref()
+        a, pivots, _ = self._rref()
         basis = []
         for fc in (c for c in range(self.cols) if c not in pivots):
             v = [Fraction(0)] * self.cols

@@ -93,9 +93,9 @@ class LineRep:
         return LineRep(span=span, plucker=p)
 
     def normalized_plucker(self) -> tuple:
-        for i, v in enumerate(self.plucker):
+        for v in self.plucker:
             if v:
-                inv = v.inverse() if isinstance(v, QuadNum) else Fraction(1) / v
+                inv = 1 / v
                 return tuple(x * inv for x in self.plucker)
         raise DegenerateLine("zero Pluecker vector")
 
@@ -106,8 +106,10 @@ class LineRep:
         return all(_same_value(u, v) for u, v in zip(p, q))
 
     def conjugated(self) -> "LineRep":
-        conj = lambda v: v.conjugate() if isinstance(v, QuadNum) else v
-        return LineRep.from_span(self.span.map(conj))
+        """Each span entry and Pluecker coordinate conjugated; a rational
+        one is its own conjugate."""
+        conj = lambda v: v.conjugate()
+        return LineRep(self.span.map(conj), tuple(map(conj, self.plucker)))
 
 
 def _same_value(u, v) -> bool:
@@ -328,8 +330,7 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     if pair:
         x, y = (_printed(v, lam, disc) for v in roots[0])
         roots = ((x, y), (x.conjugate(), y.conjugate()))
-        conj = QuadNum.conjugate
-        lines.append(LineRep(lines[0].span.map(conj), tuple(map(conj, lines[0].plucker))))
+        lines.append(lines[0].conjugated())
     else:
         roots = tuple((None if x is None else _printed(x, lam, disc), _printed(y, lam, disc))
                       for x, y in roots)

@@ -47,7 +47,7 @@ def ones_params() -> LWParams:
 
 def det_cofactor(m: MatQ):
     """Laplace cofactor expansion along the first row: a determinant oracle
-    independent of the library's Bareiss elimination."""
+    independent of the library's Gauss-Jordan elimination."""
     rows = m.entries()
     if len(rows) != len(rows[0]):
         raise ValueError("determinant of non-square matrix")

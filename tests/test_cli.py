@@ -23,7 +23,7 @@ from fourlines import curves, totalpos, transversal
 from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N, lemma_sample
 from fourlines.exact import minor_table
 from fourlines.identity import MAX_SPOTS
-from fourlines.totalpos import MAX_BOUND
+from fourlines.totalpos import MAX_BOUND, SINGULAR_W34
 from fourlines import serialize as ser
 from fourlines.cli import _build_parser, run
 
@@ -217,6 +217,48 @@ class TestSolve:
         assert "Is a directory" in err[0] and "[W3 W4] is singular" in err[1]
         (indir / "inst3.json").unlink()
         assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 2
+
+    @staticmethod
+    def write_batch(indir, degenerate=()):
+        """random_tp_instance(seed) as inst<seed>.json for seeds 1 to 3,
+        with W4 = W3 in the seeds listed as degenerate."""
+        indir.mkdir(exist_ok=True)
+        for seed in (1, 2, 3):
+            ws = list(random_tp_instance(seed, bound=5)[1].blocks())
+            if seed in degenerate:
+                ws[3] = ws[2]
+            (indir / f"inst{seed}.json").write_text(ser.dumps(ser.blocks_to_obj(ConfigBlocks(*ws))))
+
+    def test_batch_removes_the_solution_of_a_failing_file(self, tmp_path, capsys):
+        indir, outdir = tmp_path / "batch", tmp_path / "out"
+        argv = ["solve", "--batch", str(indir), "--output", str(outdir)]
+        self.write_batch(indir)
+        assert run(argv) == 0
+        self.write_batch(indir, degenerate=(2,))
+        capsys.readouterr()
+        assert run(argv) == 4
+        assert sorted(p.name for p in outdir.iterdir()) == ["inst1.solution.json", "inst3.solution.json"]
+        assert capsys.readouterr().err == f"inst2.json: {SINGULAR_W34}\n"
+
+    def test_batch_reports_a_failed_removal_and_goes_on(self, tmp_path, capsys, monkeypatch):
+        indir, outdir = tmp_path / "batch", tmp_path / "out"
+        argv = ["solve", "--batch", str(indir), "--output", str(outdir)]
+        self.write_batch(indir)
+        assert run(argv) == 0
+        self.write_batch(indir, degenerate=(2,))
+        (outdir / "inst3.solution.json").unlink()
+        capsys.readouterr()
+
+        def deny(path, missing_ok=False):
+            raise PermissionError(f"cannot remove {path.name}")
+
+        monkeypatch.setattr(Path, "unlink", deny)
+        assert run(argv) == 4
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "inst1.solution.json", "inst2.solution.json", "inst3.solution.json"]
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[0] for line in err] == ["inst2.json", "inst2.json"]
+        assert err[1] == "inst2.json: cannot remove inst2.solution.json"
 
     @pytest.mark.parametrize("block", [0, 2])
     def test_approx_outside_the_float_range_is_null(self, tmp_path, capsys, block):

@@ -37,6 +37,34 @@ def laplace_row_expansion(m: MatQ, row: int) -> Fraction:
     return total
 
 
+def q(a, b, d) -> QuadNum:
+    return QuadNum(Fraction(a), Fraction(b), Fraction(d))
+
+
+def r2(a, b) -> QuadNum:
+    return q(a, b, 2)
+
+
+#: Inputs of the cofactor comparison beside 100 random 4x4 matrices.
+DET_INPUTS = {
+    "size 1": MatQ([[Fraction(-3, 4)]]),
+    "size 2": MatQ([[2, -1], [Fraction(1, 3), 5]]),
+    "size 3": rand_mat(random.Random(41), 3),
+    "size 5": rand_mat(random.Random(43), 5),
+    "zero row": MatQ([[1, 2, 3], [0, 0, 0], [4, 5, 6]]),
+    "dependent rows": MatQ([[1, 2, 3, 4], [2, 3, 5, 7], [3, 5, 8, 11], [1, 0, 0, 1]]),
+    # a zero in the first column's leading entry: one swap
+    "one swap": MatQ([[0, 1, 2], [3, 4, 5], [6, 7, 9]]),
+    # zeros above the pivots of the first two columns: two swaps
+    "two swaps": MatQ([[0, 2, 3], [0, 0, 5], [7, 1, 4]]),
+    "quad": MatQ([[r2(1, 1), r2(0, 1), r2(3, 0)], [r2(2, 0), r2(1, -1), r2(0, 0)],
+                  [r2(0, 1), r2(5, 0), r2(1, 2)]]),
+    "quad swap": MatQ([[r2(0, 0), r2(1, 1)], [r2(3, -1), r2(2, 0)]]),
+    # row 2 is (1 + sqrt 2) times row 1
+    "quad singular": MatQ([[r2(1, 1), r2(2, 0)], [r2(3, 2), r2(2, 2)]]),
+}
+
+
 class TestDeterminant:
     def test_identity(self):
         assert MatQ.identity(4).det() == 1
@@ -53,11 +81,19 @@ class TestDeterminant:
         with pytest.raises(DimensionError):
             MatQ([[1, 2, 3], [4, 5, 6]]).det()
 
-    def test_bareiss_agrees_with_cofactor(self):
+    def test_agrees_with_cofactor(self):
         rng = random.Random(7)
-        for _ in range(100):
-            m = rand_mat(rng)
-            assert m.det() == det_cofactor(m)
+        randoms = {f"random {k}": rand_mat(rng) for k in range(100)}
+        for name, m in {**randoms, **DET_INPUTS}.items():
+            det = m.det()
+            assert det == det_cofactor(m), name
+            assert type(det) is type(m[0, 0]), name
+            if isinstance(det, QuadNum):
+                assert det.d == 2, name
+            for size in range(1, m.rows + 1):
+                for rows in combinations(range(1, m.rows + 1), size):
+                    for cols in combinations(range(1, m.rows + 1), size):
+                        assert m.minor(rows, cols) == det_cofactor(m.submatrix(rows, cols)), name
 
     def test_multiplicative(self):
         rng = random.Random(11)
@@ -134,10 +170,6 @@ class TestInverse:
         m = MatQ([[1, 2], [2, 4]])
         with pytest.raises(SingularMatrixError):
             m.inverse()
-
-
-def q(a, b, d) -> QuadNum:
-    return QuadNum(Fraction(a), Fraction(b), Fraction(d))
 
 
 class TestQuadNum:

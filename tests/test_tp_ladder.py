@@ -1,8 +1,8 @@
 """Differential tests of the maximal-minor kernel (each minor the Pluecker
 pairing of two integer row wedges), its users (the TP checks, the canonical
 form, the curve sample and the sampled convexity check) and the Pluecker
-incidence certificate, against oracles that use cofactor expansion,
-Bareiss elimination or Gauss-Jordan elimination only."""
+incidence certificate, against oracles that use cofactor expansion or
+Gauss-Jordan elimination only."""
 import math
 import os
 import random
