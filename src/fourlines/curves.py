@@ -19,9 +19,10 @@ from .errors import (
     NotConvex,
     SearchFailure,
     SingularMatrixError,
+    number_text,
 )
-from .chart import proportional
-from .exact import IndexSet, MatQ, as_rat, integer_rows, maximal_minors, minor_table, table_minor
+from .chart import plucker_meet, proportional, wedge
+from .exact import IndexSet, MatQ, as_rat, integer_rows, minor_table, table_minor
 from .totalpos import ConfigBlocks
 
 RATIONAL_NORMAL = "rational_normal"
@@ -141,16 +142,19 @@ class _Frames(NamedTuple):
         return tuple(Fraction(sum(map(mul, b, row)), den) for b in self.basis)
 
 
-def _det_w0(basis: MatQ) -> Fraction:
-    """det W0 from the Frenet basis W0^-1."""
-    return 1 / maximal_minors(basis)[0]
+def _det_w0(curve: CurveSpec) -> Fraction:
+    """det W0: the pairing of the wedges of its integer columns 0, 1 and
+    2, 3 (Laplace expansion along two columns), over s^4."""
+    (s, *cols), = _integer_points(curve, (0,), range(4))
+    a, b = tuple(zip(*cols[:2])), tuple(zip(*cols[2:]))
+    return Fraction(plucker_meet(wedge(a, a), wedge(b, b)), s**4)
 
 
 def _frames(curve: CurveSpec, ts) -> _Frames:
     basis = frenet_basis(curve)
     ints, den = integer_rows(basis.entries())
     return _Frames(points=tuple(_integer_points(curve, ts)), basis=ints, basis_den=den,
-                   det_w0=_det_w0(basis))
+                   det_w0=_det_w0(curve))
 
 
 def tangent_block(curve: CurveSpec, t) -> MatQ:
@@ -316,10 +320,9 @@ def convexity_sample_check(curve: CurveSpec, grid_size: int) -> ConvexityReport:
     if not 4 <= grid_size <= MAX_GRID:
         raise InputError(f"grid size must lie in 4..{MAX_GRID}, got {grid_size}")
     grid = tuple(Fraction(i, grid_size + 1) for i in range(1, grid_size + 1))
-    try:
-        det_w0, degenerate = _det_w0(frenet_basis(curve)), False
-    except NotConvex:  # no Frenet basis: the minors are read in curve coordinates
-        det_w0, degenerate = Fraction(1), True
+    det_w0 = _det_w0(curve)
+    degenerate = det_w0 == 0  # no Frenet basis: the minors are read in curve coordinates
+    det_w0 = det_w0 or Fraction(1)
     points = _integer_points(curve, grid, (0,))
     minors, _, _ = minor_table([v for _, v in points])
     scales = [s for s, _ in points]
@@ -346,5 +349,5 @@ def schubert_count(k: int, n: int) -> int:
     den = math.prod(math.factorial(j) for j in range(k + 1, n + 1))
     count, rem = divmod(num, den)
     if rem:
-        raise CertificateFailure(f"Schubert count {num}/{den} is not an integer")
+        raise CertificateFailure(f"Schubert count {number_text(num)}/{number_text(den)} is not an integer")
     return count

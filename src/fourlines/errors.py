@@ -1,8 +1,23 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and how their messages write numbers.
 
 Each class's ``exit_code`` is the code the CLI (``fourlines.cli``) exits
 with when the error ends a command or a file of ``solve --batch``.
 """
+import math
+import sys
+
+
+def number_text(r) -> str:
+    """An int or Fraction as "p/q", or "p" when the denominator is 1, as
+    outputs and error messages write it.  Python prints integers of at
+    most ``sys.get_int_max_str_digits()`` digits; past that the text is
+    "<number of N digits>", N for the larger of |p| and q."""
+    try:
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    except ValueError:
+        big = max(abs(r.numerator), r.denominator)
+        k = int((big.bit_length() - 1) * math.log10(2))  # big has k + 1 or k + 2 digits
+        return f"<number of {k + 1 + (big >= 10 ** (k + 1))} digits>"
 
 
 class FourLinesError(Exception):

@@ -21,6 +21,7 @@ from .errors import (
     DimensionError,
     RadicandMismatch,
     SingularMatrixError,
+    number_text,
 )
 
 Scalar = Union[int, Fraction, "QuadNum"]
@@ -83,7 +84,7 @@ class QuadNum:
                 return QuadNum(other.a, Fraction(0), self.d)
             if self.b == 0 or self.d == other.d:
                 return other
-            raise RadicandMismatch(f"mixed radicands {self.d} and {other.d}")
+            raise RadicandMismatch(f"mixed radicands {number_text(self.d)} and {number_text(other.d)}")
         return NotImplemented  # type: ignore[return-value]
 
     def _ctx(self, other: "QuadNum") -> Fraction:
@@ -438,13 +439,3 @@ def table_minor(minors: dict, scales: Sequence[int], rows: tuple,
     i, j, k, l = rows
     return Fraction(minors[rows] * over.denominator,
                     scales[i] * scales[j] * scales[k] * scales[l] * over.numerator)
-
-
-def maximal_minors(m: MatQ) -> list:
-    """Exact maximal minors of a k x 4 rational matrix.
-
-    One value per 4-row set, in lexicographic order, read from
-    ``minor_table``: each equals ``MatQ.minor`` on those rows.
-    """
-    minors, scales, _ = minor_table(m.entries())
-    return [table_minor(minors, scales, rows) for rows in minors]

@@ -8,14 +8,13 @@ row-major nested arrays.  Output is the byte format of
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, number_text
 
 # Each converter imports the library classes it builds where it builds
 # them, so reading or writing one format loads only the modules it needs.
@@ -27,14 +26,12 @@ if TYPE_CHECKING:
 
 
 def rat_to_str(r: Fraction) -> str:
-    """An int or Fraction as "p/q", or "p" when the denominator is 1."""
-    try:
-        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-    except ValueError as exc:  # Python prints integers of at most 4,300 digits
-        big = max(abs(r.numerator), r.denominator)
-        k = int((big.bit_length() - 1) * math.log10(2))  # big has k + 1 or k + 2 digits
-        raise InputError(f"an output number of {k + 1 + (big >= 10 ** (k + 1))} digits exceeds "
-                         f"the {sys.get_int_max_str_digits()}-digit print limit") from exc
+    """An int or Fraction as "p/q", or "p" when the denominator is 1
+    (``number_text``); past the print limit, an InputError."""
+    text = number_text(r)
+    if text[0] == "<":
+        raise InputError(f"an output {text[1:-1]} exceeds the {sys.get_int_max_str_digits()}-digit print limit")
+    return text
 
 
 #: The only accepted rational literal: ``-?[0-9]+(/[0-9]+)?``, no sign on

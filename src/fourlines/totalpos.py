@@ -16,6 +16,7 @@ from .errors import (
     DomainError,
     InputError,
     NotTotallyPositive,
+    number_text,
 )
 from .chart import lw_product
 from .exact import IndexSet, MatQ, as_rat, minor_table, table_minor
@@ -60,7 +61,7 @@ class LWParams:
             raise DimensionError(f"need 16 parameters, got {len(vals)}")
         for name, v in zip(PARAM_NAMES, vals):
             if v <= 0:
-                raise DomainError(f"parameter {name} = {v} is not positive")
+                raise DomainError(f"parameter {name} = {number_text(v)} is not positive")
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, name: str) -> Fraction:
@@ -213,7 +214,7 @@ def lw_compose(params: LWParams) -> MatQ:
 
 def _positive(name: str, value: Fraction) -> Fraction:
     if value <= 0:
-        raise NotTotallyPositive(f"recovered parameter {name} = {value} is not positive")
+        raise NotTotallyPositive(f"recovered parameter {name} = {number_text(value)} is not positive")
     return value
 
 

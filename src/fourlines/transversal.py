@@ -27,6 +27,7 @@ from .errors import (
     DegeneratePencil,
     NoRealSolution,
     NonGenericConfiguration,
+    number_text,
 )
 from . import chart
 from .chart import PLUCKER_ROWS, plucker_meet, proportional, wedge
@@ -158,7 +159,7 @@ def discriminant_from_minors(x: MatQ) -> Fraction:
 def _sqrt_in_context(disc: Fraction) -> QuadNum:
     """sqrt(disc) as a QuadNum; rational when disc is a perfect square."""
     if disc < 0:
-        raise NoRealSolution(f"negative discriminant {disc}")
+        raise NoRealSolution(f"negative discriminant {number_text(disc)}")
     r = rational_sqrt(disc)
     if r is not None:
         return QuadNum.of(r, disc)
@@ -198,8 +199,8 @@ def _root(x: tuple, forms: tuple, d: int) -> tuple:
         c_xy, c_x, c_y, c_1 = form.coeffs()
         if (c_xy * (p * u + d * q * v) + c_x * p * w + c_y * u * r + c_1 * r * w
                 or c_xy * (p * v + q * u) + c_x * q * w + c_y * v * r):
-            raise CertificateFailure(f"chart root x = ({p} + {q}*sqrt({d}))/{r} "
-                                     "misses a bilinear form")
+            raise CertificateFailure("chart root x = ({} + {}*sqrt({}))/{} misses a bilinear form"
+                                     .format(*map(number_text, (p, q, d, r))))
     return x, (u, v, w)
 
 
@@ -231,7 +232,7 @@ def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
                 break
         return tuple(roots), warnings
     if d < 0:
-        raise NoRealSolution(f"negative discriminant {d}")
+        raise NoRealSolution(f"negative discriminant {number_text(d)}")
     s = isqrt(d)
     if s * s == d:
         one = _root((s - b, 0, 2 * a), forms, d)
@@ -304,13 +305,10 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     # D = lam^2 * quad.disc has the sign of quad.disc; the messages name D
     disc = quadratic.disc
     if tp.ok and quad.disc <= 0:
-        raise NoRealSolution(
-            f"discriminant {disc} not positive despite verified total positivity"
-        )
-    try:
-        roots, w2 = solve_canonical(pforms, quad)
-    except NoRealSolution:
-        raise NoRealSolution(f"negative discriminant {disc}") from None
+        raise NoRealSolution(f"discriminant {number_text(disc)} not positive despite verified total positivity")
+    if quad.disc < 0:
+        raise NoRealSolution(f"negative discriminant {number_text(disc)}")
+    roots, w2 = solve_canonical(pforms, quad)
     warnings.extend(w2)
     if len(roots) != 2:
         raise NonGenericConfiguration("expected exactly two chart solutions")

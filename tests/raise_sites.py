@@ -27,13 +27,14 @@ SRC = Path(fourlines.__file__).parent
 
 #: (file, function, first line of the raise) -> why no test runs it.
 ALLOWED = {
-    ("curves.py", "schubert_count", 'raise CertificateFailure(f"Schubert count {num}/{den} is not an integer")'):
+    ("curves.py", "schubert_count",
+     'raise CertificateFailure(f"Schubert count {number_text(num)}/{number_text(den)} is not an integer")'):
         "defensive: the product formula is an integer for every 0 <= k < n",
     ("transversal.py", "LineRep.from_span", 'raise DegenerateLine("Pluecker quadric violated")  # pragma: no cover'):
         "defensive: the wedge of two vectors always lies on the Pluecker quadric",
     ("transversal.py", "LineRep.normalized_plucker", 'raise DegenerateLine("zero Pluecker vector")'):
         "defensive: from_span refuses a rank < 2 span and the solver's certificate a zero line",
-    ("transversal.py", "_sqrt_in_context", 'raise NoRealSolution(f"negative discriminant {disc}")'):
+    ("transversal.py", "_sqrt_in_context", 'raise NoRealSolution(f"negative discriminant {number_text(disc)}")'):
         "its one caller, the oracle, returns no line for a negative discriminant first",
     ("transversal.py", "oracle_plucker_solve", "raise DegenerateConfiguration("):
         "the oracle's degenerate branches: the oracle is to move to the tests (ROADMAP item 2)",

@@ -1,10 +1,13 @@
 import json
+import random
 import re
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourlines import (
     CertificateFailure,
@@ -626,6 +629,93 @@ class TestErrorPaths:
             transversal.solve_transversals(blocks)
         code, err = run_err(["solve", "--input", write_obj(tmp_path, ser.blocks_to_obj(blocks))], capsys)
         assert code == 3 and re.fullmatch(f"error: {message}\n", err)
+
+
+#: The exit codes of the README's CLI table.
+README_CODES = {int(code) for code in re.findall(
+    r"^\| `(\d)` \|", (Path(__file__).resolve().parent.parent / "README.md").read_text(), re.M)}
+
+
+def big_literal_config(seed: int) -> dict:
+    """32 literals p/q, p and q drawn from ``random.Random(seed)`` in
+    [10^198, 10^199): a configuration whose D has 19,017 digits."""
+    rng = random.Random(seed)
+    lit = lambda: f"{rng.randrange(10**198, 10**199)}/{rng.randrange(10**198, 10**199)}"
+    return {"blocks": [[[lit(), lit()] for _ in range(4)] for _ in range(4)]}
+
+
+def big_literal_matrix(seed: int) -> list:
+    """A 4x4 matrix of 2,000-digit integers from ``random.Random(seed)``,
+    each negative with probability 0.3."""
+    rng = random.Random(seed)
+    return [[("-" if rng.random() < 0.3 else "") + str(rng.randrange(10**1999, 10**2000))
+             for _ in range(4)] for _ in range(4)]
+
+
+def random_literal(rng: random.Random, length: int) -> str:
+    """A rational literal of ``length`` characters: p or p/q, negative
+    with probability 0.3."""
+    sign = "-" if rng.random() < 0.3 else ""
+    body = length - len(sign)
+    if rng.random() < 0.5:
+        return sign + str(rng.randrange(10 ** (body - 1), 10**body))
+    k = rng.randrange(1, body - 1)  # digits of p; q has m = body - k - 1
+    m = body - k - 1
+    return f"{sign}{rng.randrange(10 ** (k - 1), 10**k)}/{rng.randrange(10 ** (m - 1), 10**m)}"
+
+
+class TestPrintLimit:
+    """A computed number that an error message names prints as its digit
+    count past Python's print limit, and the error keeps its exit code."""
+
+    def test_negative_discriminant_of_19017_digits(self, tmp_path, capsys):
+        path = write_obj(tmp_path, big_literal_config(6))
+        assert run_err(["solve", "--input", path], capsys) == (
+            3, "error: negative discriminant <number of 19017 digits>\n")
+
+    def test_recovered_parameter_of_6000_digits(self, tmp_path, capsys):
+        path = write_obj(tmp_path, big_literal_matrix(1))
+        assert run_err(["factor", "--input", path], capsys) == (
+            3, "error: recovered parameter e = <number of 6000 digits> is not positive\n")
+
+    def test_batch_reports_the_file_and_goes_on(self, tmp_path, capsys):
+        indir, outdir = tmp_path / "batch", tmp_path / "out"
+        indir.mkdir()
+        (indir / "inst1.json").write_text(ser.dumps(big_literal_config(6)))
+        (indir / "inst2.json").write_text(ser.dumps(ser.blocks_to_obj(random_tp_instance(2, bound=5)[1])))
+        assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 3
+        assert capsys.readouterr().err == "inst1.json: negative discriminant <number of 19017 digits>\n"
+        assert [p.name for p in outdir.iterdir()] == ["inst2.solution.json"]
+        assert len(json.loads((outdir / "inst2.solution.json").read_text())["lines"]) == 2
+
+    @pytest.mark.parametrize("number, text", [
+        (Fraction(-476), "-476"), (Fraction(10**4299, 3), f"{10**4299}/3"),
+        (10**4300, "<number of 4301 digits>"), (Fraction(-1, 10**4300), "<number of 4301 digits>"),
+        (Fraction(-(10**5000) + 1, 7), "<number of 5000 digits>")],
+        ids=["integer", "fraction", "int-over", "denominator-over", "numerator-over"])
+    def test_number_text(self, number, text):
+        assert fourlines.errors.number_text(number) == text
+
+    @pytest.mark.parametrize("command", ["solve", "check-tp", "factor"])
+    def test_long_literals_end_in_a_documented_code(self, tmp_path, capsys, command):
+        # literals of 100 to 400 characters, mostly far from total
+        # positivity: each run ends in a code of the README table and
+        # raises nothing
+        path = tmp_path / "in.json"
+
+        @settings(derandomize=True, max_examples=10, deadline=None, database=None)
+        @given(st.randoms(use_true_random=False))
+        def check(rng):
+            lit = lambda: random_literal(rng, rng.randint(100, 400))
+            if command == "factor":
+                obj = [[lit() for _ in range(4)] for _ in range(4)]
+            else:
+                obj = {"blocks": [[[lit(), lit()] for _ in range(4)] for _ in range(4)]}
+            path.write_text(json.dumps(obj))
+            assert run([command, "--input", str(path)]) in README_CODES
+            capsys.readouterr()
+
+        check()
 
 
 #: ``vars(parse_args(argv))`` for the shortest argv of each subcommand: the

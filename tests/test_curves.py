@@ -550,9 +550,27 @@ class TestConvexitySample:
 
     def test_degenerate_frenet_flagged(self):
         c = poly_curve((1,), (0, 1), (0, 0, 1), (0, 0, 0, 0, 1))
+        assert curves._det_w0(c) == 0
         rep = convexity_sample_check(c, 5)
         assert rep.frenet_degenerate
         assert not rep.ok
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+    def test_det_w0_is_one_over_det_of_the_frenet_basis(self, name):
+        # A swaps two components, so A * gamma has det W0 of the other sign
+        curve = ORACLE_CURVES[name]
+        swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        for c in (curve, linear_image(curve, swap)):
+            assert curves._frames(c, TS).det_w0 == 1 / frenet_basis(c).det()
+        assert curves._frames(linear_image(curve, swap), TS).det_w0 < 0 < curves._frames(curve, TS).det_w0
+
+    def test_convexity_check_inverts_nothing(self, capsys, monkeypatch):
+        calls = []
+        inverse = MatQ.inverse
+        monkeypatch.setattr(MatQ, "inverse", lambda self: calls.append(1) or inverse(self))
+        assert run(["convexity-check", "--grid", "6"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert calls == []
 
     def test_non_convex_witnessed(self):
         # fourth divided differences of t^3 - 5 t^4 turn negative once the

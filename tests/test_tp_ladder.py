@@ -42,7 +42,7 @@ from fourlines import (
 )
 from fourlines import transversal
 from fourlines.curves import POLYNOMIAL
-from fourlines.exact import maximal_minors, minor_table
+from fourlines.exact import minor_table, table_minor
 
 from conftest import (
     AT_INFINITY_X,
@@ -203,7 +203,8 @@ class TestLadder:
 
 def assert_ladder_is_exact(m: MatQ):
     """Every entry of the minor table, the wedges of all row pairs and the
-    maximal minors, and ``maximal_minors``, against the cofactor oracle."""
+    maximal minors, and ``table_minor`` on each row set, against the
+    cofactor oracle."""
     table, scales, wedges = minor_table(m.entries())
     assert scales == [math.lcm(*(v.denominator for v in row)) for row in m.entries()]
     assert list(wedges) == list(combinations(range(m.rows), 2))
@@ -214,7 +215,8 @@ def assert_ladder_is_exact(m: MatQ):
     for rows, value in table.items():
         exact = minor(m, tuple(r + 1 for r in rows), ROWS4)
         assert Fraction(value, math.prod(scales[r] for r in rows)) == exact
-    assert maximal_minors(m) == [minor(m, rows, ROWS4) for rows in combinations(range(1, m.rows + 1), 4)]
+    assert [table_minor(table, scales, rows) for rows in table] == [
+        minor(m, rows, ROWS4) for rows in combinations(range(1, m.rows + 1), 4)]
 
 
 def rand_with_zeros(rng: random.Random, rows: int, cols: int) -> MatQ:
