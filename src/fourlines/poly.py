@@ -2,13 +2,12 @@
 
 Exponent vectors are dense 16-tuples keyed in a dict; no zero
 coefficient is ever stored, so structural equality is mathematical
-equality.  Serialization is deterministic (lexicographic on exponent
-vectors) and round-trips exactly.
+equality.  The text form is deterministic (lexicographic on exponent
+vectors), so two polynomials print the same text only when they are equal.
 """
 from __future__ import annotations
 
 import hashlib
-import re
 from fractions import Fraction
 from math import prod
 from operator import add
@@ -180,39 +179,6 @@ class Poly16:
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
-
-    _TERM_RE = re.compile(r"^(\d+)(?:·(.+))?$")
-
-    @classmethod
-    def parse(cls, text: str) -> "Poly16":
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        chunks = re.split(r"\s+(?=[+-]\s)", text)
-        t: Dict[ExpVec, int] = {}
-        for chunk in chunks:
-            chunk = chunk.strip()
-            sign = 1
-            if chunk.startswith("+ "):
-                chunk = chunk[2:]
-            elif chunk.startswith("- "):
-                sign, chunk = -1, chunk[2:]
-            elif chunk.startswith("-"):
-                sign, chunk = -1, chunk[1:]
-            m = cls._TERM_RE.match(chunk)
-            if not m:
-                raise ValueError(f"bad term {chunk!r}")
-            coeff = sign * int(m.group(1))
-            ev = [0] * NVARS
-            if m.group(2):
-                for factor in m.group(2).split("·"):
-                    var, caret, e = factor.partition("^")
-                    if len(var) != 1 or var not in VARS or (caret and not e.isdecimal()):
-                        raise ValueError(f"bad term {chunk!r}")
-                    ev[VARS.index(var)] += int(e) if caret else 1
-            key = tuple(ev)
-            t[key] = t.get(key, 0) + coeff
-        return cls(t)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()

@@ -34,6 +34,16 @@ def rat_to_str(r: Fraction) -> str:
     return text
 
 
+def refuse_unprintable(values) -> None:
+    """``rat_to_str``'s refusal of the first of ``values`` past the print
+    limit.  A number of at most 3 bits per allowed digit prints (3 log10 2
+    < 1), so only a longer one is converted to text."""
+    limit = sys.get_int_max_str_digits()
+    for r in values:
+        if limit and max(abs(r.numerator), r.denominator).bit_length() > 3 * limit:
+            rat_to_str(r)
+
+
 #: The only accepted rational literal: ``-?[0-9]+(/[0-9]+)?``, no sign on
 #: the denominator, no spaces, exponents, decimal points or underscores.
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -111,26 +121,17 @@ def blocks_from_obj(obj) -> ConfigBlocks:
 def tp_report_to_obj(rep: TPReport) -> dict:
     witness = None
     if not rep.ok:
+        # a maximal minor of the 4x8 configuration: every row
         witness = {
             "cols": list(rep.witness_cols.indices),
             "minor": rat_to_str(rep.witness_minor),
+            "rows": [1, 2, 3, 4],
         }
-        if rep.witness_rows is not None:
-            witness["rows"] = list(rep.witness_rows.indices)
     return {"ok": rep.ok, "witness": witness}
 
 
 def params_to_obj(params: LWParams) -> dict:
     return {name: rat_to_str(v) for name, v in params.as_dict().items()}
-
-
-def params_from_obj(obj) -> LWParams:
-    from .totalpos import PARAM_NAMES, LWParams
-
-    try:
-        return LWParams(tuple(rat_from_str(obj[name]) for name in PARAM_NAMES))
-    except (KeyError, TypeError) as exc:
-        raise InputError("parameter JSON must map each letter a..p to a rational") from exc
 
 
 def solution_to_obj(sol: TransversalSolution) -> dict:
@@ -221,17 +222,6 @@ def curve_spec_from_obj(obj) -> CurveSpec:
                              for comp in comps),
         )
     raise InputError(f"unknown curve kind {kind!r}")
-
-
-def curve_spec_to_obj(curve: CurveSpec) -> dict:
-    from .curves import POLYNOMIAL, RATIONAL_NORMAL
-
-    if curve.kind == RATIONAL_NORMAL:
-        return {"kind": RATIONAL_NORMAL}
-    return {
-        "kind": POLYNOMIAL,
-        "components": [[rat_to_str(c) for c in comp] for comp in curve.components],
-    }
 
 
 def dumps(obj) -> str:

@@ -93,10 +93,9 @@ class ConfigBlocks:
 class TPReport:
     ok: bool
     witness_cols: Optional[IndexSet] = None
-    witness_rows: Optional[IndexSet] = None
     witness_minor: Optional[Fraction] = None
-    #: The canonical form a configuration verdict was read from (None for
-    #: a 4x4 check, or when [W3 W4] is singular).
+    #: The canonical form the verdict was read from (None when [W3 W4] is
+    #: singular).
     canonical: Optional["CanonicalForm"] = field(default=None, compare=False, repr=False)
 
 
@@ -115,7 +114,6 @@ class CanonicalForm:
 
 #: The refusal of a configuration with a singular [W3 W4]: it has no canonical form.
 SINGULAR_W34 = "[W3 W4] is singular: degenerate configuration"
-_ROWS4 = IndexSet((1, 2, 3, 4))
 #: The columns of [W3 W4] among the eight of a configuration (0-based).
 _W34 = (4, 5, 6, 7)
 
@@ -153,7 +151,9 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
 
     A TP verdict also proves det(g) = 1/minor_W(5,6,7,8) > 0 and, since
     each minor of X is a positive multiple of a maximal minor of W, that
-    X is totally positive.
+    X is totally positive.  So a 4x4 matrix X is checked as
+    ``check_tp_config(blocks_of_canonical(X))``: the 70 maximal minors of
+    [X Y] are its 69 minors and det Y = 1.
     """
     minors, scales, wedges = minor_table(_columns(blocks))
     for idx in range(4):
@@ -162,7 +162,7 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     canon = _canonical(blocks, minors, scales) if minors[_W34] else None
     for cols, v in minors.items():
         if v <= 0:
-            return TPReport(False, IndexSet(tuple(c + 1 for c in cols)), _ROWS4,
+            return TPReport(False, IndexSet(tuple(c + 1 for c in cols)),
                             table_minor(minors, scales, cols), canonical=canon)
     return TPReport(True, canonical=canon)
 
@@ -180,23 +180,6 @@ def _square_minors(x: MatQ):
     minors, scales, _ = minor_table(_columns(blocks_of_canonical(x)))
     return lambda rows, cols: table_minor(
         minors, scales, (*cols, *(7 - r for r in (3, 2, 1, 0) if r not in rows)))
-
-
-def check_tp_square(x: MatQ) -> TPReport:
-    """All 69 minors of orders 1..4 of a 4x4 matrix strictly positive?
-
-    Walks the minors by order, then rows, then columns; the witness is the
-    first non-positive one.
-    """
-    minor = _square_minors(x)
-    for order in range(1, 5):
-        for rows in combinations(range(4), order):
-            for cols in combinations(range(4), order):
-                v = minor(rows, cols)
-                if v <= 0:
-                    return TPReport(False, IndexSet(tuple(c + 1 for c in cols)),
-                                    IndexSet(tuple(r + 1 for r in rows)), v)
-    return TPReport(True)
 
 
 def canonicalize(blocks: ConfigBlocks) -> CanonicalForm:

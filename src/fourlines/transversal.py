@@ -32,6 +32,7 @@ from .errors import (
 from . import chart
 from .chart import PLUCKER_ROWS, plucker_meet, proportional, wedge
 from .exact import MatQ, QuadNum, integer_rows, rational_sqrt
+from .serialize import refuse_unprintable
 from .totalpos import SINGULAR_W34, CanonicalForm, ConfigBlocks, check_tp_config
 
 
@@ -292,12 +293,15 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     Pluecker pairing, which equals det[W_i | L_j] exactly.
     The certificates run on the integer parts of each line, and the printed
     roots, spans and Pluecker vectors are one division each of those
-    integers (``_printed``).
+    integers (``_printed``).  A solution prints g and X first, so when one
+    of their entries is past the print limit, the InputError that printing
+    it would raise comes before the solve.
     """
     tp = check_tp_config(blocks)
     canon = tp.canonical
     if canon is None:
         raise DegenerateConfiguration(SINGULAR_W34)
+    refuse_unprintable(v for m in (canon.g, canon.x) for row in m.entries() for v in row)
     warnings: List[str] = [] if tp.ok else ["hypothesis-not-verified"]
     if not tp.ok and canon.orientation < 0:
         warnings.append("canonical-basis-orientation-flipped")

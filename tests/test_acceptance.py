@@ -13,7 +13,7 @@ from fourlines import (
     MatQ,
     QuadNum,
     blocks_of_canonical,
-    check_tp_square,
+    check_tp_config,
     discriminant_from_minors,
     epsilon_threshold,
     lemma_sample,
@@ -196,7 +196,7 @@ def test_criterion_7_round_trips():
         params = rand_params(rng)
         x = lw_compose(params)
         assert lw_factor(x) == params
-        assert check_tp_square(x).ok
+        assert check_tp_config(blocks_of_canonical(x)).ok
         assert lw_compose(lw_factor(x)) == x
     _report(7, True, "lw_factor∘lw_compose = id and lw_compose∘lw_factor = id on 100 random instances")
 

@@ -24,6 +24,7 @@ from fourlines import (
 import fourlines
 from fourlines import curves, totalpos, transversal
 from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N, lemma_sample
+from fourlines.errors import number_text
 from fourlines.exact import minor_table
 from fourlines.identity import MAX_SPOTS
 from fourlines.totalpos import MAX_BOUND, SINGULAR_W34
@@ -591,10 +592,6 @@ class TestErrorPaths:
         assert run_err(argv, capsys) == (
             2, "error: epsilon 3/20 pushes the last sample beyond the domain\n")
 
-    def test_params_need_every_letter(self):
-        with pytest.raises(InputError, match="^parameter JSON must map each letter a..p to a rational$"):
-            ser.params_from_obj({})
-
     def test_factor_recomposition_certificate(self, tmp_path, capsys, monkeypatch):
         x = totalpos.lw_compose(random_tp_instance(0)[0])
         path = write_obj(tmp_path, ser.mat_to_obj(x))
@@ -636,11 +633,12 @@ README_CODES = {int(code) for code in re.findall(
     r"^\| `(\d)` \|", (Path(__file__).resolve().parent.parent / "README.md").read_text(), re.M)}
 
 
-def big_literal_config(seed: int) -> dict:
-    """32 literals p/q, p and q drawn from ``random.Random(seed)`` in
-    [10^198, 10^199): a configuration whose D has 19,017 digits."""
+def big_literal_config(seed: int, digits: int = 199) -> dict:
+    """32 literals p/q, p and q drawn from ``random.Random(seed)`` with
+    ``digits`` digits each: at 199, seed 6 gives a D of 19,017 digits."""
     rng = random.Random(seed)
-    lit = lambda: f"{rng.randrange(10**198, 10**199)}/{rng.randrange(10**198, 10**199)}"
+    lo, hi = 10 ** (digits - 1), 10**digits
+    lit = lambda: f"{rng.randrange(lo, hi)}/{rng.randrange(lo, hi)}"
     return {"blocks": [[[lit(), lit()] for _ in range(4)] for _ in range(4)]}
 
 
@@ -687,6 +685,32 @@ class TestPrintLimit:
         assert capsys.readouterr().err == "inst1.json: negative discriminant <number of 19017 digits>\n"
         assert [p.name for p in outdir.iterdir()] == ["inst2.solution.json"]
         assert len(json.loads((outdir / "inst2.solution.json").read_text())["lines"]) == 2
+
+    @pytest.mark.parametrize("seed, digits", [(0, 5081), (1, 5081), (2, 5084), (9, 5080)])
+    def test_unprintable_x_is_refused_before_the_solve(self, tmp_path, capsys, monkeypatch, seed, digits):
+        # 511-character literals: g prints and no entry of X does, so solve
+        # refuses right after the canonical form, with the message that
+        # printing X gives; seed 9 has D < 0, which a full solve refuses with
+        # exit 3
+        obj = big_literal_config(seed, 255)
+        canon = totalpos.check_tp_config(ser.blocks_from_obj(obj)).canonical
+        assert all(number_text(v)[0] != "<" for row in canon.g.entries() for v in row)
+        assert all(number_text(v)[0] == "<" for row in canon.x.entries() for v in row)
+        assert (transversal._integer_chart(canon.x)[3].disc < 0) == (seed == 9)
+
+        def chart(x):
+            raise AssertionError("solved a configuration whose X cannot print")
+
+        monkeypatch.setattr(transversal, "_integer_chart", chart)
+        assert run_err(["solve", "--input", write_obj(tmp_path, obj)], capsys) == (
+            2, f"error: an output number of {digits} digits exceeds the 4300-digit print limit\n")
+
+    def test_printable_canonical_form_is_not_converted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ser, "rat_to_str", calls.append)
+        for bound in (10, 10**30, MAX_BOUND):
+            transversal.solve_transversals(random_tp_instance(0, bound)[1])
+        assert calls == []
 
     @pytest.mark.parametrize("number, text", [
         (Fraction(-476), "-476"), (Fraction(10**4299, 3), f"{10**4299}/3"),

@@ -3,13 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourlines import (
+    CurveSpec,
     discriminant_from_minors,
     lw_compose,
+    lw_factor,
     printed_FGH,
+    random_tp_instance,
+    solve_transversals,
     symbolic_D,
     symbolic_X,
+    tangent_config,
     verify_identity,
 )
 from fourlines import chart
@@ -17,6 +24,7 @@ from fourlines.identity import rhs_poly
 from fourlines.poly import VARS, Poly16
 
 from conftest import rand_params
+from test_golden import TANGENT_TS
 
 
 class TestSymbolicX:
@@ -115,6 +123,26 @@ class TestFactorization:
             assert fv > 0 and gv > 0
             assert fv * gv + hv * hv > 0
             assert discriminant_from_minors(lw_compose(params)) > 0
+
+
+def assert_d_is_the_printed_decomposition(blocks):
+    """The paper's reason for D > 0 on one instance: at the chart parameters
+    of its X, the solver's D is m^2 n^2 (FG + H^2), and F > 0 and G > 0."""
+    sol = solve_transversals(blocks)
+    values = lw_factor(sol.canonical.x).values
+    f, g, _ = printed_FGH()
+    assert sol.quadratic.disc == rhs_poly().eval(values)
+    assert f.eval(values) > 0 and g.eval(values) > 0
+
+
+class TestDiscriminantAtTheParameters:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from((10, 10**30)))
+    def test_random_instances(self, seed, bound):
+        assert_d_is_the_printed_decomposition(random_tp_instance(seed, bound)[1])
+
+    def test_moment_tangent_sample(self):
+        assert_d_is_the_printed_decomposition(tangent_config(CurveSpec.moment(), TANGENT_TS))
 
 
 class TestCertificate:

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourlines import (ConfigBlocks, CurveSpec, IndexSet, InputError, LWParams, MatQ, QuadNum,
-                       TPReport, check_tp_config, convexity_sample_check, lemma_sample, lw_factor,
-                       random_tp_instance, solve_transversals, verify_identity)
+from fourlines import (ConfigBlocks, CurveSpec, InputError, LWParams, MatQ, QuadNum, check_tp_config,
+                       convexity_sample_check, lemma_sample, lw_factor, random_tp_instance,
+                       solve_transversals, verify_identity)
 from fourlines import serialize as ser
-from fourlines.curves import MAX_CURVE_COEFFS, _certifying_sample
-from fourlines.totalpos import MAX_BOUND
+from fourlines.curves import MAX_CURVE_COEFFS, POLYNOMIAL, RATIONAL_NORMAL, _certifying_sample
+from fourlines.totalpos import MAX_BOUND, PARAM_NAMES
 
 from conftest import X1_ENTRIES, rand_frac
 from test_golden import MUTATIONS, SOLVE_BRANCHES, mutated
@@ -32,6 +32,20 @@ class TestScalars:
         for r in (Fraction(10**4300), Fraction(-1, 10**4300), Fraction(10**4300 + 1, 3)):
             with pytest.raises(InputError, match="output number of 4301 digits exceeds"):
                 ser.rat_to_str(r)
+
+    def test_refuse_unprintable(self, monkeypatch):
+        # only a number of more than 3 bits per digit of the limit is
+        # converted to text, and one past the limit is refused as rat_to_str
+        # refuses it
+        converted = []
+        rat_to_str = ser.rat_to_str
+        monkeypatch.setattr(ser, "rat_to_str", lambda r: converted.append(r) or rat_to_str(r))
+        small = [Fraction(2**12900 - 1), Fraction(-1, 2**12900 - 1)]  # 12,900 bits, 3,884 digits
+        printable = [Fraction(2**12900), Fraction(1, 10**4300 - 1)]  # 12,901 and 14,284 bits
+        ser.refuse_unprintable(small + printable)
+        assert converted == printable
+        with pytest.raises(InputError, match="^an output number of 4301 digits exceeds the 4300-digit print limit$"):
+            ser.refuse_unprintable([Fraction(1), Fraction(10**4300, 3), Fraction(10**4301)])
 
     def test_digit_count_in_the_message(self):
         rng = random.Random(131)
@@ -130,13 +144,14 @@ class TestAggregates:
         params, _ = random_tp_instance(23)
         obj = ser.params_to_obj(params)
         assert set(obj) == set("abcdefghijklmnop")
-        assert ser.params_from_obj(obj) == params
+        assert params_from_obj(obj) == params
 
     def test_curve_spec_round_trip(self):
         moment = CurveSpec.moment()
-        assert ser.curve_spec_from_obj(ser.curve_spec_to_obj(moment)) == moment
+        assert ser.curve_spec_from_obj({"kind": "rational_normal"}) == moment
         poly = CurveSpec(kind="polynomial", components=((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1, -5)))
-        assert ser.curve_spec_from_obj(ser.curve_spec_to_obj(poly)) == poly
+        obj = {"kind": "polynomial", "components": [["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1", "-5"]]}
+        assert curve_obj(poly) == obj and ser.curve_spec_from_obj(obj) == poly
         with pytest.raises(InputError):
             ser.curve_spec_from_obj({"kind": "circle"})
 
@@ -195,6 +210,18 @@ def _via_json(obj):
     return ser.loads(ser.dumps(obj))
 
 
+def params_from_obj(obj) -> LWParams:
+    """The parameters an object of ``params_to_obj`` names."""
+    return LWParams(tuple(ser.rat_from_str(obj[name]) for name in PARAM_NAMES))
+
+
+def curve_obj(curve: CurveSpec) -> dict:
+    """The curve JSON of ``--curve`` that names ``curve``."""
+    if curve.kind == RATIONAL_NORMAL:
+        return {"kind": RATIONAL_NORMAL}
+    return {"kind": POLYNOMIAL, "components": [[ser.rat_to_str(c) for c in comp] for comp in curve.components]}
+
+
 class TestRoundTripProperties:
     @derandomized
     @given(blocks)
@@ -204,7 +231,7 @@ class TestRoundTripProperties:
     @derandomized
     @given(st.lists(positive, min_size=16, max_size=16).map(lambda vs: LWParams(tuple(vs))))
     def test_lw_params(self, params):
-        assert ser.params_from_obj(_via_json(ser.params_to_obj(params))) == params
+        assert params_from_obj(_via_json(ser.params_to_obj(params))) == params
 
     @derandomized
     @given(quads)
@@ -219,7 +246,7 @@ class TestRoundTripProperties:
     @derandomized
     @given(curves)
     def test_curve_spec(self, curve):
-        assert ser.curve_spec_from_obj(_via_json(ser.curve_spec_to_obj(curve))) == curve
+        assert ser.curve_spec_from_obj(_via_json(curve_obj(curve))) == curve
 
 
 #: Any JSON value, biased towards the keys and shapes the parsers look for.
@@ -304,8 +331,6 @@ def _cli_objects() -> dict:
     objs["tp-pass"] = ser.tp_report_to_obj(check_tp_config(random_tp_instance(0)[1]))
     *change, _, _ = MUTATIONS["early"]
     objs["tp-witness-rows"] = ser.tp_report_to_obj(check_tp_config(mutated(*change)))
-    objs["tp-witness-no-rows"] = ser.tp_report_to_obj(
-        TPReport(False, IndexSet((1, 2, 3, 4)), None, Fraction(-3, 7)))
     quartic = CurveSpec(kind="polynomial", components=((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1, -1)))
     ts = tuple(Fraction(k, 10) for k in (1, 3, 5, 9))
     objs["sample-certified"] = ser.sample_report_to_obj(_certifying_sample(CurveSpec.moment(), ts))
@@ -337,8 +362,7 @@ class TestWriter:
     def test_cli_objects_cover_each_shape(self):
         assert not CLI_OBJECTS["sample-refused"]["ok"]
         assert CLI_OBJECTS["convexity-failures"]["failures"]
-        assert "rows" in CLI_OBJECTS["tp-witness-rows"]["witness"]
-        assert "rows" not in CLI_OBJECTS["tp-witness-no-rows"]["witness"]
+        assert CLI_OBJECTS["tp-witness-rows"]["witness"]["rows"] == [1, 2, 3, 4]
         assert CLI_OBJECTS["tp-pass"] == {"ok": True, "witness": None}
 
     @pytest.mark.parametrize("obj", [[], {}, "", 0, -0.0, None, {"": [[], {}]}, (1, "é"),

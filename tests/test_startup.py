@@ -28,7 +28,7 @@ EXPORTS = {
     "exact": "IndexSet MatQ QuadNum",
     "poly": "Poly16 poly_equal",
     "totalpos": "CanonicalForm ConfigBlocks LWParams TPReport Y_SIGN blocks_of_canonical "
-                "canonicalize check_tp_config check_tp_square lw_compose lw_factor "
+                "canonicalize check_tp_config lw_compose lw_factor "
                 "random_tp_instance",
     "transversal": "BilinearForm LineRep Quadratic TransversalSolution bilinear_forms "
                    "discriminant_from_minors eliminate_to_quadratic oracle_plucker_solve "

@@ -19,14 +19,13 @@ from fourlines import (
     blocks_of_canonical,
     canonicalize,
     check_tp_config,
-    check_tp_square,
     lw_compose,
     lw_factor,
     random_tp_instance,
 )
 
 from fourlines.chart import lw_product
-from fourlines.totalpos import PARAM_NAMES, y_sign_times
+from fourlines.totalpos import PARAM_NAMES, _square_minors, y_sign_times
 
 from conftest import X1_ENTRIES, concat, premultiply, rand_mat, rand_params, rand_pos_det
 
@@ -63,8 +62,8 @@ class TestCompose:
     def test_always_totally_positive(self):
         rng = random.Random(43)
         for _ in range(50):
-            rep = check_tp_square(lw_compose(rand_params(rng)))
-            assert rep.ok, (rep.witness_rows, rep.witness_cols, rep.witness_minor)
+            rep = check_tp_config(blocks_of_canonical(lw_compose(rand_params(rng))))
+            assert rep.ok, (rep.witness_cols, rep.witness_minor)
 
 
 #: A 4x4 matrix whose first vanishing leading principal minor has the
@@ -169,20 +168,26 @@ class TestFactor:
 
 class TestChecks:
     def test_x1_square_tp(self, x1):
-        assert check_tp_square(x1).ok
+        # each of the 69 minors of X1, read from the table of [X Y]
+        minor = _square_minors(x1)
+        for order in range(1, 5):
+            for rows in combinations(range(4), order):
+                for cols in combinations(range(4), order):
+                    assert minor(rows, cols) == x1.minor([r + 1 for r in rows], [c + 1 for c in cols]) > 0
 
     def test_square_shape(self):
         with pytest.raises(DimensionError, match="^expected a 4x4 matrix$"):
-            check_tp_square(MatQ([[1]]))
+            _square_minors(MatQ([[1]]))
 
     def test_square_witness_is_first_failure(self, x1):
+        # x11 = 0 makes minor_X(1, 1) = 0 on columns (1, 5, 6, 7) of [X Y]
+        # and det X = -19 on columns (1, 2, 3, 4), the first column set
         rows = [list(r) for r in x1.entries()]
         rows[0][0] = Fraction(0)
-        rep = check_tp_square(MatQ(rows))
+        rep = check_tp_config(blocks_of_canonical(MatQ(rows)))
         assert not rep.ok
-        assert tuple(rep.witness_rows) == (1,)
-        assert tuple(rep.witness_cols) == (1,)
-        assert rep.witness_minor == 0
+        assert tuple(rep.witness_cols) == (1, 2, 3, 4)
+        assert rep.witness_minor == MatQ(rows).det() == -19
 
     def test_config_of_canonical_x1(self, blocks_x1):
         assert check_tp_config(blocks_x1).ok
@@ -193,7 +198,7 @@ class TestChecks:
         rep = check_tp_config(bad)
         assert not rep.ok
         a = concat(bad)
-        assert a.minor(rep.witness_rows, rep.witness_cols) == rep.witness_minor
+        assert a.minor((1, 2, 3, 4), rep.witness_cols) == rep.witness_minor
         assert rep.witness_minor <= 0
         # lexicographically first: every earlier column set has a positive minor
         for cols in combinations(range(1, 9), 4):

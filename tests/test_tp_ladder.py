@@ -13,7 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fourlines import (
@@ -21,13 +21,14 @@ from fourlines import (
     ConfigBlocks,
     CurveSpec,
     DegenerateConfiguration,
+    InputError,
+    LWParams,
     MatQ,
     QuadNum,
     Y_SIGN,
     blocks_of_canonical,
     canonicalize,
     check_tp_config,
-    check_tp_square,
     convexity_sample_check,
     curve_eval,
     frenet_basis,
@@ -43,6 +44,7 @@ from fourlines import (
 from fourlines import transversal
 from fourlines.curves import POLYNOMIAL
 from fourlines.exact import minor_table, table_minor
+from fourlines.totalpos import _square_minors
 
 from conftest import (
     AT_INFINITY_X,
@@ -63,8 +65,8 @@ ROWS4 = (1, 2, 3, 4)
 #: With g*W = [X Y], det(g) * minor_W(C) = det [X Y]_C, and expanding along
 #: the columns of Y (signed unit vectors) leaves the minor of X on the rows
 #: that those columns miss.  Y is chosen so that this expansion has sign +1
-#: for every C, which ``check_tp_square`` and the Cramer's-rule X of
-#: ``canonicalize`` rely on: minor_W(C) = minor_X(R, J) / det(g).
+#: for every C, which ``_square_minors`` (so ``lw_factor``) and the
+#: Cramer's-rule X of ``canonicalize`` rely on: minor_W(C) = minor_X(R, J) / det(g).
 CONFIG_MINORS = tuple(
     (cols,
      tuple(r for r in range(4) if 8 - r not in cols),
@@ -83,25 +85,47 @@ def oracle_config(blocks: ConfigBlocks) -> tuple:
     for cols in combinations(range(1, 9), 4):
         m = minor(a, ROWS4, cols)
         if m <= 0:
-            return (False, ROWS4, cols, m)
-    return (True, None, None, None)
+            return (False, cols, m)
+    return (True, None, None)
 
 
 def oracle_square(x: MatQ) -> tuple:
-    """First non-positive minor of a 4x4 matrix by order, rows, then columns."""
-    for order in range(1, 5):
-        for rows in combinations(range(1, 5), order):
-            for cols in combinations(range(1, 5), order):
-                m = minor(x, rows, cols)
-                if m <= 0:
-                    return (False, rows, cols, m)
-    return (True, None, None, None)
+    """First non-positive minor of a 4x4 matrix, in the order of the column
+    sets of [X Y] that hold it (``CONFIG_MINORS``): (False, column set,
+    minor) or (True, None, None)."""
+    for cols, rows, xcols in CONFIG_MINORS:
+        m = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in xcols))
+        if m <= 0:
+            return (False, cols, m)
+    return (True, None, None)
 
 
 def as_tuple(rep) -> tuple:
     if rep.ok:
-        return (True, None, None, None)
-    return (False, tuple(rep.witness_rows), tuple(rep.witness_cols), rep.witness_minor)
+        return (True, None, None)
+    return (False, tuple(rep.witness_cols), rep.witness_minor)
+
+
+def assert_square_check(x: MatQ) -> tuple:
+    """The 4x4 check, ``check_tp_config`` on the blocks of [X Y], against
+    the cofactor oracle, and ``_square_minors`` on all 69 minors of x.
+    A column pair of rank 1 is refused, and its 2x2 minors, all zero, make
+    x not totally positive.  Returns the oracle's verdict."""
+    read = _square_minors(x)
+    for order in range(1, 5):
+        for rows in combinations(range(4), order):
+            for cols in combinations(range(4), order):
+                assert read(rows, cols) == minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
+    want = oracle_square(x)
+    try:
+        got = as_tuple(check_tp_config(blocks_of_canonical(x)))
+    except InputError as exc:
+        block = int(str(exc).removeprefix("block W").removesuffix(" is rank-deficient"))
+        pair = (2 * block - 1, 2 * block)
+        assert all(minor(x, rows, pair) == 0 for rows in combinations(ROWS4, 2)) and not want[0]
+        return want
+    assert got == want
+    return want
 
 
 def entries(blocks: ConfigBlocks) -> list:
@@ -265,7 +289,7 @@ class TestCurveSample:
         (quartic(-1), TS_WIDE, Fraction(1, 40), False),
         (quartic(-1), TS_IN, Fraction(1, 20), False),
     ])
-    def test_minors_match_bareiss(self, curve, ts, eps, ok):
+    def test_minors_match_matq_minor(self, curve, ts, eps, ok):
         rep = lemma_sample(curve, ts, eps)
         assert [tuple(iset) for iset, _ in rep.minors] == list(combinations(range(1, 9), 4))
         for (iset, value), kappa in zip(rep.minors, rep.kappas):
@@ -274,7 +298,7 @@ class TestCurveSample:
         assert rep.ok is ok
         assert ok or any(value <= 0 for _, value in rep.minors)
 
-    def test_convexity_failures_match_bareiss(self):
+    def test_convexity_failures_match_matq_det(self):
         curve, grid = quartic(-1), 9
         fb = frenet_basis(curve)
         points = [(fb @ MatQ.from_cols([curve_eval(curve, Fraction(i, grid + 1))])).col(0)
@@ -293,7 +317,7 @@ class TestCheckTpConfig:
     def test_tp_instances(self, bound):
         for seed in range(8):
             _, blocks = random_tp_instance(seed, bound)
-            assert as_tuple(check_tp_config(blocks)) == oracle_config(blocks) == (True,) + (None,) * 3
+            assert as_tuple(check_tp_config(blocks)) == oracle_config(blocks) == (True, None, None)
 
     def test_change_of_basis(self):
         # det h < 0 flips every maximal minor: the witness is the first column set
@@ -311,7 +335,7 @@ class TestCheckTpConfig:
         for blocks in perturbed_instances():
             want = oracle_config(blocks)
             assert as_tuple(check_tp_config(blocks)) == want
-            zeros += want[3] == 0
+            zeros += want[2] == 0
         assert zeros >= 5
 
     def test_permuted_blocks(self):
@@ -339,13 +363,13 @@ class TestCheckTpConfig:
         tp = 0
         for blocks in cases:
             canon = canonicalize(blocks)
-            verdict = canon.g.det() > 0 and check_tp_square(canon.x).ok
+            verdict = canon.g.det() > 0 and oracle_square(canon.x)[0]
             assert check_tp_config(blocks).ok == verdict
             tp += verdict
         assert len(cases) == 85 and tp == 25
         swapped = ConfigBlocks(blocks_x1.w2, blocks_x1.w1, blocks_x1.w3, blocks_x1.w4)
         assert not check_tp_config(swapped).ok
-        assert not check_tp_square(canonicalize(swapped).x).ok
+        assert not oracle_square(canonicalize(swapped).x)[0]
 
     def test_singular_w34(self):
         for seed in range(3):
@@ -382,13 +406,48 @@ class TestCheckTpConfig:
             canonicalize(singular)
 
 
+#: The 69 minors of a 4x4 matrix as 1-based (rows, columns).
+SQUARE_MINORS = tuple((rows, cols) for order in range(1, 5)
+                      for rows in combinations(ROWS4, order) for cols in combinations(ROWS4, order))
+
+
+def moved_entry(x: MatQ, i: int, j: int, delta) -> MatQ:
+    entries = [list(r) for r in x.entries()]
+    entries[i][j] += delta
+    return MatQ(entries)
+
+
+def past_the_boundary(x: MatQ, i: int, j: int, sign: int, past: bool):
+    """x with entry (i, j) (0-based) moved in the direction ``sign`` until
+    the first minor through it that decreases reaches 0, or, with ``past``,
+    halfway on to the second (twice as far when there is none).  Every
+    minor is affine in the entry.  None when no minor through the entry
+    decreases that way."""
+    roots = []
+    for rows, cols in SQUARE_MINORS:
+        if i + 1 in rows and j + 1 in cols:
+            m0 = minor(x, rows, cols)
+            slope = minor(moved_entry(x, i, j, sign), rows, cols) - m0
+            if slope < 0:
+                roots.append(m0 / -slope)
+    if not roots:
+        return None
+    roots.sort()
+    t = roots[0]
+    if past:
+        t = (t + roots[1]) / 2 if len(roots) > 1 else 2 * t
+    return moved_entry(x, i, j, sign * t)
+
+
 class TestCheckTpSquare:
+    """The 4x4 check: ``check_tp_config`` on the blocks of [X Y], whose 70
+    maximal minors are the 69 minors of X and det Y = 1."""
+
     @pytest.mark.parametrize("bound", [10, 10**30])
     def test_tp_matrices(self, bound):
         for seed in range(8):
             params, _ = random_tp_instance(seed, bound)
-            x = lw_compose(params)
-            assert as_tuple(check_tp_square(x)) == oracle_square(x) == (True,) + (None,) * 3
+            assert assert_square_check(lw_compose(params)) == (True, None, None)
 
     def test_perturbed_matrices(self):
         rng = random.Random(29)
@@ -399,15 +458,13 @@ class TestCheckTpSquare:
             i, j = rng.randrange(4), rng.randrange(4)
             rows[i][j] *= Fraction(rng.choice((-1, 0, 1, 2)), rng.randint(1, 4))
             x = MatQ(rows)
-            want = oracle_square(x)
-            assert as_tuple(check_tp_square(x)) == want
-            zeros += want[3] == 0
+            assert_square_check(x)
+            zeros += any(minor(x, r, c) == 0 for r, c in SQUARE_MINORS)
         assert zeros >= 5
 
     def test_canonical_x_of_perturbed_instances(self):
         for blocks in perturbed_instances()[:10]:
-            x = canonicalize(blocks).x
-            assert as_tuple(check_tp_square(x)) == oracle_square(x)
+            assert_square_check(canonicalize(blocks).x)
 
     def test_matrices_with_zero_entries(self):
         rng = random.Random(43)
@@ -416,9 +473,7 @@ class TestCheckTpSquare:
             x = rand_with_zeros(rng, 4, 4) if rng.random() < 0.5 else MatQ(
                 [[rand_frac(rng, lo=0) if rng.random() < 0.8 else Fraction(0) for _ in range(4)]
                  for _ in range(4)])
-            want = oracle_square(x)
-            assert as_tuple(check_tp_square(x)) == want
-            witnesses.add(want[1:3])
+            witnesses.add(assert_square_check(x)[1])
         assert len(witnesses) >= 5
 
     def test_all_69_minors_are_read_from_the_table(self):
@@ -436,23 +491,39 @@ class TestCheckTpSquare:
     def test_first_witness_order(self):
         # zero each minor of order >= 2 of a TP matrix in turn through its
         # last entry (the minor is affine in it); the check must report the
-        # oracle's first non-positive minor, which that one or an earlier
+        # oracle's first non-positive minor in the column-set order of
+        # [X Y], which is that one or one that the same entry pushed below 0
         x = lw_compose(rand_params(random.Random(53)))
         witnesses = set()
-        for order in range(2, 5):
-            for rows in combinations(ROWS4, order):
-                for cols in combinations(ROWS4, order):
-                    entries = [list(r) for r in x.entries()]
-                    i, j = rows[-1] - 1, cols[-1] - 1
-                    m0 = minor(x, rows, cols)
-                    entries[i][j] += 1
-                    slope = minor(MatQ(entries), rows, cols) - m0
-                    entries[i][j] -= 1 + m0 / slope
-                    y = MatQ(entries)
-                    want = oracle_square(y)
-                    assert as_tuple(check_tp_square(y)) == want and want[3] <= 0
-                    witnesses.add(want[1:3])
-        assert len(witnesses) >= 20
+        for rows, cols in SQUARE_MINORS[16:]:
+            i, j = rows[-1] - 1, cols[-1] - 1
+            m0 = minor(x, rows, cols)
+            slope = minor(moved_entry(x, i, j, 1), rows, cols) - m0
+            ok, witness, value = assert_square_check(moved_entry(x, i, j, -m0 / slope))
+            assert not ok and value <= 0
+            witnesses.add(witness)
+        assert len(witnesses) >= 10
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(Fraction(1, 10), 10, max_denominator=10), min_size=16, max_size=16),
+           st.integers(0, 3), st.integers(0, 3), st.sampled_from((1, -1)),
+           st.sampled_from(("zero", "past", "pair")))
+    def test_near_the_boundary(self, values, i, j, sign, kind):
+        # one minor of a TP matrix at 0 or just below it, or a column pair
+        # of rank 1, which the configuration check refuses
+        x = lw_compose(LWParams(tuple(values)))
+        if kind == "pair":
+            block = i % 2 + 1
+            y = MatQ([[*r[:2 * block - 1], r[2 * block - 2] * values[j], *r[2 * block:]] for r in x.entries()])
+            with pytest.raises(InputError, match=f"^block W{block} is rank-deficient$"):
+                check_tp_config(blocks_of_canonical(y))
+            assert not assert_square_check(y)[0]
+            return
+        y = past_the_boundary(x, i, j, sign, kind == "past")
+        assume(y is not None)
+        assume(sum(minor(y, rows, cols) <= 0 for rows, cols in SQUARE_MINORS) == 1)  # no tie
+        ok, _, value = assert_square_check(y)
+        assert not ok and (value == 0) == (kind == "zero")
 
 
 class TestIncidenceCertificate:
