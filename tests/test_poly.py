@@ -180,14 +180,33 @@ class TestEquality:
 
 
 class TestSerialization:
+    # A polynomial rebuilt from its sorted terms, in any order, prints the
+    # same text and is equal to it; the text is equal only for equal
+    # polynomials.
+
+    def test_round_trip_is_identity(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            p = rand_poly(rng)
+            text = p.to_text()
+            rebuilt = Poly16(dict(reversed(p.sorted_terms())))
+            assert rebuilt.to_text() == text
+            assert rebuilt == p
+
     @derandomized
     @given(sparse_polys, sparse_polys)
     @example(*printed_FGH()[:2])
-    def test_text_determines_the_polynomial(self, p, q):
-        # the text is equal only for equal polynomials, in any term order
+    def test_round_trip_generated(self, p, q):
+        assert Poly16(dict(p.sorted_terms())) == p
         assert (p.to_text() == q.to_text()) == (p == q)
         assert Poly16(dict(reversed(p.terms.items()))).to_text() == p.to_text()
         assert (p + q).to_text() == (q + p).to_text() != (p + q + 1).to_text()
+
+    def test_printed_f_round_trip(self):
+        f, g, _ = printed_FGH()
+        assert Poly16(dict(reversed(f.sorted_terms()))) == f
+        assert f.to_text() != g.to_text()
+        assert f.to_text() != (f + 1).to_text()
 
     def test_zero(self):
         assert Poly16.zero().to_text() == "0"
