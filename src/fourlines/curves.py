@@ -228,7 +228,7 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[_Frames] = None
     for s, v, d in frames.points:
         rows += (v, tuple(b * x + a * y for x, y in zip(v, d)))
         scales += (s, b * s)
-    minors, _, _ = minor_table(rows)
+    minors = minor_table(rows)[0].complete()
     sign = 1 if frames.det_w0 > 0 else -1  # of each printed minor over its integer m
     return SampleReport(
         ts=ts,
@@ -324,7 +324,7 @@ def convexity_sample_check(curve: CurveSpec, grid_size: int) -> ConvexityReport:
     degenerate = det_w0 == 0  # no Frenet basis: the minors are read in curve coordinates
     det_w0 = det_w0 or Fraction(1)
     points = _integer_points(curve, grid, (0,))
-    minors, _, _ = minor_table([v for _, v in points])
+    minors = minor_table([v for _, v in points])[0].complete()
     scales = [s for s, _ in points]
     sign = 1 if det_w0 > 0 else -1
     failures = tuple((IndexSet(tuple(i + 1 for i in sub)), table_minor(minors, scales, sub, det_w0))

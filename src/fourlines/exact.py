@@ -4,13 +4,18 @@ Scalars are ``fractions.Fraction`` (always reduced, positive denominator)
 and :class:`QuadNum`, the quadratic extension Q(sqrt(d)) with a fixed
 radicand per context.  :class:`MatQ` is a small immutable dense matrix
 over either scalar type; one Gauss-Jordan pass, ``MatQ._rref``, gives its
-exact determinants, minors, inverses, ranks and nullspaces.
+exact determinants, minors, inverses, ranks and nullspaces.  The pass is
+fraction-free: a rational matrix is scaled to integers row by row and
+eliminated with exact integer divisions (Bareiss), and each output entry
+is one Fraction, so an inverse is the adjugate over the determinant.
 Every maximal minor of a k x 4 rational matrix comes from one integer
-kernel, ``minor_table``: the Pluecker pairing of two row wedges.
+kernel, ``minor_table``: the Pluecker pairing of two row wedges, made
+when the minor is first read.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -308,10 +313,10 @@ class MatQ:
         return self.rows == self.cols
 
     def det(self) -> Scalar:
-        """Exact determinant: the signed product of the pivots of ``_rref``."""
+        """Exact determinant, read from the one pass ``_rref``."""
         if not self.is_square():
             raise DimensionError(f"determinant of non-square {self.rows}x{self.cols} matrix")
-        _, pivots, det = self._rref()
+        _, pivots, _, det = self._rref()
         return det if len(pivots) == self.rows else self._zero_like()
 
     def _zero_like(self) -> Scalar:
@@ -327,19 +332,35 @@ class MatQ:
         return self.submatrix(I, J).det()
 
     def _rref(self, right: Optional[list] = None) -> tuple:
-        """Gauss-Jordan elimination of [self | right], pivoting in the columns of self.
+        """Fraction-free Gauss-Jordan elimination of [self | right], pivoting
+        in the columns of self.
 
-        Returns the reduced rows, the pivot columns (0-based, increasing) and
-        the product of the pivots, negated once per row swap; a column without
-        a pivot is spanned by the columns before it.  A square matrix with a
-        pivot in every column has that product as its determinant.
+        Returns ``(rows, pivots, den, det)``: the reduced row echelon form
+        is ``rows`` over ``den`` entry by entry (``_over``), its pivot columns
+        are ``pivots`` (0-based, increasing), and a column without a pivot is
+        spanned by the columns before it.  ``det`` is the determinant when
+        the matrix is square with a pivot in every column.
+
+        Rational rows are scaled to integers, each by the LCM of its
+        denominators, and eliminated Bareiss-style: with p the pivot of row r
+        and p' the pivot before it (1 at first), every other row i becomes
+        (p * row_i - a_ic * row_r) // p', an exact division (Sylvester's
+        identity).  So every entry stays a minor of the scaled matrix, each
+        pivot row ends with the last pivot, ``den``, in its pivot column, and
+        det is den, negated once per row swap, over the row scales.
+        ``QuadNum`` entries take the same steps with field division.
         """
-        if right is None:
-            a = [list(row) for row in self._e]
+        e = self._e if right is None else [row + tuple(extra) for row, extra in zip(self._e, right)]
+        if all(isinstance(x, Fraction) for row in e for x in row):
+            a, scale = [], 1
+            for row in e:
+                (ints,), s = integer_rows((row,))
+                a.append(ints)
+                scale *= s
+            div = operator.floordiv
         else:
-            a = [list(row) + extra for row, extra in zip(self._e, right)]
-        pivots = []
-        det = 1
+            a, scale, div = [list(row) for row in e], None, operator.truediv
+        pivots, sign, den = [], 1, 1
         for c in range(self.cols):
             r = len(pivots)
             if r == self.rows:
@@ -351,30 +372,37 @@ class MatQ:
                 continue
             if piv != r:
                 a[r], a[piv] = a[piv], a[r]
-                det = -det
-            det *= a[r][c]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
+                sign = -sign
+            top = a[r]
+            p = top[c]
             for i in range(self.rows):
-                if i != r and a[i][c]:
+                if i != r:
                     f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                    a[i] = [div(p * x - f * y, den) for x, y in zip(a[i], top)]
+            den = p
             pivots.append(c)
-        return a, pivots, det
+        return a, pivots, den, sign * den if scale is None else Fraction(sign * den, scale)
+
+    @staticmethod
+    def _over(x, den) -> Scalar:
+        """An entry of ``_rref``'s rows over its ``den``: one Fraction from two
+        integers, or one field division."""
+        return Fraction(x, den) if isinstance(x, int) else x / den
 
     def inverse(self) -> "MatQ":
-        """Exact inverse by Gauss-Jordan elimination of [self | I]."""
+        """Exact inverse by Gauss-Jordan elimination of [self | I]; each
+        entry is one division by the last pivot (``_over``)."""
         if not self.is_square():
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
         one, zero = self._one_like(), self._zero_like()
-        a, pivots, _ = self._rref([[one if i == j else zero for j in range(n)] for i in range(n)])
+        a, pivots, den, _ = self._rref([[one if i == j else zero for j in range(n)] for i in range(n)])
         if len(pivots) < n:
             k = min(set(range(n)) - set(pivots))
             raise SingularMatrixError(
                 f"matrix is singular: pivot column {k + 1} has vanishing determinant"
             )
-        return MatQ([row[n:] for row in a])
+        return MatQ([[self._over(x, den) for x in row[n:]] for row in a])
 
     def _one_like(self) -> Scalar:
         x = self._e[0][0]
@@ -387,13 +415,13 @@ class MatQ:
 
     def nullspace(self) -> list:
         """Basis of the right kernel, as tuples of Fractions."""
-        a, pivots, _ = self._rref()
+        a, pivots, den, _ = self._rref()
         basis = []
         for fc in (c for c in range(self.cols) if c not in pivots):
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
             for rr, pc in enumerate(pivots):
-                v[pc] = -a[rr][fc]
+                v[pc] = -self._over(a[rr][fc], den)
             basis.append(tuple(v))
         return basis
 
@@ -405,6 +433,32 @@ def integer_rows(rows: Sequence[Sequence]) -> tuple:
     return [[v.numerator * (s // v.denominator) for v in row] for row in rows], s
 
 
+class MinorTable(dict):
+    """The 4x4 minors of k integer rows of length 4 read so far, keyed by
+    0-based row tuples i < j < k < l.  Reading a missing key makes its
+    minor, the pairing <wedges[i, j], wedges[k, l]> of the row wedges
+    (``minor_table``), and keeps it, so a reader of a few minors pays for
+    those few; a reader of them all takes ``complete()``.
+    """
+
+    __slots__ = ("wedges", "rows")
+
+    def __init__(self, wedges: dict, rows: int):
+        super().__init__()
+        self.wedges, self.rows = wedges, rows
+
+    def __missing__(self, sub: tuple) -> int:
+        i, j, k, l = sub
+        value = self[sub] = plucker_meet(self.wedges[i, j], self.wedges[k, l])
+        return value
+
+    def complete(self) -> dict:
+        """Every minor, keyed in lexicographic order, in one pass."""
+        wedges = self.wedges
+        return {sub: plucker_meet(wedges[sub[:2]], wedges[sub[2:]])
+                for sub in combinations(range(self.rows), 4)}
+
+
 def minor_table(rows: Sequence[Sequence]) -> tuple:
     """The integer table behind the maximal minors of a k x 4 rational matrix,
     given as its rows.
@@ -414,7 +468,9 @@ def minor_table(rows: Sequence[Sequence]) -> tuple:
     ``scales[i]`` of its denominators; ``wedges[i, j]`` holds the six 2x2
     minors of scaled rows i < j, and ``minors[i, j, k, l]`` the 4x4 minor
     on scaled rows i < j < k < l, read as the pairing
-    ``<wedges[i, j], wedges[k, l]>``: Laplace expansion along two rows.  So
+    ``<wedges[i, j], wedges[k, l]>``: Laplace expansion along two rows.
+    ``minors`` is a ``MinorTable``: it pairs each minor when it is first
+    read, and ``minors.complete()`` is the dict of all of them.  So
     that minor of the matrix itself is ``table_minor(minors, scales, R)``,
     and the ints alone carry every sign.
     """
@@ -427,9 +483,7 @@ def minor_table(rows: Sequence[Sequence]) -> tuple:
     for i, j in combinations(range(len(a)), 2):
         pair = tuple(zip(a[i], a[j]))
         wedges[i, j] = wedge(pair, pair)
-    minors = {sub: plucker_meet(wedges[sub[:2]], wedges[sub[2:]])
-              for sub in combinations(range(len(a)), 4)}
-    return minors, scales, wedges
+    return MinorTable(wedges, len(a)), scales, wedges
 
 
 def table_minor(minors: dict, scales: Sequence[int], rows: tuple,

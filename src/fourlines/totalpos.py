@@ -118,20 +118,39 @@ SINGULAR_W34 = "[W3 W4] is singular: degenerate configuration"
 _W34 = (4, 5, 6, 7)
 
 
+def _xy_columns(rows, cols) -> tuple:
+    """The columns (0-based, increasing) of [X Y] whose maximal minor is
+    minor_X(rows, cols), with sign +1: the columns of X in ``cols`` and
+    column 7 - r of Y for each row r of X not in ``rows``.  The columns of Y
+    are signed unit vectors, chosen so that every sign is +1."""
+    return (*cols, *(7 - r for r in (3, 2, 1, 0) if r not in rows))
+
+
+#: The 16 initial minors of a 4x4 matrix as columns of [X Y]: for each
+#: entry (i, j), the minor on the largest contiguous block of rows and
+#: columns that ends there, min(i, j) + 1 of each.  A 4x4 matrix is totally
+#: positive exactly when these 16 are positive (Gasca and Pena, Linear
+#: Algebra Appl. 165, 1992; Fomin and Zelevinsky, Math. Intelligencer
+#: 22(1), 2000).
+_INITIAL = tuple(_xy_columns(range(i - k, i + 1), range(j - k, j + 1))
+                 for i in range(4) for j in range(4) for k in (min(i, j),))
+#: The columns of [X Y] of each entry X[r][j], row by row.
+_ENTRIES = tuple(tuple(_xy_columns((r,), (j,)) for j in range(4)) for r in range(4))
+
+
 def _canonical(blocks: ConfigBlocks, minors: dict, scales: list) -> CanonicalForm:
     """The canonical form, read from the configuration's minor table.
 
-    g = Y*[W3 W4]^(-1), and X = g*[W1 W2] by Cramer's rule: row r of Y is
-    a signed unit row that picks coordinate 3 - r of [W3 W4]^(-1) w_j, and
-    the sign of that row cancels the sign of moving column j to the front,
-    so X[r][j] = minor_W({j} + W34 - {8 - r}) / det[W3 W4] (1-based
-    columns), with sign +1 for every r.
+    g = Y*[W3 W4]^(-1), and X = g*[W1 W2] by Cramer's rule: with det g =
+    1/det[W3 W4], each minor of X is a maximal minor of W over det[W3 W4]
+    (``_xy_columns``), so X[r][j] = minor_W(j, W34 - {7 - r}) / det[W3 W4]
+    (0-based columns).
     """
     det34 = minors[_W34]
     if not det34:
         raise DegenerateConfiguration(SINGULAR_W34)
-    x = [[Fraction(minors[(j, *(c for c in _W34 if c != 7 - r))] * scales[7 - r], det34 * scales[j])
-          for j in range(4)] for r in range(4)]
+    x = [[Fraction(minors[cols] * scales[7 - r], det34 * scales[j]) for j, cols in enumerate(row)]
+         for r, row in enumerate(_ENTRIES)]
     g = y_sign_times(blocks.w3.hstack(blocks.w4).inverse())
     return CanonicalForm(g=g, x=MatQ(x), y=Y_SIGN, orientation=1 if det34 > 0 else -1)
 
@@ -143,43 +162,42 @@ def _columns(blocks: ConfigBlocks) -> list:
 def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     """All 70 maximal minors of the 4x8 concatenation strictly positive?
 
-    Reports the lexicographically first non-positive minor on failure.
-    All 70 come from one ``minor_table`` of the configuration's columns,
-    and the witness is its integer over the four column scales.  The
-    report carries the canonical form read from the same table (none when
-    [W3 W4] is singular).
+    The minors are pairings of the column wedges in one ``minor_table``,
+    each made when first read.  With g*W = [X Y] and det g =
+    1/det[W3 W4], every maximal minor of W is det[W3 W4] times a minor of
+    X (``_xy_columns``), so W is totally positive exactly when
+    det[W3 W4] > 0 and X is totally positive, which its 16 initial minors
+    decide (``_INITIAL``; Gasca and Pena 1992, Fomin and Zelevinsky
+    2000).  A TP verdict reads those 17 pairings, and the
+    canonical form the report carries (none when [W3 W4] is singular)
+    reads the 9 other entries of X: 26 of the 70.  Only a failure scans
+    the 70 in lexicographic order, up to the first non-positive one; that
+    witness is its integer over the four column scales.
 
-    A TP verdict also proves det(g) = 1/minor_W(5,6,7,8) > 0 and, since
-    each minor of X is a positive multiple of a maximal minor of W, that
-    X is totally positive.  So a 4x4 matrix X is checked as
-    ``check_tp_config(blocks_of_canonical(X))``: the 70 maximal minors of
-    [X Y] are its 69 minors and det Y = 1.
+    A TP verdict also proves det(g) > 0 and that X is totally positive.
+    So a 4x4 matrix X is checked as ``check_tp_config(blocks_of_canonical(X))``:
+    the 70 maximal minors of [X Y] are its 69 minors and det Y = 1.
     """
     minors, scales, wedges = minor_table(_columns(blocks))
     for idx in range(4):
         if not any(wedges[2 * idx, 2 * idx + 1]):
             raise InputError(f"block W{idx + 1} is rank-deficient")
     canon = _canonical(blocks, minors, scales) if minors[_W34] else None
-    for cols, v in minors.items():
-        if v <= 0:
-            return TPReport(False, IndexSet(tuple(c + 1 for c in cols)),
-                            table_minor(minors, scales, cols), canonical=canon)
-    return TPReport(True, canonical=canon)
+    if minors[_W34] > 0 and all(minors[cols] > 0 for cols in _INITIAL):
+        return TPReport(True, canonical=canon)
+    # one of those 17 is not positive, so the scan stops
+    cols = next(cols for cols in combinations(range(8), 4) if minors[cols] <= 0)
+    return TPReport(False, IndexSet(tuple(c + 1 for c in cols)),
+                    table_minor(minors, scales, cols), canonical=canon)
 
 
 def _square_minors(x: MatQ):
     """minor_X(R, J) of a 4x4 matrix as a function of 0-based row and column
-    tuples, read from the maximal minors of [X Y].
-
-    The columns of Y are signed unit vectors, and Y is chosen so that
-    minor_X(R, J) is the maximal minor of [X Y] on the columns J and 8 - r
-    for every row r not in R, with sign +1.
-    """
+    tuples, read from the maximal minors of [X Y] (``_xy_columns``)."""
     if x.rows != 4 or x.cols != 4:
         raise DimensionError("expected a 4x4 matrix")
     minors, scales, _ = minor_table(_columns(blocks_of_canonical(x)))
-    return lambda rows, cols: table_minor(
-        minors, scales, (*cols, *(7 - r for r in (3, 2, 1, 0) if r not in rows)))
+    return lambda rows, cols: table_minor(minors, scales, _xy_columns(rows, cols))
 
 
 def canonicalize(blocks: ConfigBlocks) -> CanonicalForm:

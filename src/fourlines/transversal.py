@@ -293,9 +293,11 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     Pluecker pairing, which equals det[W_i | L_j] exactly.
     The certificates run on the integer parts of each line, and the printed
     roots, spans and Pluecker vectors are one division each of those
-    integers (``_printed``).  A solution prints g and X first, so when one
-    of their entries is past the print limit, the InputError that printing
-    it would raise comes before the solve.
+    integers (``_printed``).  A solution prints g and X first, then the
+    forms and A, B, C and D; when one of those numbers is past the print
+    limit, the InputError that printing it would raise comes as soon as
+    the number is known: g and X before the solve, the rest after the
+    checks on D and the roots, before any line is built.
     """
     tp = check_tp_config(blocks)
     canon = tp.canonical
@@ -316,6 +318,8 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     warnings.extend(w2)
     if len(roots) != 2:
         raise NonGenericConfiguration("expected exactly two chart solutions")
+    # the forms and A, B, C, D print next, in this order
+    refuse_unprintable((*forms[0].coeffs(), *forms[1].coeffs(), quadratic.a, quadratic.b, quadratic.c, disc))
     # root 2 of a conjugate pair is the conjugate of root 1 and the meeting
     # points are rational in x and y, so line 2 is the conjugate of line 1
     pair = roots[0][0][1] != 0

@@ -118,7 +118,7 @@ def sample_oracle(curve, ts, epsilon, pairs) -> SampleReport:
     cols = [u for v, d in pairs for u in (v, tuple(a + epsilon * b for a, b in zip(v, d)))]
     w = (frenet_basis(curve) @ MatQ.from_cols(cols)).transpose()
     table, scales, _ = minor_table(w.entries())
-    minors = [table_minor(table, scales, rows) for rows in table]
+    minors = [table_minor(table, scales, rows) for rows in table.complete()]
     return SampleReport(ts=tuple(ts), epsilon=epsilon, w=w, minors=tuple(zip(curves._SAMPLE_ROWS, minors)),
                         kappas=curves._SAMPLE_KAPPAS, ok=all(m > 0 for m in minors))
 

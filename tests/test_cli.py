@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +23,7 @@ from fourlines import (
     random_tp_instance,
 )
 import fourlines
-from fourlines import curves, totalpos, transversal
+from fourlines import curves, exact, totalpos, transversal
 from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N, lemma_sample
 from fourlines.errors import number_text
 from fourlines.exact import minor_table
@@ -581,6 +582,35 @@ class TestErrorPaths:
             4, "error: [W3 W4] is singular: degenerate configuration\n")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["check-tp", "solve"])
+    def test_a_tp_verdict_makes_26_pairings(self, tmp_path, capsys, monkeypatch, command):
+        # det[W3 W4] and the 16 initial minors of X decide the verdict, and
+        # the canonical form reads the 9 other entries of X: 26 of the 70
+        # maximal minors, each one pairing of two column wedges
+        calls = []
+        pair = exact.plucker_meet
+        monkeypatch.setattr(exact, "plucker_meet", lambda p, q: calls.append(1) or pair(p, q))
+        for seed, bound in ((0, 10), (1, 10**30)):
+            path = write_obj(tmp_path, ser.blocks_to_obj(random_tp_instance(seed, bound)[1]))
+            calls.clear()
+            assert run([command, "--input", path]) == 0
+            assert len(calls) == 26
+        capsys.readouterr()
+
+    def test_a_failure_makes_the_pairings_up_to_its_witness(self, tmp_path, capsys, monkeypatch):
+        # negating row 1 of every block negates every maximal minor: the
+        # canonical form reads det[W3 W4] < 0 and the 16 entries of X, the
+        # verdict stops at det[W3 W4], and the scan at the first minor
+        ws = [w.entries() for w in random_tp_instance(0)[1].blocks()]
+        flipped = ConfigBlocks(*(MatQ([[-v for v in w[0]], *w[1:]]) for w in ws))
+        path = write_obj(tmp_path, ser.blocks_to_obj(flipped))
+        calls = []
+        pair = exact.plucker_meet
+        monkeypatch.setattr(exact, "plucker_meet", lambda p, q: calls.append(1) or pair(p, q))
+        assert run(["check-tp", "--input", path]) == 3
+        assert json.loads(capsys.readouterr().out)["witness"]["cols"] == [1, 2, 3, 4]
+        assert len(calls) == 18
+
     def test_block_shape(self, tmp_path, capsys):
         obj = ser.blocks_to_obj(random_tp_instance(0)[1])
         obj["blocks"][0] = obj["blocks"][0][:3]
@@ -704,6 +734,38 @@ class TestPrintLimit:
         monkeypatch.setattr(transversal, "_integer_chart", chart)
         assert run_err(["solve", "--input", write_obj(tmp_path, obj)], capsys) == (
             2, f"error: an output number of {digits} digits exceeds the 4300-digit print limit\n")
+
+    @pytest.mark.parametrize("seed, digits", [(0, 4751), (1, 4751), (2, 4749), (3, 4742), (4, 4752),
+                                              (5, 4746), (7, 4754)])
+    def test_unprintable_form_is_refused_before_the_lines(self, tmp_path, capsys, monkeypatch, seed, digits):
+        # 399-character literals: g and X print and the first bilinear form
+        # does not, so solve refuses after the checks on D and the roots and
+        # builds no line, with the message that printing the form gives
+        obj = big_literal_config(seed)
+        canon = totalpos.check_tp_config(ser.blocks_from_obj(obj)).canonical
+        assert all(number_text(v)[0] != "<" for m in (canon.g, canon.x) for row in m.entries() for v in row)
+
+        def certify(*args):
+            raise AssertionError("built the lines of a solution that cannot print")
+
+        monkeypatch.setattr(transversal, "_certify_lines", certify)
+        assert run_err(["solve", "--input", write_obj(tmp_path, obj)], capsys) == (
+            2, f"error: an output number of {digits} digits exceeds the 4300-digit print limit\n")
+
+    @pytest.mark.parametrize("seed, digits", [(0, 923), (1, 926), (2, 936)])
+    def test_unprintable_discriminant_is_refused_before_the_lines(self, tmp_path, capsys, monkeypatch,
+                                                                   seed, digits):
+        # under a 900-digit limit a bound-10^30 instance prints g, X, the
+        # forms, A, B and C, and not D
+        path = write_obj(tmp_path, ser.blocks_to_obj(random_tp_instance(seed, 10**30)[1]))
+        monkeypatch.setattr(transversal, "_certify_lines", None)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(900)
+        try:
+            assert run_err(["solve", "--input", path], capsys) == (
+                2, f"error: an output number of {digits} digits exceeds the 900-digit print limit\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_printable_canonical_form_is_not_converted(self, monkeypatch):
         calls = []

@@ -344,3 +344,124 @@ class TestGaussJordan:
                      if rank_by_minors(m.submatrix(range(1, n + 1), range(1, c + 1))) < c)
         with pytest.raises(SingularMatrixError, match=f"pivot column {first} has vanishing"):
             m.inverse()
+
+
+def pivot_columns(m: MatQ) -> list:
+    """0-based columns that the columns before them do not span, by minors."""
+    ranks = [0] + [rank_by_minors(m.submatrix(range(1, m.rows + 1), range(1, c + 1)))
+                   for c in range(1, m.cols + 1)]
+    return [c for c in range(m.cols) if ranks[c + 1] > ranks[c]]
+
+
+def nullspace_by_cramer(m: MatQ) -> list:
+    """The basis ``nullspace`` promises (one vector per non-pivot column f,
+    1 at f and 0 at the other non-pivot columns), solved by Cramer's rule
+    on rows where the pivot columns have a non-zero minor."""
+    piv = pivot_columns(m)
+    rows = next((r for r in combinations(range(m.rows), len(piv))
+                 if det_cofactor(MatQ([[m[i, c] for c in piv] for i in r]))), ())
+    square = [[m[i, c] for c in piv] for i in rows]
+    den = det_cofactor(MatQ(square)) if piv else 1
+    basis = []
+    for f in (c for c in range(m.cols) if c not in piv):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for t, c in enumerate(piv):
+            # column t of the pivot block replaced by -m[:, f]
+            swapped = [[-m[i, f] if s == t else x for s, x in enumerate(row)] for i, row in zip(rows, square)]
+            v[c] = det_cofactor(MatQ(swapped)) / den
+        basis.append(tuple(v))
+    return basis
+
+
+def adjugate_inverse(m: MatQ) -> MatQ:
+    """Cofactors over the determinant, by Laplace expansion."""
+    n, det = m.rows, det_cofactor(m)
+    if n == 1:
+        return MatQ([[1 / det]])
+    return MatQ([[(-1) ** (i + j) * det_cofactor(m.submatrix(
+        [r + 1 for r in range(n) if r != j], [c + 1 for c in range(n) if c != i])) / det
+        for j in range(n)] for i in range(n)])
+
+
+def big_fraction(rng: random.Random, digits: int) -> Fraction:
+    return Fraction(rng.randrange(-(10**digits), 10**digits), rng.randrange(10 ** (digits - 1), 10**digits))
+
+
+def fraction_free_inputs() -> dict:
+    """Matrices for the fraction-free pass: large and mixed denominators,
+    zero pivots that force row swaps (also after the first step), rank
+    deficiency, and the [W3 W4] of tangent configurations."""
+    from fourlines import CurveSpec, tangent_config
+
+    rng = random.Random(59)
+    out = {f"25-digit {k}": MatQ([[big_fraction(rng, 25) for _ in range(4)] for _ in range(4)])
+           for k in range(3)}
+    out["12-digit 5x5"] = MatQ([[big_fraction(rng, 12) for _ in range(5)] for _ in range(5)])
+    out["12-digit 3x5"] = MatQ([[big_fraction(rng, 12) for _ in range(5)] for _ in range(3)])
+    thin = MatQ([[big_fraction(rng, 15) for _ in range(2)] for _ in range(4)])
+    for cols in (4, 5):
+        out[f"rank 2 of 4x{cols}, 15-digit"] = thin @ MatQ([[big_fraction(rng, 15) for _ in range(cols)]
+                                                             for _ in range(2)])
+    h = Fraction(1, 10**20 + 3)
+    # column 2 has no pivot left after step 1: a swap on the second step
+    out["second pivot swap"] = MatQ([[h, h, h], [h, h, 2 * h], [h, 2 * h, h]])
+    out["zero column first"] = MatQ([[0, 1, Fraction(2, 3)], [0, Fraction(3, 7), 4], [0, 5, 7]])
+    out["zero leading entries"] = MatQ([[0, 0, Fraction(1, 3), 2], [0, Fraction(5, 2), 1, 0],
+                                       [Fraction(7, 9), 1, 0, 0], [1, 0, 0, Fraction(1, 11)]])
+    out["dependent last column"] = MatQ([[1, Fraction(1, 2), Fraction(3, 2)],
+                                        [Fraction(2, 5), 3, Fraction(17, 5)], [7, 0, 7]])
+    ts = (Fraction(1, 20), Fraction(37, 100), Fraction(9, 10), Fraction(49, 50))
+    quartic = CurveSpec(kind="polynomial",
+                        components=((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1, Fraction(-1, 10))))
+    for name, curve in (("moment", CurveSpec.moment()), ("quartic", quartic)):
+        blocks = tangent_config(curve, ts)
+        out[f"tangent [W3 W4], {name}"] = blocks.w3.hstack(blocks.w4)
+    return out
+
+
+FRACTION_FREE_INPUTS = fraction_free_inputs()
+
+
+class TestFractionFreePass:
+    @pytest.mark.parametrize("name", sorted(FRACTION_FREE_INPUTS))
+    def test_against_the_cofactor_oracle(self, name):
+        m = FRACTION_FREE_INPUTS[name]
+        assert m.rank() == rank_by_minors(m)
+        assert m.nullspace() == nullspace_by_cramer(m)
+        if not m.is_square():
+            return
+        det = m.det()
+        assert type(det) is Fraction and det == det_cofactor(m)
+        if det:
+            inv = m.inverse()
+            assert inv == adjugate_inverse(m)
+            assert m @ inv == MatQ.identity(m.rows) == inv @ m
+        else:
+            missing = min(set(range(m.rows)) - set(pivot_columns(m))) + 1
+            with pytest.raises(SingularMatrixError, match=f"^matrix is singular: pivot column {missing} "
+                                                          f"has vanishing determinant$"):
+                m.inverse()
+
+    def test_tangent_inputs_are_invertible(self):
+        for name in ("moment", "quartic"):
+            assert FRACTION_FREE_INPUTS[f"tangent [W3 W4], {name}"].det() != 0
+
+    @pytest.mark.parametrize("rows, column", [
+        ([[1, 2], [2, 4]], 2),
+        ([[0, 1], [0, 3]], 1),
+        ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], 3),
+        ([[Fraction(1, 3), Fraction(2, 3), 0], [1, 2, 5], [2, 4, 1]], 2),
+    ])
+    def test_singular_message(self, rows, column):
+        with pytest.raises(SingularMatrixError,
+                           match=f"^matrix is singular: pivot column {column} has vanishing determinant$"):
+            MatQ(rows).inverse()
+
+    def test_quadnum_inverse_round_trip(self):
+        m = DET_INPUTS["quad"]
+        inv = m.inverse()
+        assert all(isinstance(x, QuadNum) and x.d == 2 for row in inv.entries() for x in row)
+        assert m @ inv == MatQ.identity(3) == inv @ m
+        with pytest.raises(SingularMatrixError, match="pivot column 2"):
+            DET_INPUTS["quad singular"].inverse()

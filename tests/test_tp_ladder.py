@@ -41,7 +41,7 @@ from fourlines import (
     random_tp_instance,
     solve_transversals,
 )
-from fourlines import transversal
+from fourlines import exact, transversal
 from fourlines.curves import POLYNOMIAL
 from fourlines.exact import minor_table, table_minor
 from fourlines.totalpos import _square_minors
@@ -136,8 +136,10 @@ def from_entries(ws) -> ConfigBlocks:
     return ConfigBlocks(*(MatQ(w) for w in ws))
 
 
-def zeroing_change(blocks: ConfigBlocks, block: int, row: int, col: int, target) -> ConfigBlocks:
-    """Change one entry so that the maximal minor on columns ``target`` is 0.
+def zeroing_change(blocks: ConfigBlocks, block: int, row: int, col: int, target,
+                   beyond=Fraction(0)) -> ConfigBlocks:
+    """Change one entry so that the maximal minor on columns ``target`` is 0,
+    or, with ``beyond`` > 0, moves that fraction of the way further.
 
     The minor is affine in a single entry, so two evaluations give the root.
     """
@@ -148,7 +150,7 @@ def zeroing_change(blocks: ConfigBlocks, block: int, row: int, col: int, target)
     slope = minor(concat(from_entries(ws)), ROWS4, target) - m0
     if slope == 0:
         return None
-    ws[block][row][col] = v0 - m0 / slope
+    ws[block][row][col] = v0 - (1 + beyond) * m0 / slope
     return from_entries(ws)
 
 
@@ -219,7 +221,7 @@ class TestLadder:
             scales = [math.lcm(*(v.denominator for v in col)) for col in xy_columns(x)]
             table, table_scales, _ = minor_table(xy_columns(x))
             assert table_scales == scales and scales[4:] == [1] * 4
-            assert len(table) == 70
+            assert len(table) == 0 and len(table.complete()) == 70
             for cols, rows, xcols in CONFIG_MINORS:
                 exact = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in xcols))
                 assert table[tuple(c - 1 for c in cols)] == exact * math.prod(scales[c] for c in xcols)
@@ -227,20 +229,25 @@ class TestLadder:
 
 def assert_ladder_is_exact(m: MatQ):
     """Every entry of the minor table, the wedges of all row pairs and the
-    maximal minors, and ``table_minor`` on each row set, against the
-    cofactor oracle."""
+    maximal minors (complete, and each read on its own), and ``table_minor``
+    on each row set, against the cofactor oracle."""
     table, scales, wedges = minor_table(m.entries())
     assert scales == [math.lcm(*(v.denominator for v in row)) for row in m.entries()]
     assert list(wedges) == list(combinations(range(m.rows), 2))
-    assert list(table) == list(combinations(range(m.rows), 4))
+    full = table.complete()
+    assert list(full) == list(combinations(range(m.rows), 4))
     for (i, j), w in wedges.items():
         assert [Fraction(v, scales[i] * scales[j]) for v in w] == [
             minor(m, (i + 1, j + 1), cols) for cols in combinations(ROWS4, 2)]
-    for rows, value in table.items():
+    for rows, value in full.items():
         exact = minor(m, tuple(r + 1 for r in rows), ROWS4)
         assert Fraction(value, math.prod(scales[r] for r in rows)) == exact
-    assert [table_minor(table, scales, rows) for rows in table] == [
-        minor(m, rows, ROWS4) for rows in combinations(range(1, m.rows + 1), 4)]
+    # a read pairs its minor and keeps it, in the order read
+    assert not table
+    backwards = list(full)[::-1]
+    assert [table_minor(table, scales, rows) for rows in backwards] == [
+        minor(m, tuple(r + 1 for r in rows), ROWS4) for rows in backwards]
+    assert table == full and list(table) == backwards
 
 
 def rand_with_zeros(rng: random.Random, rows: int, cols: int) -> MatQ:
@@ -404,6 +411,149 @@ class TestCheckTpConfig:
         assert check_tp_config(singular).canonical is None
         with pytest.raises(DegenerateConfiguration, match=r"\[W3 W4\] is singular"):
             canonicalize(singular)
+
+
+#: The 17 column sets (1-based) that decide a TP verdict: det[W3 W4] and
+#: the 16 initial minors of X, the minors on contiguous rows and columns
+#: ending at an entry (i, j) that touch row 0 or column 0.
+VERDICT_COLS = frozenset({(5, 6, 7, 8)} | {
+    cols for cols, rows, xcols in CONFIG_MINORS for i in range(4) for j in range(4)
+    if rows == tuple(range(i - min(i, j), i + 1)) and xcols == tuple(range(j - min(i, j), j + 1))})
+#: Near-boundary kinds of ``TestSeventeenMinors``.
+NEAR_KINDS = ("tp", "one-zero", "one-below", "zero", "below", "permuted", "singular", "flipped")
+
+
+def near_boundary(values, kind: str, block: int, row: int, col: int, target: int, seed: int):
+    """A configuration of ``kind`` from the TP matrix X = ``lw_compose(values)``,
+    in coordinates changed by a matrix of positive determinant, or None.
+
+    "one-zero" and "one-below" move entry (block, row) of X up (col 1) or
+    down (col 0) until the first minor through it is 0, or halfway on to the
+    next one (``past_the_boundary``); "zero" and "below" move entry ``row``
+    of column ``col`` of block ``block`` until the maximal minor on column
+    set ``target`` (one of the 70) is 0, or 1/1000 of the way past it.
+    "permuted" reorders the blocks, "singular" makes W4 span W3's plane,
+    and "flipped" changes coordinates by a matrix of negative determinant.
+    """
+    rng = random.Random(seed)
+    x = lw_compose(LWParams(tuple(values)))
+    if kind in ("one-zero", "one-below"):
+        x = past_the_boundary(x, block, row, 2 * col - 1, kind == "one-below")
+        if x is None:
+            return None
+    blocks = premultiply(blocks_of_canonical(x), rand_pos_det(rng))
+    if kind in ("zero", "below"):
+        cols = list(combinations(range(1, 9), 4))[target]
+        if 2 * block + col + 1 not in cols:
+            return None
+        beyond = Fraction(1, 1000) if kind == "below" else Fraction(0)
+        return zeroing_change(blocks, block, row, col, cols, beyond)
+    if kind == "permuted":
+        order = [0, 1, 2, 3]
+        while order == sorted(order):
+            rng.shuffle(order)
+        return ConfigBlocks(*(blocks.blocks()[j] for j in order))
+    if kind == "singular":
+        return ConfigBlocks(blocks.w1, blocks.w2, blocks.w3, blocks.w3 @ rand_pos_det(rng, 2))
+    if kind == "flipped":
+        return premultiply(blocks, MatQ([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    return blocks
+
+
+def from_initial_minors(target) -> MatQ:
+    """The 4x4 matrix whose initial minor ending at entry (i, j) is
+    ``target[i][j]``.  Filled row by row, each entry enters its own initial
+    minor linearly, with the initial minor ending at (i-1, j-1) (or 1) as
+    coefficient, and no earlier one, so each entry is one linear solve."""
+    x = [[Fraction(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            k = min(i, j)
+            rows, cols = tuple(range(i - k + 1, i + 2)), tuple(range(j - k + 1, j + 2))
+            x[i][j] = Fraction(0)
+            m0 = minor(MatQ(x), rows, cols)
+            x[i][j] = Fraction(1)
+            x[i][j] = (target[i][j] - m0) / (minor(MatQ(x), rows, cols) - m0)
+    return MatQ(x)
+
+
+class TestSeventeenMinors:
+    """The verdict reads det[W3 W4] and the 16 initial minors of X (26
+    pairings with the canonical form), and the witness of a failure is the
+    70-minor scan's."""
+
+    def test_the_17_column_sets(self):
+        assert len(VERDICT_COLS) == 17
+        # the initial minors of X: every entry of the first row and column,
+        # and one minor of each order ending at each other entry
+        orders = sorted(len(CONFIG_MINORS[list(combinations(range(1, 9), 4)).index(c)][1])
+                        for c in VERDICT_COLS)
+        assert orders == [0] + [1] * 7 + [2] * 5 + [3] * 3 + [4]
+
+    def test_each_verdict_minor_decides(self):
+        # X with one initial minor -1 or 0 and the other 15 positive is not
+        # TP; with all 16 negative, W = h [X Y] for det h < 0 has its 16
+        # initial-minor column sets positive and det[W3 W4] < 0
+        rng = random.Random(67)
+        cases = []
+        for i in range(4):
+            for j in range(4):
+                for value in (-1, 0) if 3 in (i, j) else (-1,):
+                    target = [[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+                              for _ in range(4)]
+                    target[i][j] = Fraction(value)
+                    cases.append((from_initial_minors(target), rand_pos_det(rng)))
+        negative = from_initial_minors([[Fraction(-rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
+                                        for _ in range(4)])
+        flip = MatQ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        cases.append((negative, flip @ rand_pos_det(rng)))
+        for x, h in cases:
+            blocks = premultiply(blocks_of_canonical(x), h)
+            want = oracle_config(blocks)
+            assert not want[0] and as_tuple(check_tp_config(blocks)) == want
+        w = concat(premultiply(blocks_of_canonical(negative), flip))
+        assert {cols for cols in VERDICT_COLS if minor(w, ROWS4, cols) <= 0} == {(5, 6, 7, 8)}
+
+    def test_matrix_from_initial_minors(self):
+        target = [[Fraction(-1 if (i + j) % 3 else 2, j + 1) for j in range(4)] for i in range(4)]
+        x = from_initial_minors(target)
+        for i in range(4):
+            for j in range(4):
+                k = min(i, j)
+                rows, cols = tuple(range(i - k + 1, i + 2)), tuple(range(j - k + 1, j + 2))
+                assert minor(x, rows, cols) == target[i][j]
+
+    @settings(derandomize=True, max_examples=160, deadline=None, database=None)
+    @given(st.lists(st.fractions(Fraction(1, 10), 10, max_denominator=10), min_size=16, max_size=16),
+           st.sampled_from(NEAR_KINDS), st.integers(0, 3), st.integers(0, 3), st.integers(0, 1),
+           st.integers(0, 69), st.integers(0, 10**6))
+    def test_verdict_and_witness_are_the_scan(self, values, kind, block, row, col, target, seed):
+        blocks = near_boundary(values, kind, block, row, col, target, seed)
+        assume(blocks is not None and all(w.rank() == 2 for w in blocks.blocks()))
+        a = concat(blocks)
+        minors = {cols: minor(a, ROWS4, cols) for cols in combinations(range(1, 9), 4)}
+        nonpositive = [cols for cols, value in minors.items() if value <= 0]
+        if kind.startswith("one"):
+            assume(len(nonpositive) == 1)  # exactly one minor <= 0: one of the 17
+        pairings = []
+        with pytest.MonkeyPatch.context() as mp:
+            pair = exact.plucker_meet
+            mp.setattr(exact, "plucker_meet", lambda p, q: pairings.append(1) or pair(p, q))
+            rep = check_tp_config(blocks)
+        want = (False, nonpositive[0], minors[nonpositive[0]]) if nonpositive else (True, None, None)
+        assert as_tuple(rep) == want
+        assert want[0] == (kind == "tp")
+        assert not nonpositive or set(nonpositive) & VERDICT_COLS
+        if kind == "singular":
+            assert rep.canonical is None and (5, 6, 7, 8) in nonpositive
+        if want[0]:
+            assert len(pairings) == 26
+        else:
+            assert len(pairings) <= 70
+            if kind.endswith("zero"):
+                assert 0 in minors.values()
+            if kind.startswith("one"):
+                assert (want[2] == 0) == (kind == "one-zero")
 
 
 #: The 69 minors of a 4x4 matrix as 1-based (rows, columns).
