@@ -241,9 +241,23 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[_Frames] = None
     )
 
 
+#: ((curve, ts), report) of the last report ``_certifying_sample``
+#: certified, held for one reuse; None when there is none.
+_last_certified: Optional[tuple] = None
+
+
 def _certifying_sample(curve: CurveSpec, ts) -> SampleReport:
     """Deterministic halving search; the first sample report that certifies
     the sampling lemma.
+
+    The last report it certified is reused once: a call that finds it held
+    for the same curve and ts (equal by value) returns it and runs no
+    search, so ``curve-sample --epsilon auto`` then ``tangent_config`` on
+    one curve and ts search once.  Every call empties the holder and only
+    a search refills it, so a repeated pair pays for its own search and at
+    most one report is held.  The search is a function of the values of
+    the curve and ts, and a report is immutable and passed every check
+    when it was made, so the reused report is the one a search would give.
 
     The frames (as in ``lemma_sample``) are computed once; each halving
     only forms the shifted integer rows and reads their 70 minors from
@@ -261,7 +275,11 @@ def _certifying_sample(curve: CurveSpec, ts) -> SampleReport:
     small enough eps certifies: the search refuses after one halving or
     never.
     """
+    global _last_certified
     ts = _validate_ts(ts)
+    held, _last_certified = _last_certified, None
+    if held is not None and held[0] == (curve, ts):
+        return held[1]
     frames = _frames(curve, ts)
     gaps = [ts[i + 1] - ts[i] for i in range(3)] + [Fraction(1) - ts[3]]
     eps = min(gaps) / 4
@@ -276,6 +294,7 @@ def _certifying_sample(curve: CurveSpec, ts) -> SampleReport:
                 )
         report = lemma_sample(curve, ts, eps, frames=frames)
         if report.ok:
+            _last_certified = (curve, ts), report
             return report
         eps /= 2
     raise SearchFailure(f"no certifying epsilon found after {MAX_HALVINGS} halvings")
@@ -294,7 +313,9 @@ def tangent_config(curve: CurveSpec, ts) -> ConfigBlocks:
     the sample's, all positive, and ``check_tp_config`` verifies them.
     Block k spans the same plane as ``tangent_block`` at t_k.  A cusp at
     t_k zeroes every sample minor that holds both rows of pair k, so the
-    search refuses it.
+    search refuses it.  Right after ``curve-sample --epsilon auto`` on the
+    same curve and ts, the sample it certified is reused and no search runs
+    (``_certifying_sample``).
     """
     w = _certifying_sample(curve, ts).w
     return ConfigBlocks(*(MatQ.from_cols([w.row(2 * k), w.row(2 * k + 1)]) for k in range(4)))

@@ -9,8 +9,8 @@ fraction-free: a rational matrix is scaled to integers row by row and
 eliminated with exact integer divisions (Bareiss), and each output entry
 is one Fraction, so an inverse is the adjugate over the determinant.
 Every maximal minor of a k x 4 rational matrix comes from one integer
-kernel, ``minor_table``: the Pluecker pairing of two row wedges, made
-when the minor is first read.
+kernel, ``minor_table``: the Pluecker pairing of two row wedges, each
+minor and each wedge made when it is first read.
 """
 from __future__ import annotations
 
@@ -433,19 +433,46 @@ def integer_rows(rows: Sequence[Sequence]) -> tuple:
     return [[v.numerator * (s // v.denominator) for v in row] for row in rows], s
 
 
+class Wedges(dict):
+    """The wedges of k integer rows of length 4 made so far, keyed by
+    0-based row pairs i < j: ``wedges[i, j]`` holds the six 2x2 minors of
+    rows i and j.  Reading a missing pair makes its wedge and keeps it, so
+    a reader of a few wedges pays for those few.
+    """
+
+    __slots__ = ("ints",)
+
+    def __init__(self, ints: list):
+        super().__init__()
+        self.ints = ints
+
+    def __missing__(self, pair: tuple) -> tuple:
+        i, j = pair
+        rows = tuple(zip(self.ints[i], self.ints[j]))
+        value = self[pair] = wedge(rows, rows)
+        return value
+
+    def complete(self) -> dict:
+        """Every wedge, keyed in lexicographic order, in one pass."""
+        ints = self.ints
+        return {(i, j): wedge(rows, rows) for i, j in combinations(range(len(ints)), 2)
+                for rows in (tuple(zip(ints[i], ints[j])),)}
+
+
 class MinorTable(dict):
     """The 4x4 minors of k integer rows of length 4 read so far, keyed by
     0-based row tuples i < j < k < l.  Reading a missing key makes its
     minor, the pairing <wedges[i, j], wedges[k, l]> of the row wedges
     (``minor_table``), and keeps it, so a reader of a few minors pays for
-    those few; a reader of them all takes ``complete()``.
+    those few and the wedges they pair; a reader of them all takes
+    ``complete()``.
     """
 
-    __slots__ = ("wedges", "rows")
+    __slots__ = ("wedges",)
 
-    def __init__(self, wedges: dict, rows: int):
+    def __init__(self, wedges: Wedges):
         super().__init__()
-        self.wedges, self.rows = wedges, rows
+        self.wedges = wedges
 
     def __missing__(self, sub: tuple) -> int:
         i, j, k, l = sub
@@ -454,9 +481,9 @@ class MinorTable(dict):
 
     def complete(self) -> dict:
         """Every minor, keyed in lexicographic order, in one pass."""
-        wedges = self.wedges
+        wedges = self.wedges.complete()
         return {sub: plucker_meet(wedges[sub[:2]], wedges[sub[2:]])
-                for sub in combinations(range(self.rows), 4)}
+                for sub in combinations(range(len(self.wedges.ints)), 4)}
 
 
 def minor_table(rows: Sequence[Sequence]) -> tuple:
@@ -469,21 +496,20 @@ def minor_table(rows: Sequence[Sequence]) -> tuple:
     minors of scaled rows i < j, and ``minors[i, j, k, l]`` the 4x4 minor
     on scaled rows i < j < k < l, read as the pairing
     ``<wedges[i, j], wedges[k, l]>``: Laplace expansion along two rows.
-    ``minors`` is a ``MinorTable``: it pairs each minor when it is first
-    read, and ``minors.complete()`` is the dict of all of them.  So
-    that minor of the matrix itself is ``table_minor(minors, scales, R)``,
-    and the ints alone carry every sign.
+    Both are made when first read (``Wedges``, ``MinorTable``), so a TP
+    ``check_tp_config``, which reads 26 minors and the four block wedges,
+    makes 17 of the 28 wedges; ``complete()`` of either is the dict of all
+    of them.  So that minor of the matrix
+    itself is ``table_minor(minors, scales, R)``, and the ints alone carry
+    every sign.
     """
     a, scales = [], []
     for row in rows:
         (ints,), s = integer_rows((row,))
         a.append(ints)
         scales.append(s)
-    wedges = {}
-    for i, j in combinations(range(len(a)), 2):
-        pair = tuple(zip(a[i], a[j]))
-        wedges[i, j] = wedge(pair, pair)
-    return MinorTable(wedges, len(a)), scales, wedges
+    wedges = Wedges(a)
+    return MinorTable(wedges), scales, wedges
 
 
 def table_minor(minors: dict, scales: Sequence[int], rows: tuple,

@@ -30,6 +30,14 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture(autouse=True)
+def no_held_sample():
+    """Each test starts with no certified sample held for reuse
+    (``curves._certifying_sample``): a report one test certified, maybe on
+    patched frames, is never another test's."""
+    curves._last_certified = None
+
+
 @pytest.fixture
 def x1() -> MatQ:
     return MatQ(X1_ENTRIES)

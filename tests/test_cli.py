@@ -586,15 +586,19 @@ class TestErrorPaths:
     def test_a_tp_verdict_makes_26_pairings(self, tmp_path, capsys, monkeypatch, command):
         # det[W3 W4] and the 16 initial minors of X decide the verdict, and
         # the canonical form reads the 9 other entries of X: 26 of the 70
-        # maximal minors, each one pairing of two column wedges
-        calls = []
-        pair = exact.plucker_meet
+        # maximal minors, each one pairing of two column wedges.  Those
+        # pairings and the four block ranks read 17 of the 28 wedges.
+        calls, wedges = [], []
+        pair, wedge = exact.plucker_meet, exact.wedge
         monkeypatch.setattr(exact, "plucker_meet", lambda p, q: calls.append(1) or pair(p, q))
+        monkeypatch.setattr(exact, "wedge", lambda s, t: wedges.append(1) or wedge(s, t))
         for seed, bound in ((0, 10), (1, 10**30)):
             path = write_obj(tmp_path, ser.blocks_to_obj(random_tp_instance(seed, bound)[1]))
             calls.clear()
+            wedges.clear()
             assert run([command, "--input", path]) == 0
             assert len(calls) == 26
+            assert len(wedges) == 17
         capsys.readouterr()
 
     def test_a_failure_makes_the_pairings_up_to_its_witness(self, tmp_path, capsys, monkeypatch):

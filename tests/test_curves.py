@@ -221,7 +221,8 @@ def search(curve, ts, frames, tried) -> tuple:
     """The library search on ``frames`` (in place of ``curves._frames``): its
     report or its SearchFailure, and the epsilons it passed to
     ``lemma_sample``.  That function is pure, so each epsilon the oracle
-    tried is answered with the oracle's report."""
+    tried is answered with the oracle's report.  No held report is reused,
+    and the report of this search is not kept for another."""
     known = {rep.epsilon: rep for rep in tried}
     calls = []
 
@@ -233,6 +234,7 @@ def search(curve, ts, frames, tried) -> tuple:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curves, "lemma_sample", counted)
         mp.setattr(curves, "_frames", lambda *args: frames)
+        mp.setattr(curves, "_last_certified", None)
         try:
             return curves._certifying_sample(curve, ts), calls
         except SearchFailure as exc:
@@ -538,6 +540,112 @@ class TestTangentConfig:
 
         check()
         assert True in seen and False in seen
+
+
+def quartic_file(tmp_path, c) -> str:
+    """A curve spec file of ``quartic(c)``."""
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps({"kind": "polynomial", "components": [
+        ["1"], ["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1", str(Fraction(c))]]}))
+    return str(path)
+
+
+class TestCertifiedHandOff:
+    """``curve-sample --epsilon auto`` then ``tangent_config`` on the same
+    curve and ts run one search; a held report is reused at most once."""
+
+    C, TS_TEXT = Fraction(-1, 10), "3/100,21/100,47/100,88/100"
+
+    @pytest.fixture
+    def counts(self, monkeypatch) -> dict:
+        """Calls of ``lemma_sample`` and ``frenet_basis``.  A search makes
+        one ``frenet_basis`` call, and on (quartic(C), TS_TEXT) one
+        ``lemma_sample`` call: its first epsilon certifies."""
+        counts = {}
+        for name in ("lemma_sample", "frenet_basis"):
+            def counted(*args, _fn=getattr(curves, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            counts[name] = 0
+            monkeypatch.setattr(curves, name, counted)
+        return counts
+
+    @staticmethod
+    def searches(n) -> dict:
+        return {"lemma_sample": n, "frenet_basis": n}
+
+    def curve_sample(self, path, capsys) -> str:
+        assert run(["curve-sample", "--ts", self.TS_TEXT, "--epsilon", "auto", "--curve", path]) == 0
+        return capsys.readouterr().out
+
+    def ts(self):
+        return tuple(Fraction(t) for t in self.TS_TEXT.split(","))
+
+    def test_curve_sample_then_tangent_config_search_once(self, tmp_path, capsys, counts):
+        path = quartic_file(tmp_path, self.C)
+        text = self.curve_sample(path, capsys)
+        curve = ser.curve_spec_from_obj(json.loads(open(path).read()))
+        cfg = tangent_config(curve, self.ts())
+        assert counts == self.searches(1)
+        # the same blocks as a tangent_config with nothing held, which searches
+        assert curves._last_certified is None
+        assert tangent_config(curve, self.ts()).blocks() == cfg.blocks()
+        assert counts == self.searches(2)
+        # and the same curve-sample output whether or not the held report is used
+        assert self.curve_sample(path, capsys) == text
+        assert counts == self.searches(2)
+
+    def test_a_repeated_pair_searches_twice(self, tmp_path, capsys, counts):
+        path = quartic_file(tmp_path, self.C)
+        for _ in range(2):
+            self.curve_sample(path, capsys)
+            tangent_config(quartic(self.C), self.ts())
+        assert counts == self.searches(2)
+
+    @pytest.mark.parametrize("other", ["ts", "curve"])
+    def test_another_search_in_between_is_not_reused(self, tmp_path, capsys, counts, other):
+        self.curve_sample(quartic_file(tmp_path, self.C), capsys)
+        if other == "ts":
+            tangent_config(quartic(self.C), TS)
+        else:
+            tangent_config(quartic(Fraction(-1, 4)), self.ts())
+        assert counts["frenet_basis"] == 2
+        tangent_config(quartic(self.C), self.ts())
+        assert counts["frenet_basis"] == 3
+
+    def test_ts_match_by_value(self, capsys, counts):
+        assert run(["curve-sample", "--ts", "1/10,3/10,1/2,7/10", "--epsilon", "auto"]) == 0
+        capsys.readouterr()
+        tangent_config(CurveSpec.moment(), (Fraction(1, 10), Fraction(3, 10), Fraction(2, 4), Fraction(7, 10)))
+        assert counts == self.searches(1)
+
+    def test_a_refused_search_leaves_nothing_to_reuse(self, tmp_path, capsys, counts):
+        # the golden refused case refuses after its first lemma_sample
+        argv = ["curve-sample", "--ts", "1/10,3/10,5/10,9/10", "--epsilon", "auto",
+                "--curve", quartic_file(tmp_path, -1)]
+        assert run(argv) == 3
+        message = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+        assert message.startswith("no certifying epsilon: sample minor {1,2,3,5}")
+        assert curves._last_certified is None
+        with pytest.raises(SearchFailure) as exc:
+            tangent_config(quartic(-1), tuple(Fraction(k, 10) for k in (1, 3, 5, 9)))
+        assert str(exc.value) == message
+        assert counts == self.searches(2)
+
+    def test_a_fixed_epsilon_neither_fills_nor_empties(self, tmp_path, capsys, counts):
+        path = quartic_file(tmp_path, self.C)
+        fixed = ["curve-sample", "--ts", self.TS_TEXT, "--epsilon", "1/1000", "--curve", path]
+        assert run(fixed) == 0
+        assert curves._last_certified is None
+        self.curve_sample(path, capsys)
+        held = curves._last_certified
+        assert held is not None
+        assert run(fixed) == 0
+        lemma_sample(quartic(self.C), TS, Fraction(1, 100))
+        assert curves._last_certified is held
+        searched = dict(counts)
+        tangent_config(quartic(self.C), self.ts())
+        assert counts == searched and curves._last_certified is None
 
 
 class TestConvexitySample:
