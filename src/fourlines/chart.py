@@ -47,14 +47,19 @@ def lw_product(params) -> tuple:
     return tuple(tuple(entry(r, s) for s in range(4)) for r in range(4))
 
 
+#: The rows (0-based) of the 2x2 minors of X that are the coefficients
+#: c_xy, c_x, c_y, c_1 of a bilinear form, and the columns of each form.
+FORM_ROWS = ((0, 2), (0, 3), (1, 2), (1, 3))
+FORM_COLS = ((0, 1), (2, 3))
+
+
 def bilinear_forms(x) -> tuple:
     """The incidence equations det[W1|U] = 0 and det[W2|U] = 0 of the chart line
     U(x, y) as coefficient tuples (c_xy, c_x, c_y, c_1): the 2x2 minors of X on
     rows 13, 14, 23, 24 and columns 12 (first form) or 34 (second)."""
     return tuple(
-        tuple(x[r1][c1] * x[r2][c2] - x[r1][c2] * x[r2][c1]
-              for r1, r2 in ((0, 2), (0, 3), (1, 2), (1, 3)))
-        for c1, c2 in ((0, 1), (2, 3))
+        tuple(x[r1][c1] * x[r2][c2] - x[r1][c2] * x[r2][c1] for r1, r2 in FORM_ROWS)
+        for c1, c2 in FORM_COLS
     )
 
 

@@ -1,11 +1,19 @@
 """Symbolic certification of the discriminant decomposition D = m^2 n^2 (FG + H^2).
 
-The left side is the solver's own discriminant chain (``fourlines.chart``:
-the chart product, its bilinear forms, their resultant and B^2 - 4AC) run
-on ``Poly16`` variables instead of rationals; that expansion is the
+The left side is the discriminant chain of ``fourlines.chart`` (the chart
+product, its bilinear forms, their resultant and B^2 - 4AC) run on
+``Poly16`` variables instead of rationals; that expansion is the
 authority.  The printed F, G, H are transcribed verbatim and compared
 against it, equality or the exact difference polynomial going into the
 certificate.
+
+``verify-identity`` expands the link from the parameters to D through the
+forms of ``chart.bilinear_forms``.  The solver runs the resultant and
+B^2 - 4AC of the same chain, but reads the forms, X's 2x2 minors, from the
+configuration's minor table through ``totalpos._xy_columns``
+(``transversal._table_chart``); that link, table minors equal to
+``chart.bilinear_forms`` of X, is covered by a Tier-1 differential test
+(``tests/test_transversal.py::TestTableChart``), not expanded here.
 """
 from __future__ import annotations
 

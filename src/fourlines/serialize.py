@@ -227,9 +227,11 @@ def curve_spec_from_obj(obj) -> CurveSpec:
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2) + "\\n"``, byte for byte.  On Python 3.11
     ``indent`` takes json off its C encoder; this writer keeps json's C
-    string escaper and appends each value's text to one list, joined once."""
+    string escaper and appends each value's text to one list, joined once.
+    Each distinct string is escaped once per call, into a dict that lives
+    for the call: a solution repeats its D in every quadratic number."""
     out = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", {})
     out.append("\n")
     return "".join(out)
 
@@ -238,20 +240,24 @@ _CONTAINERS = (dict, list, tuple)
 _INFINITY = float("inf")
 
 
-def _write(o, out: list, nl: str) -> None:
-    """Append the text of o to out; ``nl`` is a newline and o's indent."""
+def _write(o, out: list, nl: str, esc: dict) -> None:
+    """Append the text of o to out; ``nl`` is a newline and o's indent, and
+    ``esc`` maps each string escaped so far to its text (a text is never
+    empty, so ``esc.get(s) or`` escapes only a new string)."""
     if isinstance(o, dict):
         if not o:
             out.append("{}")
             return
         inner, sep = nl + "  ", "{"
         for k, v in o.items():
-            key = _escape(k if isinstance(k, str) else _scalar(k))  # json quotes a non-string key
+            if not isinstance(k, str):
+                k = _scalar(k)  # json quotes a non-string key
+            key = esc.get(k) or esc.setdefault(k, _escape(k))
             if isinstance(v, str):
-                out.append(f"{sep}{inner}{key}: {_escape(v)}")
+                out.append(f"{sep}{inner}{key}: {esc.get(v) or esc.setdefault(v, _escape(v))}")
             elif isinstance(v, _CONTAINERS):
                 out.append(f"{sep}{inner}{key}: ")
-                _write(v, out, inner)
+                _write(v, out, inner, esc)
             else:
                 out.append(f"{sep}{inner}{key}: {_scalar(v)}")
             sep = ","
@@ -263,10 +269,10 @@ def _write(o, out: list, nl: str) -> None:
         inner, sep = nl + "  ", "["
         for v in o:
             if isinstance(v, str):
-                out.append(f"{sep}{inner}{_escape(v)}")
+                out.append(f"{sep}{inner}{esc.get(v) or esc.setdefault(v, _escape(v))}")
             elif isinstance(v, _CONTAINERS):
                 out.append(sep + inner)
-                _write(v, out, inner)
+                _write(v, out, inner, esc)
             else:
                 out.append(f"{sep}{inner}{_scalar(v)}")
             sep = ","

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Optional, Tuple
 
@@ -104,12 +105,16 @@ class CanonicalForm:
     """Change of basis g with g*[W3 W4] = Y and the reduced matrix X = g*[W1 W2].
 
     ``orientation`` is the sign of det g, which is the sign of det[W3 W4].
+    ``table`` is the configuration's ``(minors, scales, wedges)`` that X was
+    read from (``minor_table``), so every minor of X (``x_minor``) and each
+    block's wedge is one more read of it.
     """
 
     g: MatQ
     x: MatQ
     y: MatQ
     orientation: int
+    table: tuple = field(compare=False, repr=False)
 
 
 #: The refusal of a configuration with a singular [W3 W4]: it has no canonical form.
@@ -118,6 +123,7 @@ SINGULAR_W34 = "[W3 W4] is singular: degenerate configuration"
 _W34 = (4, 5, 6, 7)
 
 
+@cache
 def _xy_columns(rows, cols) -> tuple:
     """The columns (0-based, increasing) of [X Y] whose maximal minor is
     minor_X(rows, cols), with sign +1: the columns of X in ``cols`` and
@@ -134,25 +140,37 @@ def _xy_columns(rows, cols) -> tuple:
 #: 22(1), 2000).
 _INITIAL = tuple(_xy_columns(range(i - k, i + 1), range(j - k, j + 1))
                  for i in range(4) for j in range(4) for k in (min(i, j),))
-#: The columns of [X Y] of each entry X[r][j], row by row.
-_ENTRIES = tuple(tuple(_xy_columns((r,), (j,)) for j in range(4)) for r in range(4))
 
 
-def _canonical(blocks: ConfigBlocks, minors: dict, scales: list) -> CanonicalForm:
+def x_minor(table: tuple, rows, cols) -> tuple:
+    """minor_X(rows, cols) of the canonical X as integers (n, d), d > 0,
+    read from the configuration's minor table by Cramer's rule: it is the
+    maximal minor of W on C = _xy_columns(rows, cols) over det[W3 W4].  With
+    m34 = minors[W34], n is sign(m34) * minors[C] times the scales of the
+    columns 7 - r of Y, r in ``rows``, that C leaves out, and d is |m34|
+    times the scales of ``cols``."""
+    minors, scales, _ = table
+    n, d = minors[_xy_columns(rows, cols)], minors[_W34]
+    for r in rows:
+        n *= scales[7 - r]
+    for j in cols:
+        d *= scales[j]
+    return (n, d) if d > 0 else (-n, -d)
+
+
+def _canonical(blocks: ConfigBlocks, table: tuple) -> CanonicalForm:
     """The canonical form, read from the configuration's minor table.
 
-    g = Y*[W3 W4]^(-1), and X = g*[W1 W2] by Cramer's rule: with det g =
-    1/det[W3 W4], each minor of X is a maximal minor of W over det[W3 W4]
-    (``_xy_columns``), so X[r][j] = minor_W(j, W34 - {7 - r}) / det[W3 W4]
+    g = Y*[W3 W4]^(-1), and each entry of X = g*[W1 W2] is a 1x1 minor
+    (``x_minor``): X[r][j] = minor_W(j, W34 - {7 - r}) / det[W3 W4]
     (0-based columns).
     """
-    det34 = minors[_W34]
+    det34 = table[0][_W34]
     if not det34:
         raise DegenerateConfiguration(SINGULAR_W34)
-    x = [[Fraction(minors[cols] * scales[7 - r], det34 * scales[j]) for j, cols in enumerate(row)]
-         for r, row in enumerate(_ENTRIES)]
+    x = [[Fraction(*x_minor(table, (r,), (j,))) for j in range(4)] for r in range(4)]
     g = y_sign_times(blocks.w3.hstack(blocks.w4).inverse())
-    return CanonicalForm(g=g, x=MatQ(x), y=Y_SIGN, orientation=1 if det34 > 0 else -1)
+    return CanonicalForm(g=g, x=MatQ(x), y=Y_SIGN, orientation=1 if det34 > 0 else -1, table=table)
 
 
 def _columns(blocks: ConfigBlocks) -> list:
@@ -178,11 +196,11 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     So a 4x4 matrix X is checked as ``check_tp_config(blocks_of_canonical(X))``:
     the 70 maximal minors of [X Y] are its 69 minors and det Y = 1.
     """
-    minors, scales, wedges = minor_table(_columns(blocks))
+    table = minors, scales, wedges = minor_table(_columns(blocks))
     for idx in range(4):
         if not any(wedges[2 * idx, 2 * idx + 1]):
             raise InputError(f"block W{idx + 1} is rank-deficient")
-    canon = _canonical(blocks, minors, scales) if minors[_W34] else None
+    canon = _canonical(blocks, table) if minors[_W34] else None
     if minors[_W34] > 0 and all(minors[cols] > 0 for cols in _INITIAL):
         return TPReport(True, canonical=canon)
     # one of those 17 is not positive, so the scan stops
@@ -205,7 +223,7 @@ def canonicalize(blocks: ConfigBlocks) -> CanonicalForm:
 
     Only reduces: the total-positivity verdict is ``check_tp_config``'s.
     """
-    return _canonical(blocks, *minor_table(_columns(blocks))[:2])
+    return _canonical(blocks, minor_table(_columns(blocks)))
 
 
 def lw_compose(params: LWParams) -> MatQ:

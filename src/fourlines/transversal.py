@@ -7,15 +7,20 @@ points on W4 and on W3, which x and y locate, with exact certificates that
 raise CertificateFailure.  An independent oracle solves the same problem
 directly in Pluecker coordinates.
 
-From the forms on, the solver runs on integers (``_integer_chart``): each
-root coordinate is (p + q sqrt d)/r with integers p, q, r and d, and each
-line is read from the integer blocks.  Every zero test is scale-free and
-runs on these integers, and each printed root, span entry and Pluecker
-coordinate is one division of two; D is B^2 - 4AC of the printed A, B, C.
+The solver reads what the total-positivity check already made from the
+configuration's minor table: the forms' integer coefficients, which are
+maximal minors of [X Y] (``_table_chart``), and the input lines' Pluecker
+vectors, which are its block wedges (``_certify_lines``).  From the forms
+on it runs on integers: each root coordinate is (p + q sqrt d)/r with
+integers p, q, r and d, and each line is read from the integer blocks W3
+and W4.  Every zero test is scale-free and runs on these integers, and
+each printed root, span entry and Pluecker coordinate is one division of
+two; D is lam^2 times the integer radicand d, equal to B^2 - 4AC of the
+printed A, B, C.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import List, Tuple
@@ -30,10 +35,10 @@ from .errors import (
     number_text,
 )
 from . import chart
-from .chart import PLUCKER_ROWS, plucker_meet, proportional, wedge
+from .chart import FORM_COLS, FORM_ROWS, PLUCKER_ROWS, plucker_meet, proportional, wedge
 from .exact import MatQ, QuadNum, integer_rows, rational_sqrt
 from .serialize import refuse_unprintable
-from .totalpos import SINGULAR_W34, CanonicalForm, ConfigBlocks, check_tp_config
+from .totalpos import SINGULAR_W34, CanonicalForm, ConfigBlocks, check_tp_config, x_minor
 
 
 @dataclass(frozen=True)
@@ -59,15 +64,17 @@ class BilinearForm:
 
 @dataclass(frozen=True)
 class Quadratic:
-    """A*x^2 + B*x + C = 0 with discriminant D = B^2 - 4AC, computed once."""
+    """A*x^2 + B*x + C = 0 with discriminant D = B^2 - 4AC, computed once
+    unless the caller already holds it."""
 
     a: Fraction
     b: Fraction
     c: Fraction
-    disc: Fraction = field(init=False)
+    disc: Fraction = None
 
     def __post_init__(self):
-        object.__setattr__(self, "disc", chart.discriminant(self.a, self.b, self.c))
+        if self.disc is None:
+            object.__setattr__(self, "disc", chart.discriminant(self.a, self.b, self.c))
 
 
 def plucker_of_span(span: MatQ) -> tuple:
@@ -244,30 +251,37 @@ def solve_canonical(forms: Tuple[BilinearForm, BilinearForm], quad: Quadratic):
     return (((p, q, r), (u, v, w)), ((p, -q, r), (u, -v, w))), []
 
 
-def _integer_chart(x: MatQ) -> tuple:
-    """The chart's forms and quadratic at X, printed and on integers:
-    (forms, quadratic, pforms, quad, lam).
+def _table_chart(canon: CanonicalForm) -> tuple:
+    """The chart's forms and quadratic at the canonical X, printed and on
+    integers: (forms, quadratic, pforms, quad, lam).
 
-    X scaled to integers over one denominator den has integer 2x2 minors,
-    the printed ``forms`` times den^2.  ``pforms`` are those forms each
-    divided by its content, and ``quad`` their resultant divided by its
-    content, so the printed ``quadratic`` is lam * quad, with D = lam^2 *
-    quad.disc, for a positive rational lam.  The roots and every
-    certificate are scale-free in each form and in (A, B, C), and the
-    primitive integers stay near the height of the reduced values.
+    Each coefficient of a form is a 2x2 minor of X (``chart.FORM_ROWS``,
+    ``FORM_COLS``), which the configuration's minor table already holds:
+    ``x_minor`` reads it as an integer over a positive denominator den_J
+    that depends only on the form's columns J, so the printed ``forms``
+    are the integer forms over den_12 and den_34.  ``pforms`` are the
+    integer forms each divided by its content c_J, and ``quad`` their
+    resultant divided by its content g, so the printed ``quadratic`` is
+    lam * quad with lam = c_12 c_34 g / (den_12 den_34) > 0, and D =
+    lam^2 * quad.disc.  The roots and every certificate are scale-free in
+    each form and in (A, B, C), and the primitive integers stay near the
+    height of the reduced values.
     """
-    rows, den = integer_rows(x.entries())
-    ints = bilinear_forms(rows)
+    ints, dens = [], []
+    for cols in FORM_COLS:
+        coeffs = [x_minor(canon.table, rows, cols) for rows in FORM_ROWS]
+        ints.append(BilinearForm(*(n for n, _ in coeffs)))
+        dens.append(coeffs[0][1])
     contents = [gcd(*form.coeffs()) for form in ints]
     pforms = tuple(BilinearForm(*(v // c for v in form.coeffs())) for form, c in zip(ints, contents))
     quad = eliminate_to_quadratic(*pforms)
     g = gcd(quad.a, quad.b, quad.c) or 1
     quad = Quadratic(quad.a // g, quad.b // g, quad.c // g)
-    den2 = den * den
-    lam = Fraction(contents[0] * contents[1] * g, den2 * den2)
+    lam = Fraction(contents[0] * contents[1] * g, dens[0] * dens[1])
     n, m = lam.numerator, lam.denominator
-    quadratic = Quadratic(*(Fraction(v * n, m) for v in (quad.a, quad.b, quad.c)))
-    forms = tuple(BilinearForm(*(Fraction(v, den2) for v in form.coeffs())) for form in ints)
+    quadratic = Quadratic(*(Fraction(v * n, m) for v in (quad.a, quad.b, quad.c)),
+                          Fraction(quad.disc * n * n, m * m))
+    forms = tuple(BilinearForm(*(Fraction(v, den) for v in form.coeffs())) for form, den in zip(ints, dens))
     return forms, quadratic, pforms, quad, lam
 
 
@@ -288,9 +302,10 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     """End-to-end solver: two real transversal lines with exact certificates.
 
     The canonical form is the one the total-positivity verdict was read
-    from, and a singular [W3 W4], which has none, is refused; incidence
-    of each solution line with each input line is certified by the
-    Pluecker pairing, which equals det[W_i | L_j] exactly.
+    from, and a singular [W3 W4], which has none, is refused; the forms
+    and the input lines are read from its minor table.  Incidence of each
+    solution line with each input line is certified by the Pluecker
+    pairing, which equals det[W_i | L_j] exactly.
     The certificates run on the integer parts of each line, and the printed
     roots, spans and Pluecker vectors are one division each of those
     integers (``_printed``).  A solution prints g and X first, then the
@@ -307,7 +322,7 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     warnings: List[str] = [] if tp.ok else ["hypothesis-not-verified"]
     if not tp.ok and canon.orientation < 0:
         warnings.append("canonical-basis-orientation-flipped")
-    forms, quadratic, pforms, quad, lam = _integer_chart(canon.x)
+    forms, quadratic, pforms, quad, lam = _table_chart(canon)
     # D = lam^2 * quad.disc has the sign of quad.disc; the messages name D
     disc = quadratic.disc
     if tp.ok and quad.disc <= 0:
@@ -323,10 +338,10 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     # root 2 of a conjugate pair is the conjugate of root 1 and the meeting
     # points are rational in x and y, so line 2 is the conjugate of line 1
     pair = roots[0][0][1] != 0
-    ints = [integer_rows(w.entries()) for w in blocks.blocks()]
+    w34 = [integer_rows(w.entries()) for w in (blocks.w3, blocks.w4)]
     lines, parts = [], []
     for x, y in roots[:1] if pair else roots:
-        a, b, (k4, k3) = _meeting_span(*ints[2:], x, y)
+        a, b, (k4, k3) = _meeting_span(*w34, x, y)
         pa, pb = _plucker_parts(a, b, quad.disc)
         parts.append((pa, pb))
         span = MatQ([[_printed((u, v, k4), lam, disc), _printed((s, t, k3), lam, disc)]
@@ -340,7 +355,7 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     else:
         roots = tuple((None if x is None else _printed(x, lam, disc), _printed(y, lam, disc))
                       for x, y in roots)
-    _certify_lines(roots, lines, parts, [wedge(rows, rows) for rows, _ in ints], quad.disc)
+    _certify_lines(roots, lines, parts, canon.table[2], quad.disc)
     # the certificate proved every pairing zero
     zero = QuadNum.of(0, disc)
     return TransversalSolution(
@@ -388,19 +403,20 @@ def _plucker_parts(a, b, d: int) -> tuple:
     return pa, pb
 
 
-def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], parts: list, ells: list,
+def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], parts: list, wedges,
                    d: int) -> None:
     """Certify the solution lines on the integer parts of their Pluecker
     vectors.
 
     ``parts`` holds (pa, pb) of each line built, a Pluecker vector
-    pa + sqrt(d)*pb up to a non-zero integer factor, and ``ells`` the
-    input lines' Pluecker vectors up to non-zero factors; every test below
-    is a zero test, so no factor changes its outcome.  When root 1 is
-    irrational the pair is conjugate: the printed root 2 and line 2 (span
-    and Pluecker vector) must be the stored conjugates of root 1 and line
-    1, and then every value of line 2 is the conjugate of line 1's, so only
-    line 1 was built and is checked.  Otherwise both lines must be rational
+    pa + sqrt(d)*pb up to a non-zero integer factor, and ``wedges`` the
+    configuration's column wedges (``minor_table``): wedges[2k, 2k + 1] is
+    input line k + 1's Pluecker vector times the two column scales of its
+    block.  Every test below is a zero test, so no non-zero factor changes
+    its outcome.  When root 1 is irrational the pair is conjugate: the
+    printed root 2 and line 2 (span and Pluecker vector) must be the stored
+    conjugates of root 1 and line 1, and then every value of line 2 is the
+    conjugate of line 1's, so only line 1 was built and is checked.  Otherwise both lines must be rational
     (pb = 0) and both are checked.  Each checked line lies on the Pluecker
     quadric and pairs to zero with every input line, and the two lines
     differ.
@@ -428,6 +444,7 @@ def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], parts: list, el
     u, v = parts[0] if pair else (parts[0][0], parts[1][0])
     if proportional(u, v):
         raise CertificateFailure(f"the two {'conjugate ' if pair else ''}solution lines coincide")
+    ells = [wedges[k, k + 1] for k in (0, 2, 4, 6)]
     if any(plucker_meet(ell, p) for ell in ells for part in parts for p in part):
         raise CertificateFailure("a solution line misses an input line")
 

@@ -582,12 +582,16 @@ class TestErrorPaths:
             4, "error: [W3 W4] is singular: degenerate configuration\n")
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("command", ["check-tp", "solve"])
-    def test_a_tp_verdict_makes_26_pairings(self, tmp_path, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("command, pairings, made", [("check-tp", 26, 17), ("solve", 33, 18)],
+                             ids=["check-tp", "solve"])
+    def test_a_tp_verdict_makes_26_pairings(self, tmp_path, capsys, monkeypatch, command, pairings, made):
         # det[W3 W4] and the 16 initial minors of X decide the verdict, and
         # the canonical form reads the 9 other entries of X: 26 of the 70
         # maximal minors, each one pairing of two column wedges.  Those
         # pairings and the four block ranks read 17 of the 28 wedges.
+        # solve reads its forms, the eight 2x2 minors of X on rows 13, 14,
+        # 23, 24, from the same table: 7 more pairings (rows 23 beside
+        # columns 12 is an initial minor) and 1 more wedge.
         calls, wedges = [], []
         pair, wedge = exact.plucker_meet, exact.wedge
         monkeypatch.setattr(exact, "plucker_meet", lambda p, q: calls.append(1) or pair(p, q))
@@ -597,8 +601,8 @@ class TestErrorPaths:
             calls.clear()
             wedges.clear()
             assert run([command, "--input", path]) == 0
-            assert len(calls) == 26
-            assert len(wedges) == 17
+            assert len(calls) == pairings
+            assert len(wedges) == made
         capsys.readouterr()
 
     def test_a_failure_makes_the_pairings_up_to_its_witness(self, tmp_path, capsys, monkeypatch):
@@ -730,12 +734,12 @@ class TestPrintLimit:
         canon = totalpos.check_tp_config(ser.blocks_from_obj(obj)).canonical
         assert all(number_text(v)[0] != "<" for row in canon.g.entries() for v in row)
         assert all(number_text(v)[0] == "<" for row in canon.x.entries() for v in row)
-        assert (transversal._integer_chart(canon.x)[3].disc < 0) == (seed == 9)
+        assert (transversal._table_chart(canon)[3].disc < 0) == (seed == 9)
 
-        def chart(x):
+        def chart(canon):
             raise AssertionError("solved a configuration whose X cannot print")
 
-        monkeypatch.setattr(transversal, "_integer_chart", chart)
+        monkeypatch.setattr(transversal, "_table_chart", chart)
         assert run_err(["solve", "--input", write_obj(tmp_path, obj)], capsys) == (
             2, f"error: an output number of {digits} digits exceeds the 4300-digit print limit\n")
 

@@ -374,6 +374,19 @@ class TestWriter:
         with pytest.raises(TypeError, match="Object of type Fraction is not JSON serializable"):
             ser.dumps({"x": [Fraction(1, 2)]})
 
+    def test_repeated_strings(self):
+        # each distinct string is escaped once per call: one string object
+        # repeated, equal strings that are distinct objects, and distinct
+        # strings of one length must each keep their own text
+        d = "\"é" * 900 + "/1"
+        copies = ["".join(d) for _ in range(3)]
+        assert all(c == d and c is not d for c in copies)
+        same_length = ['a"', "b\\", "\n\t", "é€", "\x00z"]
+        obj = {"D": d, "xs": [{"a": d, "d": d} for _ in range(4)], "copies": copies,
+               "same_length": same_length, d: {v: v for v in same_length}}
+        assert ser.dumps(obj) == _json_dumps(obj)
+        assert ser.dumps(same_length[::-1]) == _json_dumps(same_length[::-1])
+
 
 @pytest.mark.parametrize("bound", [10, 10**30], ids=["bound-10", "bound-1e30"])
 def test_solution_stringifies_d_once(monkeypatch, bound):

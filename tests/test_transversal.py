@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from fourlines import (
     QuadNum,
     bilinear_forms,
     blocks_of_canonical,
+    canonicalize,
     check_tp_config,
     discriminant_from_minors,
     eliminate_to_quadratic,
@@ -36,7 +38,7 @@ from fourlines import (
 from fourlines import NonGenericConfiguration, chart
 from fourlines.curves import POLYNOMIAL
 from fourlines.exact import rational_sqrt
-from fourlines.transversal import Quadratic, _integer_chart, _printed, span_from_plucker
+from fourlines.transversal import Quadratic, _printed, _table_chart, span_from_plucker
 
 from conftest import (
     AT_INFINITY_X,
@@ -344,7 +346,7 @@ class TestConjugatePair:
         # the solver certifies integers and then prints them through lam with
         # no further check, so this comparison is what catches a wrong step
         blocks = random_tp_instance(0)[1]
-        assert _integer_chart(check_tp_config(blocks).canonical.x)[4] != 1
+        assert _table_chart(check_tp_config(blocks).canonical)[4] != 1
         want = exact_fields(two_root_solve(blocks))
         monkeypatch.setattr("fourlines.transversal._printed",
                             lambda v, lam, disc: _printed(v, 1 / lam, disc))
@@ -352,6 +354,53 @@ class TestConjugatePair:
         assert got["quadratic"] == want["quadratic"]
         assert got["roots"] != want["roots"]
         assert got["spans"] != want["spans"] and got["plucker"] != want["plucker"]
+
+
+def table_chart_corpus() -> list:
+    """Configurations for the table chart: random TP instances at three
+    bounds, each as is, with its blocks permuted, with W3's columns
+    swapped (det[W3 W4] < 0) and mapped by a dense rational g; and
+    tangent configurations, certified and plain."""
+    rng = random.Random(27)
+    configs = []
+    for bound in (10, 10**6, 10**30):
+        for seed in range(6):
+            blocks = random_tp_instance(seed, bound)[1]
+            g = rand_mat(rng)
+            while not g.det():
+                g = rand_mat(rng)
+            configs += [blocks, ConfigBlocks(*rng.sample(blocks.blocks(), 4)),
+                        swap_w3_columns(blocks), premultiply(blocks, g)]
+    return configs + [blocks for pair in tangent_configs(9) for blocks in pair]
+
+
+class TestTableChart:
+    """The solver reads its forms and the input lines from the minor table
+    that ``check_tp_config`` verified; ``chart`` on the canonical X and the
+    blocks' own wedges are the reference."""
+
+    def test_forms_quadratic_and_lam_match_chart_on_x(self):
+        orientations = set()
+        for blocks in table_chart_corpus():
+            canon = check_tp_config(blocks).canonical
+            f, h = chart.bilinear_forms(canon.x.entries())
+            a, b, c = chart.resultant(f, h)
+            forms, quadratic, pforms, quad, lam = _table_chart(canon)
+            assert tuple(form.coeffs() for form in forms) == (f, h)
+            assert (quadratic.a, quadratic.b, quadratic.c) == (a, b, c)
+            assert quadratic.disc == chart.discriminant(a, b, c) == lam * lam * quad.disc
+            assert lam > 0 and (lam * quad.a, lam * quad.b, lam * quad.c) == (a, b, c)
+            assert all(gcd(*form.coeffs()) == 1 for form in pforms)
+            orientations.add(canon.orientation)
+        assert orientations == {1, -1}
+
+    def test_block_wedges_are_positive_multiples_of_the_input_lines(self):
+        for blocks in table_chart_corpus():
+            wedges = check_tp_config(blocks).canonical.table[2]
+            for k, w in enumerate(blocks.blocks()):
+                ell, p = wedges[2 * k, 2 * k + 1], plucker_of_span(w)
+                assert chart.proportional(ell, p)
+                assert all(u * v >= 0 for u, v in zip(ell, p))
 
 
 def positive_fractions(lo: int, hi: int):
@@ -450,7 +499,7 @@ class TestProperties:
         assume(any(f) and any(h))
         a, b, c = chart.resultant(f, h)
         try:
-            forms, quadratic, pforms, quad, lam = _integer_chart(x)
+            forms, quadratic, pforms, quad, lam = _table_chart(canonicalize(blocks_of_canonical(x)))
         except DegeneratePencil:
             assert a == 0 == c  # proportional forms
             return
