@@ -499,9 +499,9 @@ def minor_table(rows: Sequence[Sequence]) -> tuple:
     Both are made when first read (``Wedges``, ``MinorTable``), so a TP
     ``check_tp_config``, which reads 26 minors and the four block wedges,
     makes 17 of the 28 wedges; ``complete()`` of either is the dict of all
-    of them.  So that minor of the matrix
-    itself is ``table_minor(minors, scales, R)``, and the ints alone carry
-    every sign.
+    of them.  The maximal minor of the matrix itself on rows R is
+    ``table_minor(minors, scales, R)``: the scales are positive, so the
+    ints alone carry every sign.
     """
     a, scales = [], []
     for row in rows:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import prod
 from typing import Optional, Tuple
 
 from .errors import (
@@ -66,7 +67,8 @@ class LWParams:
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, name: str) -> Fraction:
-        return self.values[PARAM_NAMES.index(name)]
+        """The parameter named by one letter a..p; KeyError for any other key."""
+        return self.as_dict()[name]
 
     def as_dict(self) -> dict:
         return dict(zip(PARAM_NAMES, self.values))
@@ -209,15 +211,6 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
                     table_minor(minors, scales, cols), canonical=canon)
 
 
-def _square_minors(x: MatQ):
-    """minor_X(R, J) of a 4x4 matrix as a function of 0-based row and column
-    tuples, read from the maximal minors of [X Y] (``_xy_columns``)."""
-    if x.rows != 4 or x.cols != 4:
-        raise DimensionError("expected a 4x4 matrix")
-    minors, scales, _ = minor_table(_columns(blocks_of_canonical(x)))
-    return lambda rows, cols: table_minor(minors, scales, _xy_columns(rows, cols))
-
-
 def canonicalize(blocks: ConfigBlocks) -> CanonicalForm:
     """Reduce [W1 W2 W3 W4] to the form [X Y] by g = Y*[W3 W4]^(-1).
 
@@ -231,57 +224,62 @@ def lw_compose(params: LWParams) -> MatQ:
     return MatQ(lw_product(params.values))
 
 
-def _positive(name: str, value: Fraction) -> Fraction:
-    if value <= 0:
-        raise NotTotallyPositive(f"recovered parameter {name} = {number_text(value)} is not positive")
-    return value
+def _minors(spec: str) -> tuple:
+    """'1|4 12|12' -> (((0,), (3,)), ((0, 1), (0, 1))): 1-based [rows|cols] as 0-based pairs."""
+    return tuple(tuple(tuple(int(t) - 1 for t in part) for part in m.split("|")) for m in spec.split())
 
 
-def _nonzero(name: str, value: Fraction) -> Fraction:
-    if value == 0:
-        raise NotTotallyPositive(f"recovered parameter {name} vanishes (boundary of total positivity)")
-    return value
+#: Each parameter of X = L * diag(m,n,o,p) * U as one ratio of products of
+#: minors of X, 1-based [rows|cols]; g..l are the transposes of f, e, c, d,
+#: b, a.  In this order, each denominator was shown non-zero before.  Its 16
+#: distinct minors, ``_CHAMBER``, are chamber minors (Berenstein, Fomin and
+#: Zelevinsky, Adv. Math. 122, 1996; Fomin and Zelevinsky, J. AMS 12, 1999).
+_RATIOS = {name: (_minors(num), _minors(den)) for name, num, den in (
+    ("c", "123|124", "123|123"),
+    ("b", "12|14 123|123", "12|12 123|124"),
+    ("e", "123|134", "123|124"),
+    ("a", "1|4 12|12", "1|1 12|14"),
+    ("d", "12|34 123|124", "12|14 123|134"),
+    ("f", "123|234", "123|134"),
+    ("i", "124|123", "123|123"),
+    ("k", "14|12 123|123", "12|12 124|123"),
+    ("l", "4|1 12|12", "1|1 14|12"),
+    ("h", "134|123", "124|123"),
+    ("j", "34|12 124|123", "14|12 134|123"),
+    ("g", "234|123", "134|123"),
+    ("m", "1|1", ""),
+    ("n", "12|12", "1|1"),
+    ("o", "123|123", "12|12"),
+    ("p", "1234|1234", "123|123"),
+)}
+_CHAMBER = tuple(dict.fromkeys(key for num, den in _RATIOS.values() for key in num + den))
 
 
 def lw_factor(x: MatQ) -> LWParams:
     """Recover the 16 positive parameters of a totally positive 4x4 matrix.
 
-    The factors of X = L * diag(m,n,o,p) * U are ratios of the initial
-    minors of X (``_square_minors``): with D_k the leading principal minor
-    of order k, the k-th pivot is D_k/D_(k-1), u_kj = minor_X(1..k,
-    1..k-1 j)/D_k and l_ik = minor_X(1..k-1 i, 1..k)/D_k.  A zero D_k names
-    the pivot that would vanish.  Then it back-solves the triangular factors
-    entry by entry: c = u34, b = u24/u34, e = u23 - b, a = u14/(bc),
-    d = (u13 - a u23)/e, f = u12 - d - a; and on the lower side i = l43,
-    k = l42/l43, l = l41/l42, h = l32 - k, j = (l31 - l32 l)/h,
-    g = l21 - j - l.
+    Each is one ratio of products of minors of X (``_RATIOS``), each minor
+    read once, in lowest terms, from the maximal minors of [X Y] (``x_minor``;
+    det Y = 1).  A zero leading principal minor names the pivot that would
+    vanish; then the parameters are checked in the order of ``_RATIOS``, so
+    no denominator is zero, and X is recomposed from them as a certificate.
     """
-    minor = _square_minors(x)
-    lead = [Fraction(1)] + [minor(range(k), range(k)) for k in range(1, 5)]
-    for k in range(4):
-        if not lead[k + 1]:
-            raise NotTotallyPositive(f"zero pivot: diagonal parameter {'mnop'[k]} would vanish")
-    # u_kj and l_jk for 1-based k < j
-    pairs = tuple(combinations(range(1, 5), 2))
-    u = {(k, j): minor(range(k), (*range(k - 1), j - 1)) / lead[k] for k, j in pairs}
-    low = {(j, k): minor((*range(k - 1), j - 1), range(k)) / lead[k] for k, j in pairs}
-
-    c = _positive("c", _nonzero("c", u[3, 4]))
-    b = _positive("b", u[2, 4] / c)
-    e = _positive("e", u[2, 3] - b)
-    a = _positive("a", u[1, 4] / (b * c))
-    d = _positive("d", (u[1, 3] - a * u[2, 3]) / e)
-    f = _positive("f", u[1, 2] - d - a)
-
-    i = _positive("i", _nonzero("i", low[4, 3]))
-    k = _positive("k", low[4, 2] / i)
-    l = _positive("l", low[4, 1] / low[4, 2])
-    h = _positive("h", low[3, 2] - k)
-    j = _positive("j", (low[3, 1] - low[3, 2] * l) / h)
-    g = _positive("g", low[2, 1] - j - l)
-
-    m, n, o, p = (_positive("mnop"[t], lead[t + 1] / lead[t]) for t in range(4))
-    params = LWParams((a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p))
+    if x.rows != 4 or x.cols != 4:
+        raise DimensionError("expected a 4x4 matrix")
+    table = minor_table(_columns(blocks_of_canonical(x)))
+    minor = {key: Fraction(*x_minor(table, *key)).as_integer_ratio() for key in _CHAMBER}
+    for name in "mnop":  # their numerators are the leading principal minors
+        if not minor[_RATIOS[name][0][0]][0]:
+            raise NotTotallyPositive(f"zero pivot: diagonal parameter {name} would vanish")
+    values = {}
+    for name, (num, den) in _RATIOS.items():
+        pairs = [minor[key] for key in num] + [minor[key][::-1] for key in den]
+        value = values[name] = Fraction(prod(n for n, _ in pairs), prod(d for _, d in pairs))
+        if value == 0 and name in "ci":
+            raise NotTotallyPositive(f"recovered parameter {name} vanishes (boundary of total positivity)")
+        if value <= 0:
+            raise NotTotallyPositive(f"recovered parameter {name} = {number_text(value)} is not positive")
+    params = LWParams(tuple(values[name] for name in PARAM_NAMES))
     if lw_compose(params) != x:
         raise NotTotallyPositive("matrix is outside the positive factorization chart")
     return params

@@ -9,6 +9,7 @@ from fourlines import LWParams, MatQ, SampleReport, blocks_of_canonical, frenet_
 from fourlines import curves
 from fourlines.chart import proportional
 from fourlines.exact import minor_table, table_minor
+from fourlines.totalpos import _columns, x_minor
 
 X1_ENTRIES = [[1, 3, 3, 1], [3, 10, 11, 4], [3, 11, 14, 6], [1, 4, 6, 4]]
 
@@ -51,6 +52,14 @@ def blocks_x1(x1):
 @pytest.fixture
 def ones_params() -> LWParams:
     return LWParams(tuple(Fraction(1) for _ in range(16)))
+
+
+def x_minors(x: MatQ):
+    """minor_X(R, J) of a 4x4 matrix as a function of 0-based row and column
+    tuples, read by ``x_minor`` from the maximal minors of [X Y] (det Y = 1),
+    the table ``lw_factor`` reads."""
+    table = minor_table(_columns(blocks_of_canonical(x)))
+    return lambda rows, cols: Fraction(*x_minor(table, rows, cols))
 
 
 def det_cofactor(m: MatQ):

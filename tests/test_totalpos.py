@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -25,14 +25,21 @@ from fourlines import (
 )
 
 from fourlines.chart import lw_product
-from fourlines.totalpos import PARAM_NAMES, _square_minors, y_sign_times
+from fourlines.identity import symbolic_X
+from fourlines.poly import Poly16
+from fourlines.totalpos import _CHAMBER, _RATIOS, PARAM_NAMES, y_sign_times
 
-from conftest import X1_ENTRIES, concat, premultiply, rand_mat, rand_params, rand_pos_det
+from conftest import X1_ENTRIES, concat, premultiply, rand_mat, rand_params, rand_pos_det, x_minors
 
 
 class TestParams:
     def test_letter_indexing(self, ones_params):
         assert ones_params["a"] == 1 and ones_params["p"] == 1
+
+    @pytest.mark.parametrize("key", ["", "ab", "z", "A"])
+    def test_only_one_letter_names_a_parameter(self, key):
+        with pytest.raises(KeyError):
+            rand_params(random.Random(0))[key]
 
     def test_wrong_length(self):
         with pytest.raises(DimensionError):
@@ -144,7 +151,9 @@ class TestFactor:
 
     def test_non_tp_corpus(self):
         # parameters or message of each corpus matrix, as recorded when
-        # lw_factor still ran its own elimination: 44 factored, 1,156 refused
+        # lw_factor still ran its own elimination and back-solved a..l
+        # through differences; reading each parameter as one ratio of minors
+        # keeps every outcome: 44 factored, 1,156 refused
         outcomes = []
         for rows in factor_corpus():
             try:
@@ -165,11 +174,67 @@ class TestFactor:
         with pytest.raises(DimensionError):
             lw_factor(MatQ([[1, 2], [3, 4]]))
 
+    def test_factors_exactly_the_tp_matrices(self):
+        # lw_factor succeeds exactly when check_tp_config finds X totally
+        # positive; a rank-deficient column pair of X is refused, not TP
+        tp = rank_deficient = 0
+        for rows in [*factor_corpus(), *ZERO_PIVOTS.values()]:
+            x = MatQ(rows)
+            try:
+                ok = check_tp_config(blocks_of_canonical(x)).ok
+            except InputError:
+                ok = False
+                rank_deficient += 1
+            try:
+                lw_factor(x)
+                factored = True
+            except NotTotallyPositive:
+                factored = False
+            assert factored == ok, rows
+            tp += ok
+        assert (tp, rank_deficient) == (44, 18)
+
+
+def symbolic_minor(x, rows, cols) -> Poly16:
+    """A minor of a matrix of Poly16 entries, by permutation expansion."""
+    total = Poly16.zero()
+    for perm in permutations(cols):
+        inversions = sum(p > q for k, p in enumerate(perm) for q in perm[k + 1:])
+        term = Poly16.constant((-1) ** inversions)
+        for r, c in zip(rows, perm):
+            term = term * x[r][c]
+        total = total + term
+    return total
+
+
+class TestChamberMinors:
+    """The ratios of ``lw_factor`` hold over the symbolic chart product."""
+
+    def test_sixteen_minors_name_sixteen_parameters(self):
+        assert sorted(_RATIOS) == list(PARAM_NAMES) and len(_CHAMBER) == 16
+
+    def test_each_minor_is_one_monomial(self):
+        x = symbolic_X()
+        for rows, cols in _CHAMBER:
+            assert symbolic_minor(x, rows, cols).num_terms() == 1, (rows, cols)
+
+    def test_each_parameter_is_its_ratio(self):
+        # param * (product of denominators) = product of numerators
+        x = symbolic_X()
+        minor = {key: symbolic_minor(x, *key) for key in _CHAMBER}
+        for name, (num, den) in _RATIOS.items():
+            lhs, rhs = Poly16.variable(name), Poly16.constant(1)
+            for key in den:
+                lhs = lhs * minor[key]
+            for key in num:
+                rhs = rhs * minor[key]
+            assert lhs == rhs, name
+
 
 class TestChecks:
     def test_x1_square_tp(self, x1):
         # each of the 69 minors of X1, read from the table of [X Y]
-        minor = _square_minors(x1)
+        minor = x_minors(x1)
         for order in range(1, 5):
             for rows in combinations(range(4), order):
                 for cols in combinations(range(4), order):
@@ -177,7 +242,7 @@ class TestChecks:
 
     def test_square_shape(self):
         with pytest.raises(DimensionError, match="^expected a 4x4 matrix$"):
-            _square_minors(MatQ([[1]]))
+            lw_factor(MatQ([[1]]))
 
     def test_square_witness_is_first_failure(self, x1):
         # x11 = 0 makes minor_X(1, 1) = 0 on columns (1, 5, 6, 7) of [X Y]

@@ -24,6 +24,7 @@ from fourlines import (
     InputError,
     LWParams,
     MatQ,
+    NotTotallyPositive,
     QuadNum,
     Y_SIGN,
     blocks_of_canonical,
@@ -41,10 +42,9 @@ from fourlines import (
     random_tp_instance,
     solve_transversals,
 )
-from fourlines import exact, transversal
+from fourlines import exact, totalpos, transversal
 from fourlines.curves import POLYNOMIAL
 from fourlines.exact import minor_table, table_minor
-from fourlines.totalpos import _square_minors
 
 from conftest import (
     AT_INFINITY_X,
@@ -56,6 +56,7 @@ from conftest import (
     rand_params,
     rand_pos_det,
     swap_w3_columns,
+    x_minors,
 )
 
 ROWS4 = (1, 2, 3, 4)
@@ -65,8 +66,9 @@ ROWS4 = (1, 2, 3, 4)
 #: With g*W = [X Y], det(g) * minor_W(C) = det [X Y]_C, and expanding along
 #: the columns of Y (signed unit vectors) leaves the minor of X on the rows
 #: that those columns miss.  Y is chosen so that this expansion has sign +1
-#: for every C, which ``_square_minors`` (so ``lw_factor``) and the
-#: Cramer's-rule X of ``canonicalize`` rely on: minor_W(C) = minor_X(R, J) / det(g).
+#: for every C, which ``totalpos.x_minor`` (so ``lw_factor``, the
+#: Cramer's-rule X of ``canonicalize`` and the solver's forms) relies on:
+#: minor_W(C) = minor_X(R, J) / det(g).
 CONFIG_MINORS = tuple(
     (cols,
      tuple(r for r in range(4) if 8 - r not in cols),
@@ -108,10 +110,10 @@ def as_tuple(rep) -> tuple:
 
 def assert_square_check(x: MatQ) -> tuple:
     """The 4x4 check, ``check_tp_config`` on the blocks of [X Y], against
-    the cofactor oracle, and ``_square_minors`` on all 69 minors of x.
+    the cofactor oracle, and ``x_minor`` on all 69 minors of x.
     A column pair of rank 1 is refused, and its 2x2 minors, all zero, make
     x not totally positive.  Returns the oracle's verdict."""
-    read = _square_minors(x)
+    read = x_minors(x)
     for order in range(1, 5):
         for rows in combinations(range(4), order):
             for cols in combinations(range(4), order):
@@ -831,6 +833,14 @@ class TestCertificatesRaise:
             _, blocks = random_tp_instance(seed)
             with pytest.raises(CertificateFailure, match="misses a bilinear form|misses an input line"):
                 solve_transversals(blocks)
+
+    def test_tampered_recomposition(self, monkeypatch):
+        # parameters that do not recompose X are refused
+        x = lw_compose(random_tp_instance(0)[0])
+        compose = totalpos.lw_compose
+        monkeypatch.setattr(totalpos, "lw_compose", lambda params: compose(params).map(lambda v: v + 1))
+        with pytest.raises(NotTotallyPositive, match="^matrix is outside the positive factorization chart$"):
+            totalpos.lw_factor(x)
 
     def test_tampered_oracle_line(self, monkeypatch):
         _, blocks = random_tp_instance(0)
