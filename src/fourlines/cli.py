@@ -140,6 +140,10 @@ def _cmd_solve(args):
     from .transversal import solve_transversals
 
     if args.batch:
+        if args.input:
+            raise InputError("solve takes --input or --batch, not both")
+        if args.format != "json":
+            raise InputError("solve --batch writes JSON files: --format text needs --input")
         indir = Path(args.batch)
         if not indir.is_dir():
             raise InputError(f"--batch {args.batch}: not a directory")

@@ -21,8 +21,8 @@ from .errors import (
     SingularMatrixError,
     number_text,
 )
-from .chart import plucker_meet, proportional, wedge
-from .exact import IndexSet, MatQ, as_rat, integer_rows, minor_table, table_minor
+from .chart import proportional
+from .exact import IndexSet, MatQ, MinorTable, as_rat, integer_rows
 from .totalpos import ConfigBlocks
 
 RATIONAL_NORMAL = "rational_normal"
@@ -143,11 +143,10 @@ class _Frames(NamedTuple):
 
 
 def _det_w0(curve: CurveSpec) -> Fraction:
-    """det W0: the pairing of the wedges of its integer columns 0, 1 and
-    2, 3 (Laplace expansion along two columns), over s^4."""
+    """det W0, the one minor of the table of its four integer columns, each
+    over s."""
     (s, *cols), = _integer_points(curve, (0,), range(4))
-    a, b = tuple(zip(*cols[:2])), tuple(zip(*cols[2:]))
-    return Fraction(plucker_meet(wedge(a, a), wedge(b, b)), s**4)
+    return MinorTable(cols, (s,) * 4).value((0, 1, 2, 3))
 
 
 def _frames(curve: CurveSpec, ts) -> _Frames:
@@ -206,10 +205,10 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[_Frames] = None
     ``frames`` (``_frames``) holds the curve-coordinate (value, derivative)
     pair at each t on integers; they do not depend on epsilon, so the
     search passes them in, and they are computed here when not given.  For
-    eps = a/b the sample rows are V_k and b*V_k + a*D_k, whose 70 integer
-    minors come from ``exact.minor_table``; each printed minor is one of
-    them over its row scales and det W0.  The minors of a report that fails
-    are all the search needs to refuse (``_certifying_sample``).
+    eps = a/b the sample rows are V_k over s_k and b*V_k + a*D_k over
+    b*s_k, one ``exact.MinorTable``; each printed minor is its value over
+    det W0.  The minors of a report that fails are all the search needs to
+    refuse (``_certifying_sample``).
     """
     ts = _validate_ts(ts)
     epsilon = as_rat(epsilon)
@@ -228,16 +227,17 @@ def lemma_sample(curve: CurveSpec, ts, epsilon, frames: Optional[_Frames] = None
     for s, v, d in frames.points:
         rows += (v, tuple(b * x + a * y for x, y in zip(v, d)))
         scales += (s, b * s)
-    minors = minor_table(rows)[0].complete()
+    table = MinorTable(rows, scales)
+    minors = tuple((idx, table.value(sub, frames.det_w0))
+                   for idx, sub in zip(_SAMPLE_ROWS, combinations(range(8), 4)))
     sign = 1 if frames.det_w0 > 0 else -1  # of each printed minor over its integer m
     return SampleReport(
         ts=ts,
         epsilon=epsilon,
         w=MatQ([frames.frenet(row, s) for row, s in zip(rows, scales)]),
-        minors=tuple((idx, table_minor(minors, scales, sub, frames.det_w0))
-                     for idx, sub in zip(_SAMPLE_ROWS, minors)),
+        minors=minors,
         kappas=_SAMPLE_KAPPAS,
-        ok=all(m * sign > 0 for m in minors.values()),
+        ok=all(m * sign > 0 for m in table.values()),
     )
 
 
@@ -260,8 +260,8 @@ def _certifying_sample(curve: CurveSpec, ts) -> SampleReport:
     when it was made, so the reused report is the one a search would give.
 
     The frames (as in ``lemma_sample``) are computed once; each halving
-    only forms the shifted integer rows and reads their 70 minors from
-    ``exact.minor_table``.  eps0 = min gap / 4 and its halvings
+    only forms the shifted integer rows and reads their 70 minors from one
+    ``exact.MinorTable``.  eps0 = min gap / 4 and its halvings
     keep every shifted sample inside its gap, so ``lemma_sample`` accepts
     each of them.
 
@@ -345,11 +345,10 @@ def convexity_sample_check(curve: CurveSpec, grid_size: int) -> ConvexityReport:
     degenerate = det_w0 == 0  # no Frenet basis: the minors are read in curve coordinates
     det_w0 = det_w0 or Fraction(1)
     points = _integer_points(curve, grid, (0,))
-    minors = minor_table([v for _, v in points])[0].complete()
-    scales = [s for s, _ in points]
+    table = MinorTable([v for _, v in points], [s for s, _ in points])
     sign = 1 if det_w0 > 0 else -1
-    failures = tuple((IndexSet(tuple(i + 1 for i in sub)), table_minor(minors, scales, sub, det_w0))
-                     for sub, m in minors.items() if m * sign <= 0)
+    failures = tuple((IndexSet(tuple(i + 1 for i in sub)), table.value(sub, det_w0))
+                     for sub in combinations(range(grid_size), 4) if table[sub] * sign <= 0)
     return ConvexityReport(
         grid=grid,
         failures=failures,

@@ -4,7 +4,6 @@ Each class's ``exit_code`` is the code the CLI (``fourlines.cli``) exits
 with when the error ends a command or a file of ``solve --batch``.
 """
 import math
-import sys
 
 
 def number_text(r) -> str:

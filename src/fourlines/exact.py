@@ -9,7 +9,7 @@ fraction-free: a rational matrix is scaled to integers row by row and
 eliminated with exact integer divisions (Bareiss), and each output entry
 is one Fraction, so an inverse is the adjugate over the determinant.
 Every maximal minor of a k x 4 rational matrix comes from one integer
-kernel, ``minor_table``: the Pluecker pairing of two row wedges, each
+kernel, :class:`MinorTable`: the Pluecker pairing of two row wedges, each
 minor and each wedge made when it is first read.
 """
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .chart import plucker_meet, wedge
@@ -433,89 +432,52 @@ def integer_rows(rows: Sequence[Sequence]) -> tuple:
     return [[v.numerator * (s // v.denominator) for v in row] for row in rows], s
 
 
-class Wedges(dict):
-    """The wedges of k integer rows of length 4 made so far, keyed by
-    0-based row pairs i < j: ``wedges[i, j]`` holds the six 2x2 minors of
-    rows i and j.  Reading a missing pair makes its wedge and keeps it, so
-    a reader of a few wedges pays for those few.
-    """
-
-    __slots__ = ("ints",)
-
-    def __init__(self, ints: list):
-        super().__init__()
-        self.ints = ints
-
-    def __missing__(self, pair: tuple) -> tuple:
-        i, j = pair
-        rows = tuple(zip(self.ints[i], self.ints[j]))
-        value = self[pair] = wedge(rows, rows)
-        return value
-
-    def complete(self) -> dict:
-        """Every wedge, keyed in lexicographic order, in one pass."""
-        ints = self.ints
-        return {(i, j): wedge(rows, rows) for i, j in combinations(range(len(ints)), 2)
-                for rows in (tuple(zip(ints[i], ints[j])),)}
-
-
 class MinorTable(dict):
-    """The 4x4 minors of k integer rows of length 4 read so far, keyed by
-    0-based row tuples i < j < k < l.  Reading a missing key makes its
-    minor, the pairing <wedges[i, j], wedges[k, l]> of the row wedges
-    (``minor_table``), and keeps it, so a reader of a few minors pays for
-    those few and the wedges they pair; a reader of them all takes
-    ``complete()``.
+    """The maximal minors of a k x 4 matrix read so far, on integers, keyed
+    by 0-based row tuples i < j < k < l.
+
+    Row i of the matrix is ``ints[i]`` over ``scales[i]``, every scale
+    positive, so the ints alone carry every sign.  ``wedge(i, j)`` is the
+    six 2x2 minors of ints i < j, made on first read and kept in
+    ``wedges``.  Reading a missing key makes the 4x4 minor of those ints,
+    the pairing <wedge(i, j), wedge(k, l)> (Laplace expansion along two
+    rows), and keeps it, so a reader of a few minors pays for those few and
+    the wedges they pair; a reader of them all reads each key of
+    ``combinations(range(k), 4)``.  ``value`` is the minor of the matrix.
     """
 
-    __slots__ = ("wedges",)
+    __slots__ = ("ints", "scales", "wedges")
 
-    def __init__(self, wedges: Wedges):
+    def __init__(self, ints: Sequence[Sequence[int]], scales: Sequence[int]):
         super().__init__()
-        self.wedges = wedges
+        self.ints, self.scales, self.wedges = ints, scales, {}
+
+    def wedge(self, i: int, j: int) -> tuple:
+        w = self.wedges.get((i, j))
+        if w is None:
+            rows = tuple(zip(self.ints[i], self.ints[j]))
+            w = self.wedges[i, j] = wedge(rows, rows)
+        return w
 
     def __missing__(self, sub: tuple) -> int:
         i, j, k, l = sub
-        value = self[sub] = plucker_meet(self.wedges[i, j], self.wedges[k, l])
+        value = self[sub] = plucker_meet(self.wedge(i, j), self.wedge(k, l))
         return value
 
-    def complete(self) -> dict:
-        """Every minor, keyed in lexicographic order, in one pass."""
-        wedges = self.wedges.complete()
-        return {sub: plucker_meet(wedges[sub[:2]], wedges[sub[2:]])
-                for sub in combinations(range(len(self.wedges.ints)), 4)}
+    def value(self, rows: tuple, over=1) -> Fraction:
+        """The maximal minor of the rational rows on ``rows``, divided by
+        ``over`` (a non-zero int or Fraction): one division of two integers."""
+        i, j, k, l = rows
+        s = self.scales
+        return Fraction(self[rows] * over.denominator, s[i] * s[j] * s[k] * s[l] * over.numerator)
 
 
-def minor_table(rows: Sequence[Sequence]) -> tuple:
-    """The integer table behind the maximal minors of a k x 4 rational matrix,
-    given as its rows.
+def minor_table(rows: Sequence[Sequence]) -> MinorTable:
+    """The minor table of a k x 4 rational matrix, given as its rows: row i
+    scaled to integers by the LCM ``scales[i]`` of its denominators.
 
-    Returns ``(minors, scales, wedges)``, keyed by 0-based row tuples in
-    lexicographic order.  Row i is scaled to integers by the LCM
-    ``scales[i]`` of its denominators; ``wedges[i, j]`` holds the six 2x2
-    minors of scaled rows i < j, and ``minors[i, j, k, l]`` the 4x4 minor
-    on scaled rows i < j < k < l, read as the pairing
-    ``<wedges[i, j], wedges[k, l]>``: Laplace expansion along two rows.
-    Both are made when first read (``Wedges``, ``MinorTable``), so a TP
-    ``check_tp_config``, which reads 26 minors and the four block wedges,
-    makes 17 of the 28 wedges; ``complete()`` of either is the dict of all
-    of them.  The maximal minor of the matrix itself on rows R is
-    ``table_minor(minors, scales, R)``: the scales are positive, so the
-    ints alone carry every sign.
+    A TP ``check_tp_config``, which reads 26 minors and the four block
+    wedges, makes 17 of the 28 wedges.
     """
-    a, scales = [], []
-    for row in rows:
-        (ints,), s = integer_rows((row,))
-        a.append(ints)
-        scales.append(s)
-    wedges = Wedges(a)
-    return MinorTable(wedges), scales, wedges
-
-
-def table_minor(minors: dict, scales: Sequence[int], rows: tuple,
-                over: Fraction = Fraction(1)) -> Fraction:
-    """The maximal minor on ``rows`` of the matrix behind a ``minor_table``,
-    divided by ``over`` (non-zero): one division of two integers."""
-    i, j, k, l = rows
-    return Fraction(minors[rows] * over.denominator,
-                    scales[i] * scales[j] * scales[k] * scales[l] * over.numerator)
+    scaled = [integer_rows((row,)) for row in rows]
+    return MinorTable([ints for (ints,), _ in scaled], [s for _, s in scaled])

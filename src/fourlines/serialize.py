@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .curves import ConvexityReport, CurveSpec, SampleReport
     from .exact import MatQ, QuadNum
     from .totalpos import ConfigBlocks, LWParams, TPReport
-    from .transversal import LineRep, TransversalSolution
+    from .transversal import TransversalSolution
 
 
 def rat_to_str(r: Fraction) -> str:

@@ -21,7 +21,7 @@ from .errors import (
     number_text,
 )
 from .chart import lw_product
-from .exact import IndexSet, MatQ, as_rat, minor_table, table_minor
+from .exact import IndexSet, MatQ, MinorTable, as_rat, minor_table
 
 #: The fixed anti-diagonal sign matrix of the canonical form [X Y].
 Y_SIGN = MatQ(
@@ -107,16 +107,16 @@ class CanonicalForm:
     """Change of basis g with g*[W3 W4] = Y and the reduced matrix X = g*[W1 W2].
 
     ``orientation`` is the sign of det g, which is the sign of det[W3 W4].
-    ``table`` is the configuration's ``(minors, scales, wedges)`` that X was
-    read from (``minor_table``), so every minor of X (``x_minor``) and each
-    block's wedge is one more read of it.
+    ``table`` is the configuration's ``MinorTable`` that X was read from
+    (``minor_table`` of its eight columns), so every minor of X
+    (``x_minor``) and each block's wedge is one more read of it.
     """
 
     g: MatQ
     x: MatQ
     y: MatQ
     orientation: int
-    table: tuple = field(compare=False, repr=False)
+    table: MinorTable = field(compare=False, repr=False)
 
 
 #: The refusal of a configuration with a singular [W3 W4]: it has no canonical form.
@@ -144,15 +144,14 @@ _INITIAL = tuple(_xy_columns(range(i - k, i + 1), range(j - k, j + 1))
                  for i in range(4) for j in range(4) for k in (min(i, j),))
 
 
-def x_minor(table: tuple, rows, cols) -> tuple:
+def x_minor(table: MinorTable, rows, cols) -> tuple:
     """minor_X(rows, cols) of the canonical X as integers (n, d), d > 0,
     read from the configuration's minor table by Cramer's rule: it is the
     maximal minor of W on C = _xy_columns(rows, cols) over det[W3 W4].  With
-    m34 = minors[W34], n is sign(m34) * minors[C] times the scales of the
+    m34 = table[W34], n is sign(m34) * table[C] times the scales of the
     columns 7 - r of Y, r in ``rows``, that C leaves out, and d is |m34|
     times the scales of ``cols``."""
-    minors, scales, _ = table
-    n, d = minors[_xy_columns(rows, cols)], minors[_W34]
+    n, d, scales = table[_xy_columns(rows, cols)], table[_W34], table.scales
     for r in rows:
         n *= scales[7 - r]
     for j in cols:
@@ -160,14 +159,14 @@ def x_minor(table: tuple, rows, cols) -> tuple:
     return (n, d) if d > 0 else (-n, -d)
 
 
-def _canonical(blocks: ConfigBlocks, table: tuple) -> CanonicalForm:
+def _canonical(blocks: ConfigBlocks, table: MinorTable) -> CanonicalForm:
     """The canonical form, read from the configuration's minor table.
 
     g = Y*[W3 W4]^(-1), and each entry of X = g*[W1 W2] is a 1x1 minor
     (``x_minor``): X[r][j] = minor_W(j, W34 - {7 - r}) / det[W3 W4]
     (0-based columns).
     """
-    det34 = table[0][_W34]
+    det34 = table[_W34]
     if not det34:
         raise DegenerateConfiguration(SINGULAR_W34)
     x = [[Fraction(*x_minor(table, (r,), (j,))) for j in range(4)] for r in range(4)]
@@ -182,7 +181,7 @@ def _columns(blocks: ConfigBlocks) -> list:
 def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     """All 70 maximal minors of the 4x8 concatenation strictly positive?
 
-    The minors are pairings of the column wedges in one ``minor_table``,
+    The minors are pairings of the column wedges in one ``MinorTable``,
     each made when first read.  With g*W = [X Y] and det g =
     1/det[W3 W4], every maximal minor of W is det[W3 W4] times a minor of
     X (``_xy_columns``), so W is totally positive exactly when
@@ -198,17 +197,16 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     So a 4x4 matrix X is checked as ``check_tp_config(blocks_of_canonical(X))``:
     the 70 maximal minors of [X Y] are its 69 minors and det Y = 1.
     """
-    table = minors, scales, wedges = minor_table(_columns(blocks))
+    table = minor_table(_columns(blocks))
     for idx in range(4):
-        if not any(wedges[2 * idx, 2 * idx + 1]):
+        if not any(table.wedge(2 * idx, 2 * idx + 1)):
             raise InputError(f"block W{idx + 1} is rank-deficient")
-    canon = _canonical(blocks, table) if minors[_W34] else None
-    if minors[_W34] > 0 and all(minors[cols] > 0 for cols in _INITIAL):
+    canon = _canonical(blocks, table) if table[_W34] else None
+    if table[_W34] > 0 and all(table[cols] > 0 for cols in _INITIAL):
         return TPReport(True, canonical=canon)
     # one of those 17 is not positive, so the scan stops
-    cols = next(cols for cols in combinations(range(8), 4) if minors[cols] <= 0)
-    return TPReport(False, IndexSet(tuple(c + 1 for c in cols)),
-                    table_minor(minors, scales, cols), canonical=canon)
+    cols = next(cols for cols in combinations(range(8), 4) if table[cols] <= 0)
+    return TPReport(False, IndexSet(tuple(c + 1 for c in cols)), table.value(cols), canonical=canon)
 
 
 def canonicalize(blocks: ConfigBlocks) -> CanonicalForm:

@@ -36,7 +36,7 @@ from .errors import (
 )
 from . import chart
 from .chart import FORM_COLS, FORM_ROWS, PLUCKER_ROWS, plucker_meet, proportional, wedge
-from .exact import MatQ, QuadNum, integer_rows, rational_sqrt
+from .exact import MatQ, MinorTable, QuadNum, integer_rows, rational_sqrt
 from .serialize import refuse_unprintable
 from .totalpos import SINGULAR_W34, CanonicalForm, ConfigBlocks, check_tp_config, x_minor
 
@@ -355,7 +355,7 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
     else:
         roots = tuple((None if x is None else _printed(x, lam, disc), _printed(y, lam, disc))
                       for x, y in roots)
-    _certify_lines(roots, lines, parts, canon.table[2], quad.disc)
+    _certify_lines(roots, lines, parts, canon.table, quad.disc)
     # the certificate proved every pairing zero
     zero = QuadNum.of(0, disc)
     return TransversalSolution(
@@ -403,23 +403,23 @@ def _plucker_parts(a, b, d: int) -> tuple:
     return pa, pb
 
 
-def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], parts: list, wedges,
+def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], parts: list, table: MinorTable,
                    d: int) -> None:
     """Certify the solution lines on the integer parts of their Pluecker
     vectors.
 
     ``parts`` holds (pa, pb) of each line built, a Pluecker vector
-    pa + sqrt(d)*pb up to a non-zero integer factor, and ``wedges`` the
-    configuration's column wedges (``minor_table``): wedges[2k, 2k + 1] is
-    input line k + 1's Pluecker vector times the two column scales of its
-    block.  Every test below is a zero test, so no non-zero factor changes
-    its outcome.  When root 1 is irrational the pair is conjugate: the
-    printed root 2 and line 2 (span and Pluecker vector) must be the stored
-    conjugates of root 1 and line 1, and then every value of line 2 is the
-    conjugate of line 1's, so only line 1 was built and is checked.  Otherwise both lines must be rational
-    (pb = 0) and both are checked.  Each checked line lies on the Pluecker
-    quadric and pairs to zero with every input line, and the two lines
-    differ.
+    pa + sqrt(d)*pb up to a non-zero integer factor, and ``table`` the
+    configuration's minor table (``CanonicalForm.table``): its column wedge
+    ``table.wedge(2k, 2k + 1)`` is input line k + 1's Pluecker vector times
+    the two column scales of its block.  Every test below is a zero test,
+    so no non-zero factor changes its outcome.  When root 1 is irrational
+    the pair is conjugate: the printed root 2 and line 2 (span and Pluecker
+    vector) must be the stored conjugates of root 1 and line 1, and then
+    every value of line 2 is the conjugate of line 1's, so only line 1 was
+    built and is checked.  Otherwise both lines must be rational (pb = 0)
+    and both are checked.  Each checked line lies on the Pluecker quadric
+    and pairs to zero with every input line, and the two lines differ.
 
     Distinct roots never give coincident lines: [W3 W4] is invertible, so a
     line through a point of W3 is not inside W4 and meets W4 in one point,
@@ -444,7 +444,7 @@ def _certify_lines(roots: tuple, lines: Tuple[LineRep, LineRep], parts: list, we
     u, v = parts[0] if pair else (parts[0][0], parts[1][0])
     if proportional(u, v):
         raise CertificateFailure(f"the two {'conjugate ' if pair else ''}solution lines coincide")
-    ells = [wedges[k, k + 1] for k in (0, 2, 4, 6)]
+    ells = [table.wedge(k, k + 1) for k in (0, 2, 4, 6)]
     if any(plucker_meet(ell, p) for ell in ells for part in parts for p in part):
         raise CertificateFailure("a solution line misses an input line")
 

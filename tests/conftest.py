@@ -8,7 +8,7 @@ import pytest
 from fourlines import LWParams, MatQ, SampleReport, blocks_of_canonical, frenet_basis, lw_compose
 from fourlines import curves
 from fourlines.chart import proportional
-from fourlines.exact import minor_table, table_minor
+from fourlines.exact import minor_table
 from fourlines.totalpos import _columns, x_minor
 
 X1_ENTRIES = [[1, 3, 3, 1], [3, 10, 11, 4], [3, 11, 14, 6], [1, 4, 6, 4]]
@@ -134,8 +134,8 @@ def sample_oracle(curve, ts, epsilon, pairs) -> SampleReport:
     its minors are read from ``minor_table(W)``."""
     cols = [u for v, d in pairs for u in (v, tuple(a + epsilon * b for a, b in zip(v, d)))]
     w = (frenet_basis(curve) @ MatQ.from_cols(cols)).transpose()
-    table, scales, _ = minor_table(w.entries())
-    minors = [table_minor(table, scales, rows) for rows in table.complete()]
+    table = minor_table(w.entries())
+    minors = [table.value(rows) for rows in combinations(range(8), 4)]
     return SampleReport(ts=tuple(ts), epsilon=epsilon, w=w, minors=tuple(zip(curves._SAMPLE_ROWS, minors)),
                         kappas=curves._SAMPLE_KAPPAS, ok=all(m > 0 for m in minors))
 

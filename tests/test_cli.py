@@ -26,7 +26,7 @@ import fourlines
 from fourlines import curves, exact, totalpos, transversal
 from fourlines.curves import MAX_CURVE_COEFFS, MAX_CURVE_LITERAL, MAX_GRID, MAX_SCHUBERT_N, lemma_sample
 from fourlines.errors import number_text
-from fourlines.exact import minor_table
+from fourlines.exact import MinorTable
 from fourlines.identity import MAX_SPOTS
 from fourlines.totalpos import MAX_BOUND, SINGULAR_W34
 from fourlines import serialize as ser
@@ -181,6 +181,21 @@ class TestSolve:
         assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 2
         assert "not a directory" in capsys.readouterr().err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--format", "text"], "solve --batch writes JSON files: --format text needs --input"),
+        (["--input", "inst.json"], "solve takes --input or --batch, not both"),
+    ], ids=["format-text", "input"])
+    def test_batch_refuses_an_option_it_would_ignore(self, tmp_path, capsys, extra, message):
+        indir = tmp_path / "batch"
+        indir.mkdir()
+        _, blocks = random_tp_instance(1, bound=5)
+        (indir / "inst.json").write_text(ser.dumps(ser.blocks_to_obj(blocks)))
+        outdir = tmp_path / "out"
+        argv = ["solve", "--batch", str(indir), "--output", str(outdir), *extra]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists() and [p.name for p in indir.iterdir()] == ["inst.json"]
 
     def test_no_input(self, capsys):
         assert run(["solve"]) == 2
@@ -385,12 +400,12 @@ class TestCurveSample:
             calls.append(args)
             return lemma_sample(*args, **kwargs)
 
-        def counted_minors(rows):
-            tables.append(rows)
-            return minor_table(rows)
+        def counted_table(ints, scales):
+            tables.append(len(ints))
+            return MinorTable(ints, scales)
 
         monkeypatch.setattr(curves, "lemma_sample", counted)
-        monkeypatch.setattr(curves, "minor_table", counted_minors)
+        monkeypatch.setattr(curves, "MinorTable", counted_table)
         out = tmp_path / "out.json"
         argv = ["curve-sample", "--ts", "1/10,3/10,5/10,9/10", "--epsilon", "auto",
                 "--curve", str(path), "--output", str(out)]
@@ -401,8 +416,9 @@ class TestCurveSample:
             "error: no certifying epsilon: sample minor {1,2,3,5} is eps^1 * P(eps) "
             "with P(0) = 0, and P <= 0 on (0, 1/80]\n")
         assert len(calls) == 1
-        # the refusal reads the failed sample's own minors: one table in all
-        assert len(tables) == 1
+        # the refusal reads the failed sample's own minors: one 8-row sample
+        # table in all (det W0 reads a 4-row table of its own)
+        assert tables.count(8) == 1
 
     @pytest.mark.parametrize("moved", [False, True])
     def test_auto_epsilon_counts(self, tmp_path, monkeypatch, moved):

@@ -36,7 +36,8 @@ from fourlines import serialize as ser
 from fourlines.cli import run
 from fourlines.curves import POLYNOMIAL
 
-from conftest import frame_pairs, frenet_frames, late, lift_pairs, sample_constants, sample_oracle
+from conftest import (det_cofactor, frame_pairs, frenet_frames, late, lift_pairs, sample_constants,
+                      sample_oracle)
 
 TS = (Fraction(1, 10), Fraction(3, 10), Fraction(5, 10), Fraction(7, 10))
 
@@ -671,6 +672,18 @@ class TestConvexitySample:
         for c in (curve, linear_image(curve, swap)):
             assert curves._frames(c, TS).det_w0 == 1 / frenet_basis(c).det()
         assert curves._frames(linear_image(curve, swap), TS).det_w0 < 0 < curves._frames(curve, TS).det_w0
+
+    @pytest.mark.parametrize("components, sign", [
+        (((2, "1/3", -1), ("1/2", 3), (0, 1, "2/5", 1), (1, 0, -3, "1/7", 2)), 1),
+        ((("1/2", 3), (2, "1/3", -1), (0, 1, "2/5", 1), (1, 0, -3, "1/7", 2)), -1),
+        # component 4 is component 1 plus component 3
+        (((1, 1), (0, 1, 1), (0, 0, 1, 1), (1, 1, 1, 1)), 0),
+    ], ids=["positive", "negative", "zero"])
+    def test_det_w0_matches_the_cofactor_oracle(self, components, sign):
+        curve = poly_curve(*components)
+        w0 = MatQ.from_cols([curve_eval(curve, 0, order) for order in range(4)])
+        det = det_cofactor(w0)
+        assert curves._det_w0(curve) == det and (det > 0) - (det < 0) == sign
 
     def test_convexity_check_inverts_nothing(self, capsys, monkeypatch):
         calls = []

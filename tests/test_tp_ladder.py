@@ -44,7 +44,7 @@ from fourlines import (
 )
 from fourlines import exact, totalpos, transversal
 from fourlines.curves import POLYNOMIAL
-from fourlines.exact import minor_table, table_minor
+from fourlines.exact import MinorTable, minor_table
 
 from conftest import (
     AT_INFINITY_X,
@@ -221,36 +221,49 @@ class TestLadder:
             params, _ = random_tp_instance(seed, bound)
             x = lw_compose(params)
             scales = [math.lcm(*(v.denominator for v in col)) for col in xy_columns(x)]
-            table, table_scales, _ = minor_table(xy_columns(x))
-            assert table_scales == scales and scales[4:] == [1] * 4
-            assert len(table) == 0 and len(table.complete()) == 70
+            table = minor_table(xy_columns(x))
+            assert table.scales == scales and scales[4:] == [1] * 4
+            assert len(table) == 0
+            full = {cols: table[cols] for cols in combinations(range(8), 4)}
+            assert len(table) == 70 and table == full
             for cols, rows, xcols in CONFIG_MINORS:
                 exact = minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in xcols))
                 assert table[tuple(c - 1 for c in cols)] == exact * math.prod(scales[c] for c in xcols)
 
 
 def assert_ladder_is_exact(m: MatQ):
-    """Every entry of the minor table, the wedges of all row pairs and the
-    maximal minors (complete, and each read on its own), and ``table_minor``
-    on each row set, against the cofactor oracle."""
-    table, scales, wedges = minor_table(m.entries())
-    assert scales == [math.lcm(*(v.denominator for v in row)) for row in m.entries()]
-    assert not wedges
-    all_wedges, full = wedges.complete(), table.complete()
-    assert list(all_wedges) == list(combinations(range(m.rows), 2))
-    assert list(full) == list(combinations(range(m.rows), 4))
-    for (i, j), w in all_wedges.items():
-        assert [Fraction(v, scales[i] * scales[j]) for v in w] == [
-            minor(m, (i + 1, j + 1), cols) for cols in combinations(ROWS4, 2)]
-    for rows, value in full.items():
-        exact = minor(m, tuple(r + 1 for r in rows), ROWS4)
-        assert Fraction(value, math.prod(scales[r] for r in rows)) == exact
-    # a read pairs its minor and keeps it, in the order read
-    assert not table
-    backwards = list(full)[::-1]
-    assert [table_minor(table, scales, rows) for rows in backwards] == [
-        minor(m, tuple(r + 1 for r in rows), ROWS4) for rows in backwards]
-    assert table == full and list(table) == backwards
+    """Every wedge of a row pair and every maximal minor of the minor table
+    (all of them in order, and each read on its own), and ``value`` on each
+    row set, against the cofactor oracle.  Two tables of m are checked: the
+    one ``minor_table`` scales by the least row scales, and a
+    ``MinorTable`` of integer rows over larger explicit scales, as
+    ``curves`` builds its tables."""
+    lcms = [math.lcm(*(v.denominator for v in row)) for row in m.entries()]
+    scaled = minor_table(m.entries())
+    assert scaled.scales == lcms
+    wide = [s * (i + 2) for i, s in enumerate(lcms)]
+    ints = [[(v * s).numerator for v in row] for row, s in zip(m.entries(), wide)]
+    for table in (scaled, MinorTable(ints, wide)):
+        scales = table.scales
+        assert not table.wedges and not table
+        all_wedges = {(i, j): table.wedge(i, j) for i, j in combinations(range(m.rows), 2)}
+        full = {rows: table[rows] for rows in combinations(range(m.rows), 4)}
+        assert list(table.wedges) == list(combinations(range(m.rows), 2))
+        assert list(table) == list(combinations(range(m.rows), 4))
+        for (i, j), w in all_wedges.items():
+            assert [Fraction(v, scales[i] * scales[j]) for v in w] == [
+                minor(m, (i + 1, j + 1), cols) for cols in combinations(ROWS4, 2)]
+        for rows, value in full.items():
+            exact = minor(m, tuple(r + 1 for r in rows), ROWS4)
+            assert Fraction(value, math.prod(scales[r] for r in rows)) == exact
+        # a read pairs its minor and keeps it, in the order read
+        table = MinorTable(table.ints, scales)
+        backwards = list(full)[::-1]
+        assert [table.value(rows) for rows in backwards] == [
+            minor(m, tuple(r + 1 for r in rows), ROWS4) for rows in backwards]
+        assert table == full and list(table) == backwards
+        over = Fraction(-3, 7)
+        assert [table.value(rows, over) for rows in full] == [table.value(rows) / over for rows in full]
 
 
 def rand_with_zeros(rng: random.Random, rows: int, cols: int) -> MatQ:
@@ -633,7 +646,8 @@ class TestCheckTpSquare:
         # minor_X(R, J) is the maximal minor of [X Y] on J and 8 - r, r not in R
         rng = random.Random(47)
         for x in (rand_with_zeros(rng, 4, 4), MatQ([[rand_frac(rng) for _ in range(4)] for _ in range(4)])):
-            table, scales, _ = minor_table(xy_columns(x))
+            table = minor_table(xy_columns(x))
+            scales = table.scales
             for order in range(1, 5):
                 for rows in combinations(range(4), order):
                     missed = tuple(sorted(7 - r for r in range(4) if r not in rows))

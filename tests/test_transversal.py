@@ -396,9 +396,9 @@ class TestTableChart:
 
     def test_block_wedges_are_positive_multiples_of_the_input_lines(self):
         for blocks in table_chart_corpus():
-            wedges = check_tp_config(blocks).canonical.table[2]
+            table = check_tp_config(blocks).canonical.table
             for k, w in enumerate(blocks.blocks()):
-                ell, p = wedges[2 * k, 2 * k + 1], plucker_of_span(w)
+                ell, p = table.wedge(2 * k, 2 * k + 1), plucker_of_span(w)
                 assert chart.proportional(ell, p)
                 assert all(u * v >= 0 for u, v in zip(ell, p))
 
