@@ -69,10 +69,16 @@ class QuadNum:
     d: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_rat(self.a) if not isinstance(self.a, Fraction) else self.a)
-        object.__setattr__(self, "b", as_rat(self.b) if not isinstance(self.b, Fraction) else self.b)
-        object.__setattr__(self, "d", as_rat(self.d) if not isinstance(self.d, Fraction) else self.d)
-        if self.d < 0:
+        # the parts the solver builds are already Fractions; as_rat coerces
+        # any other part, or refuses it, in the order a, b, d
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", as_rat(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", as_rat(self.b))
+        d = self.d
+        if type(d) is not Fraction:
+            object.__setattr__(self, "d", d := as_rat(d))
+        if d.numerator < 0:
             raise RadicandMismatch("negative radicand: values would not be real")
 
     @staticmethod
@@ -231,7 +237,8 @@ class MatQ:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
-        rows = tuple(tuple(self._norm(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) if isinstance(x, int) else x
+                           for x in row) for row in entries)
         if not rows or not rows[0]:
             raise DimensionError("matrix must be non-empty")
         if any(len(r) != len(rows[0]) for r in rows):
@@ -239,12 +246,6 @@ class MatQ:
         self.rows = len(rows)
         self.cols = len(rows[0])
         self._e = rows
-
-    @staticmethod
-    def _norm(x):
-        if isinstance(x, int):
-            return Fraction(x)
-        return x
 
     @staticmethod
     def identity(n: int) -> "MatQ":

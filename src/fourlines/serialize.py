@@ -39,8 +39,11 @@ def refuse_unprintable(values) -> None:
     limit.  A number of at most 3 bits per allowed digit prints (3 log10 2
     < 1), so only a longer one is converted to text."""
     limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    bits = 3 * limit
     for r in values:
-        if limit and max(abs(r.numerator), r.denominator).bit_length() > 3 * limit:
+        if max(abs(r.numerator), r.denominator).bit_length() > bits:
             rat_to_str(r)
 
 
@@ -55,9 +58,10 @@ MAX_RATIONAL_LENGTH = 4096
 def rat_from_str(s, max_length: int = MAX_RATIONAL_LENGTH) -> Fraction:
     """Parse a rational literal of the grammar above, at most ``max_length``
     characters long (a JSON integer is read as its decimal string)."""
-    s = str(s) if isinstance(s, int) and not isinstance(s, bool) else s
-    if not isinstance(s, str):
-        raise InputError(f"rational literal must be a string, got {type(s).__name__}")
+    if type(s) is not str:
+        s = str(s) if isinstance(s, int) and not isinstance(s, bool) else s
+        if not isinstance(s, str):
+            raise InputError(f"rational literal must be a string, got {type(s).__name__}")
     if len(s) > max_length:
         raise InputError(f"rational literal of {len(s)} characters exceeds {max_length}")
     if not _RATIONAL.fullmatch(s):
@@ -229,7 +233,9 @@ def dumps(obj) -> str:
     ``indent`` takes json off its C encoder; this writer keeps json's C
     string escaper and appends each value's text to one list, joined once.
     Each distinct string is escaped once per call, into a dict that lives
-    for the call: a solution repeats its D in every quadratic number."""
+    for the call: a solution repeats its D in every quadratic number.  A
+    value whose type is exactly ``str`` or ``int`` is written inline, and
+    any other scalar by json's rules (``_scalar``)."""
     out = []
     _write(obj, out, "\n", {})
     out.append("\n")
@@ -243,18 +249,23 @@ _INFINITY = float("inf")
 def _write(o, out: list, nl: str, esc: dict) -> None:
     """Append the text of o to out; ``nl`` is a newline and o's indent, and
     ``esc`` maps each string escaped so far to its text (a text is never
-    empty, so ``esc.get(s) or`` escapes only a new string)."""
+    empty, so ``esc.get(s) or`` escapes only a new string).  A list whose
+    items are all exactly ``str`` or ``int``, such as a matrix row, is one
+    joined chunk; any other list is written item by item."""
     if isinstance(o, dict):
         if not o:
             out.append("{}")
             return
         inner, sep = nl + "  ", "{"
         for k, v in o.items():
-            if not isinstance(k, str):
+            if type(k) is not str and not isinstance(k, str):
                 k = _scalar(k)  # json quotes a non-string key
             key = esc.get(k) or esc.setdefault(k, _escape(k))
-            if isinstance(v, str):
+            cls = type(v)
+            if cls is str:
                 out.append(f"{sep}{inner}{key}: {esc.get(v) or esc.setdefault(v, _escape(v))}")
+            elif cls is int:
+                out.append(f"{sep}{inner}{key}: {v!r}")
             elif isinstance(v, _CONTAINERS):
                 out.append(f"{sep}{inner}{key}: ")
                 _write(v, out, inner, esc)
@@ -266,11 +277,22 @@ def _write(o, out: list, nl: str, esc: dict) -> None:
         if not o:
             out.append("[]")
             return
-        inner, sep = nl + "  ", "["
+        inner = nl + "  "
+        texts = []
         for v in o:
-            if isinstance(v, str):
-                out.append(f"{sep}{inner}{esc.get(v) or esc.setdefault(v, _escape(v))}")
-            elif isinstance(v, _CONTAINERS):
+            cls = type(v)
+            if cls is str:
+                texts.append(esc.get(v) or esc.setdefault(v, _escape(v)))
+            elif cls is int:
+                texts.append(repr(v))
+            else:
+                break
+        else:
+            out.append(f"[{inner}{(',' + inner).join(texts)}{nl}]")
+            return
+        sep = "["
+        for v in o:
+            if isinstance(v, _CONTAINERS):
                 out.append(sep + inner)
                 _write(v, out, inner, esc)
             else:

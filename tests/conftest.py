@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from fourlines import LWParams, MatQ, SampleReport, blocks_of_canonical, frenet_basis, lw_compose
+from fourlines import LWParams, MatQ, SampleReport, blocks_of_canonical, frenet_basis
 from fourlines import curves
 from fourlines.chart import proportional
 from fourlines.exact import minor_table

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fourlines import (
     CertificateFailure,
     ConfigBlocks,
-    InputError,
     MatQ,
     NoRealSolution,
     NotTotallyPositive,

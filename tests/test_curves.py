@@ -24,7 +24,6 @@ from fourlines import (
     kappa_of,
     lemma_sample,
     oracle_plucker_solve,
-    plucker_meet,
     plucker_of_span,
     schubert_count,
     solve_transversals,

@@ -239,6 +239,35 @@ class TestQuadNum:
         assert q(10**300, 0, 0).approx() == 1e300
 
 
+class _Half(Fraction):
+    """A Fraction subclass: constructors keep or coerce it by value."""
+
+
+class TestConstructors:
+    def test_quadnum_parts_equal_their_inputs(self):
+        rational = QuadNum(Fraction(1, 2), Fraction(0), Fraction(3))
+        for parts in ((1, -2, 5), (rational, 2, 5), (_Half(1, 2), _Half(-3, 4), _Half(5))):
+            x = QuadNum(*parts)
+            assert (x.a, x.b, x.d) == parts
+            assert all(isinstance(p, Fraction) for p in (x.a, x.b, x.d))
+
+    def test_quadnum_irrational_part(self):
+        with pytest.raises(RadicandMismatch, match="^quadratic number with irrational part is not rational$"):
+            QuadNum(q(0, 1, 2), Fraction(0), Fraction(2))
+
+    @pytest.mark.parametrize("d", [-2, Fraction(-2)], ids=["int", "Fraction"])
+    def test_quadnum_negative_radicand(self, d):
+        with pytest.raises(RadicandMismatch, match="^negative radicand: values would not be real$"):
+            QuadNum(Fraction(1), Fraction(1), d)
+
+    def test_matq_entries(self):
+        m = MatQ([[True, 2, Fraction(1, 2)]])
+        assert m.entries() == ((Fraction(1), Fraction(2), Fraction(1, 2)),)
+        assert all(type(x) is Fraction for x in m.row(0))
+        x = q(1, 1, 2)
+        assert MatQ([[x]])[0, 0] is x
+
+
 #: Input checks of the exact kernel: name -> (call, error, exact message).
 INPUT_CHECKS = {
     "empty matrix": (lambda: MatQ([]), DimensionError, "matrix must be non-empty"),

@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 import sys
@@ -347,6 +348,14 @@ def _cli_objects() -> dict:
 CLI_OBJECTS = _cli_objects()
 
 
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
 class TestWriter:
     """``ser.dumps`` writes the bytes of ``json.dumps(indent=2)``."""
 
@@ -366,7 +375,15 @@ class TestWriter:
         assert CLI_OBJECTS["tp-pass"] == {"ok": True, "witness": None}
 
     @pytest.mark.parametrize("obj", [[], {}, "", 0, -0.0, None, {"": [[], {}]}, (1, "é"),
-                                     {1: "int key", 2.5: None, True: [], None: {}}])
+                                     {1: "int key", 2.5: None, True: [], None: {}},
+                                     # subclasses of str and int take json's own rules
+                                     pytest.param({"v": _Small.ONE}, id="intenum-value"),
+                                     pytest.param(["a", _Small.ONE, 2], id="intenum-item"),
+                                     pytest.param({_Small.ONE: 2}, id="intenum-key"),
+                                     pytest.param({"v": _Text('é"')}, id="str-subclass-value"),
+                                     pytest.param([_Text("a"), "b", 3], id="str-subclass-item"),
+                                     pytest.param({_Text("k"): "k"}, id="str-subclass-key"),
+                                     pytest.param([True, 1, False, 0], id="bools-and-ints")])
     def test_small_values(self, obj):
         assert ser.dumps(obj) == _json_dumps(obj)
 

@@ -1,5 +1,6 @@
-"""What a process loads: the lazy package names, and the modules each CLI
-command imports."""
+"""What a process loads: the lazy package names, the modules each CLI
+command imports, and no import that nothing reads."""
+import ast
 import importlib
 import json
 import os
@@ -17,6 +18,7 @@ from conftest import X1_ENTRIES
 
 SRC = Path(fourlines.__file__).resolve().parent.parent
 PERFBENCH = SRC.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 #: Every name the package exported when it imported all submodules at once,
 #: with the submodule that defines it.
@@ -71,8 +73,8 @@ class TestPackageNames:
             fourlines.frobnicate
         assert not hasattr(fourlines, "_certifying_sample")
         assert not hasattr(fourlines, "Rat")
-        with pytest.raises(ImportError):
-            from fourlines import frobnicate  # noqa: F401
+        with pytest.raises(ImportError, match="cannot import name 'frobnicate'"):
+            exec("from fourlines import frobnicate", {})
 
     def test_import_loads_only_errors(self):
         out = _python("-c", "import sys, fourlines; "
@@ -166,3 +168,40 @@ class TestCachedParser:
         fresh = _python("-m", "fourlines.cli", "verify-identity", "--spots", "2", "--seed", "4")
         assert in_process == fresh
         assert json.loads(in_process)["equal"] is True
+
+
+#: Imports that bind a name the module never reads, by file: the error
+#: classes the package re-exports, and the modules ``cli`` loads for the
+#: benchmark's tracer (``# noqa: F401`` at its end).
+UNREAD_IMPORTS = {
+    SRC / "fourlines" / "__init__.py": set(EXPORTS["errors"].split()),
+    SRC / "fourlines" / "cli.py": {"curves", "identity", "transversal"},
+}
+
+
+def _unread_imports(path: Path) -> list:
+    """Each name an import in ``path`` binds and the module never reads, as
+    "file:line name"; a ``__future__`` import binds no name."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    allowed = UNREAD_IMPORTS.get(path, set())
+    return [f"{path.name}:{node.lineno} {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+            for name in [alias.asname or alias.name.split(".")[0]]
+            if name != "*" and name not in read and name not in allowed]
+
+
+class TestImportsAreRead:
+    def test_no_unread_import(self):
+        modules = sorted((SRC / "fourlines").rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+        assert len(modules) > 20
+        assert [hit for path in modules for hit in _unread_imports(path)] == []
+
+    def test_scan_finds_an_unread_import(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text("from __future__ import annotations\nimport os.path\n"
+                          "from json import dumps as d, loads\n\n\ndef f():\n    return loads\n")
+        assert _unread_imports(module) == ["m.py:2 os", "m.py:3 d"]

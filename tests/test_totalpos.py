@@ -29,7 +29,7 @@ from fourlines.identity import symbolic_X
 from fourlines.poly import Poly16
 from fourlines.totalpos import _CHAMBER, _RATIOS, PARAM_NAMES, y_sign_times
 
-from conftest import X1_ENTRIES, concat, premultiply, rand_mat, rand_params, rand_pos_det, x_minors
+from conftest import concat, premultiply, rand_mat, rand_params, rand_pos_det, x_minors
 
 
 class TestParams:
