@@ -477,8 +477,8 @@ def minor_table(rows: Sequence[Sequence]) -> MinorTable:
     """The minor table of a k x 4 rational matrix, given as its rows: row i
     scaled to integers by the LCM ``scales[i]`` of its denominators.
 
-    A TP ``check_tp_config``, which reads 26 minors and the four block
-    wedges, makes 17 of the 28 wedges.
+    A TP ``check_tp_config``, which reads 30 minors and the four block
+    wedges, makes 19 of the 28 wedges.
     """
     scaled = [integer_rows((row,)) for row in rows]
     return MinorTable([ints for (ints,), _ in scaled], [s for _, s in scaled])

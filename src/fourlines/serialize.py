@@ -213,6 +213,8 @@ def curve_spec_from_obj(obj) -> CurveSpec:
     except (KeyError, TypeError) as exc:
         raise InputError('curve JSON must have a "kind" key') from exc
     if kind == RATIONAL_NORMAL:
+        if "components" in obj:
+            raise InputError('a rational_normal curve takes no "components"')
         return CurveSpec.moment()
     if kind == POLYNOMIAL:
         comps = obj.get("components")
@@ -324,9 +326,20 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict, refusing a repeated key, of which
+    ``json.loads`` would keep the last value with no message."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InputError(f"repeated JSON key {_escape(key)}")
+    return obj
+
+
 def loads(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # ValueError also covers JSON integers over Python's digit limit
         raise InputError(f"invalid JSON: {exc}") from exc

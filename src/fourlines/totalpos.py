@@ -33,16 +33,6 @@ Y_SIGN = MatQ(
     ]
 )
 
-#: Y_SIGN as a signed permutation: row i of Y_SIGN is unit row k, negated
-#: unless positive, for (k, positive) = _Y_MOVES[i].
-_Y_MOVES = tuple(next((k, v > 0) for k, v in enumerate(row) if v) for row in Y_SIGN.entries())
-
-
-def y_sign_times(m: MatQ) -> MatQ:
-    """Y_SIGN @ m, by moving and negating the rows of m."""
-    return MatQ([[x if positive else -x for x in m.row(k)] for k, positive in _Y_MOVES])
-
-
 PARAM_NAMES = "abcdefghijklmnop"
 #: Largest ``random_tp_instance`` bound.  The entries of a bound-10^100
 #: instance reach about 2,200 characters, so every generated instance reads
@@ -134,16 +124,6 @@ def _xy_columns(rows, cols) -> tuple:
     return (*cols, *(7 - r for r in (3, 2, 1, 0) if r not in rows))
 
 
-#: The 16 initial minors of a 4x4 matrix as columns of [X Y]: for each
-#: entry (i, j), the minor on the largest contiguous block of rows and
-#: columns that ends there, min(i, j) + 1 of each.  A 4x4 matrix is totally
-#: positive exactly when these 16 are positive (Gasca and Pena, Linear
-#: Algebra Appl. 165, 1992; Fomin and Zelevinsky, Math. Intelligencer
-#: 22(1), 2000).
-_INITIAL = tuple(_xy_columns(range(i - k, i + 1), range(j - k, j + 1))
-                 for i in range(4) for j in range(4) for k in (min(i, j),))
-
-
 def x_minor(table: MinorTable, rows, cols) -> tuple:
     """minor_X(rows, cols) of the canonical X as integers (n, d), d > 0,
     read from the configuration's minor table by Cramer's rule: it is the
@@ -162,15 +142,16 @@ def x_minor(table: MinorTable, rows, cols) -> tuple:
 def _canonical(blocks: ConfigBlocks, table: MinorTable) -> CanonicalForm:
     """The canonical form, read from the configuration's minor table.
 
-    g = Y*[W3 W4]^(-1), and each entry of X = g*[W1 W2] is a 1x1 minor
-    (``x_minor``): X[r][j] = minor_W(j, W34 - {7 - r}) / det[W3 W4]
-    (0-based columns).
+    Each entry of X = g*[W1 W2] is a 1x1 minor (``x_minor``):
+    X[r][j] = minor_W(j, W34 - {7 - r}) / det[W3 W4] (0-based columns),
+    and g = Y*[W3 W4]^(-1) is the inverse of [W3 W4]*Y^T = [-w4b w4a -w3b w3a].
     """
     det34 = table[_W34]
     if not det34:
         raise DegenerateConfiguration(SINGULAR_W34)
     x = [[Fraction(*x_minor(table, (r,), (j,))) for j in range(4)] for r in range(4)]
-    g = y_sign_times(blocks.w3.hstack(blocks.w4).inverse())
+    w34 = zip(blocks.w3.entries(), blocks.w4.entries())
+    g = MatQ([(-b4, a4, -b3, a3) for (a3, b3), (a4, b4) in w34]).inverse()
     return CanonicalForm(g=g, x=MatQ(x), y=Y_SIGN, orientation=1 if det34 > 0 else -1, table=table)
 
 
@@ -185,13 +166,15 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
     each made when first read.  With g*W = [X Y] and det g =
     1/det[W3 W4], every maximal minor of W is det[W3 W4] times a minor of
     X (``_xy_columns``), so W is totally positive exactly when
-    det[W3 W4] > 0 and X is totally positive, which its 16 initial minors
-    decide (``_INITIAL``; Gasca and Pena 1992, Fomin and Zelevinsky
-    2000).  A TP verdict reads those 17 pairings, and the
-    canonical form the report carries (none when [W3 W4] is singular)
-    reads the 9 other entries of X: 26 of the 70.  Only a failure scans
-    the 70 in lexicographic order, up to the first non-positive one; that
-    witness is its integer over the four column scales.
+    det[W3 W4] > 0 and X is totally positive, which its 16 chamber minors
+    decide (``_RATIOS``; Fomin and Zelevinsky 1999): when they are
+    positive, so are the 16 parameters, X is their chart product, and each
+    minor of that product has positive coefficients in them.  A TP verdict
+    reads those 17 pairings (``_VERDICT``), and the canonical form the
+    report carries (none when [W3 W4] is singular) reads the 13 other
+    entries of X: 30 of the 70.  Only a failure scans the 70 in
+    lexicographic order, up to the first non-positive one; that witness is
+    its integer over the four column scales.
 
     A TP verdict also proves det(g) > 0 and that X is totally positive.
     So a 4x4 matrix X is checked as ``check_tp_config(blocks_of_canonical(X))``:
@@ -202,7 +185,7 @@ def check_tp_config(blocks: ConfigBlocks) -> TPReport:
         if not any(table.wedge(2 * idx, 2 * idx + 1)):
             raise InputError(f"block W{idx + 1} is rank-deficient")
     canon = _canonical(blocks, table) if table[_W34] else None
-    if table[_W34] > 0 and all(table[cols] > 0 for cols in _INITIAL):
+    if all(table[cols] > 0 for cols in _VERDICT):
         return TPReport(True, canonical=canon)
     # one of those 17 is not positive, so the scan stops
     cols = next(cols for cols in combinations(range(8), 4) if table[cols] <= 0)
@@ -251,12 +234,14 @@ _RATIOS = {name: (_minors(num), _minors(den)) for name, num, den in (
     ("p", "1234|1234", "123|123"),
 )}
 _CHAMBER = tuple(dict.fromkeys(key for num, den in _RATIOS.values() for key in num + den))
+#: [W3 W4] and the chamber minors of X as columns of [X Y]: they decide a TP verdict.
+_VERDICT = (_W34, *(_xy_columns(*key) for key in _CHAMBER))
 
 
 def lw_factor(x: MatQ) -> LWParams:
     """Recover the 16 positive parameters of a totally positive 4x4 matrix.
 
-    Each is one ratio of products of minors of X (``_RATIOS``), each minor
+    Each is one ratio of products of chamber minors of X (``_RATIOS``), each minor
     read once, in lowest terms, from the maximal minors of [X Y] (``x_minor``;
     det Y = 1).  A zero leading principal minor names the pivot that would
     vanish; then the parameters are checked in the order of ``_RATIOS``, so

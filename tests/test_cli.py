@@ -597,16 +597,17 @@ class TestErrorPaths:
             4, "error: [W3 W4] is singular: degenerate configuration\n")
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("command, pairings, made", [("check-tp", 26, 17), ("solve", 33, 18)],
+    @pytest.mark.parametrize("command, pairings, made", [("check-tp", 30, 19), ("solve", 37, 21)],
                              ids=["check-tp", "solve"])
-    def test_a_tp_verdict_makes_26_pairings(self, tmp_path, capsys, monkeypatch, command, pairings, made):
-        # det[W3 W4] and the 16 initial minors of X decide the verdict, and
-        # the canonical form reads the 9 other entries of X: 26 of the 70
+    def test_a_tp_verdict_reads_the_chamber_minors(self, tmp_path, capsys, monkeypatch, command, pairings,
+                                                   made):
+        # det[W3 W4] and the 16 chamber minors of X decide the verdict, and
+        # the canonical form reads the 13 other entries of X: 30 of the 70
         # maximal minors, each one pairing of two column wedges.  Those
-        # pairings and the four block ranks read 17 of the 28 wedges.
+        # pairings and the four block ranks read 19 of the 28 wedges.
         # solve reads its forms, the eight 2x2 minors of X on rows 13, 14,
-        # 23, 24, from the same table: 7 more pairings (rows 23 beside
-        # columns 12 is an initial minor) and 1 more wedge.
+        # 23, 24, from the same table: 7 more pairings (rows 14 beside
+        # columns 12 is a chamber minor) and 2 more wedges.
         calls, wedges = [], []
         pair, wedge = exact.plucker_meet, exact.wedge
         monkeypatch.setattr(exact, "plucker_meet", lambda p, q: calls.append(1) or pair(p, q))
@@ -679,6 +680,35 @@ class TestErrorPaths:
             transversal.solve_transversals(blocks)
         code, err = run_err(["solve", "--input", write_obj(tmp_path, ser.blocks_to_obj(blocks))], capsys)
         assert code == 3 and re.fullmatch(f"error: {message}\n", err)
+
+    def test_repeated_blocks_key(self, tmp_path, capsys):
+        # json.loads would keep the second, TP "blocks" and pass; the first
+        # is a permuted, non-TP copy
+        b = random_tp_instance(0)[1]
+        first, second = (ser.blocks_to_obj(c)["blocks"] for c in (ConfigBlocks(b.w2, b.w1, b.w3, b.w4), b))
+        path = tmp_path / "in.json"
+        path.write_text(f'{{"blocks": {json.dumps(first)}, "blocks": {json.dumps(second)}}}')
+        assert run_err(["check-tp", "--input", str(path)], capsys) == (
+            2, 'error: repeated JSON key "blocks"\n')
+        assert run(["check-tp", "--input", write_obj(tmp_path, {"blocks": first})]) == 3
+        capsys.readouterr()
+
+    def test_repeated_kind_key(self, tmp_path, capsys):
+        # json.loads would keep "rational_normal" and check the moment curve
+        path = tmp_path / "curve.json"
+        path.write_text(f'{{"kind": "polynomial", "components": {json.dumps(QUARTIC_MINUS_1)}, '
+                        '"kind": "rational_normal"}')
+        assert run_err(["convexity-check", "--grid", "6", "--curve", str(path)], capsys) == (
+            2, 'error: repeated JSON key "kind"\n')
+
+    def test_moment_curve_takes_no_components(self, tmp_path, capsys):
+        spec = {"components": QUARTIC_MINUS_1}
+        argv = ["convexity-check", "--grid", "6", "--curve",
+                write_obj(tmp_path, {"kind": "rational_normal", **spec})]
+        assert run_err(argv, capsys) == (2, 'error: a rational_normal curve takes no "components"\n')
+        argv[-1] = write_obj(tmp_path, {"kind": "polynomial", **spec})
+        assert run(argv) == 3
+        capsys.readouterr()
 
 
 #: The exit codes of the README's CLI table.

@@ -1,6 +1,7 @@
 import enum
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -107,6 +108,14 @@ class TestScalars:
             ser.loads("1" * 5000)
         with pytest.raises(InputError):
             ser.loads("[" * 100000)
+
+    def test_repeated_key_at_any_depth(self):
+        # json.loads would keep the last value of a repeated key
+        nested = '[{"k": {"x": [], "\\u00e9": 2, "\\u00e9": 3}}]'
+        for text, key in (('{"a": 1, "a": 1}', '"a"'), (nested, '"\\u00e9"')):
+            with pytest.raises(InputError, match=f"^repeated JSON key {re.escape(key)}$"):
+                ser.loads(text)
+        assert ser.loads('[{"a": {"a": 1}}, {"a": 2}]') == [{"a": {"a": 1}}, {"a": 2}]
 
     def test_quad_round_trip(self):
         q = QuadNum(Fraction(-5, 2), Fraction(1, 16), Fraction(320))

@@ -27,9 +27,9 @@ from fourlines import (
 from fourlines.chart import lw_product
 from fourlines.identity import symbolic_X
 from fourlines.poly import Poly16
-from fourlines.totalpos import _CHAMBER, _RATIOS, PARAM_NAMES, y_sign_times
+from fourlines.totalpos import _CHAMBER, _RATIOS, PARAM_NAMES
 
-from conftest import concat, premultiply, rand_mat, rand_params, rand_pos_det, x_minors
+from conftest import concat, premultiply, rand_params, rand_pos_det, x_minors
 
 
 class TestParams:
@@ -230,6 +230,22 @@ class TestChamberMinors:
                 rhs = rhs * minor[key]
             assert lhs == rhs, name
 
+    def test_every_minor_of_the_chart_has_positive_coefficients(self):
+        # so positive parameters give a totally positive X.  With the ratios
+        # above, and X the chart product of its ratios when its chamber
+        # minors are non-zero (the cited theorem, checked against the
+        # 70-minor scan in test_tp_ladder), X is TP exactly when its 16
+        # chamber minors are positive
+        x = symbolic_X()
+        terms = 0
+        for order in range(1, 5):
+            for rows in combinations(range(4), order):
+                for cols in combinations(range(4), order):
+                    m = symbolic_minor(x, rows, cols)
+                    assert m and all(c > 0 for c in m.terms.values()), (rows, cols)
+                    terms += m.num_terms()
+        assert terms == 423
+
 
 class TestChecks:
     def test_x1_square_tp(self, x1):
@@ -332,13 +348,6 @@ class TestRandomInstance:
     def test_bad_bound(self):
         with pytest.raises(DomainError):
             random_tp_instance(1, bound=0)
-
-
-def test_y_sign_moves_equal_the_products():
-    rng = random.Random(53)
-    for _ in range(20):
-        m = rand_mat(rng)
-        assert y_sign_times(m) == Y_SIGN @ m
 
 
 def test_blocks_of_canonical_layout(x1):

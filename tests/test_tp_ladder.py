@@ -43,6 +43,7 @@ from fourlines import (
     solve_transversals,
 )
 from fourlines import exact, totalpos, transversal
+from fourlines.chart import lw_product
 from fourlines.curves import POLYNOMIAL
 from fourlines.exact import MinorTable, minor_table
 
@@ -430,11 +431,9 @@ class TestCheckTpConfig:
 
 
 #: The 17 column sets (1-based) that decide a TP verdict: det[W3 W4] and
-#: the 16 initial minors of X, the minors on contiguous rows and columns
-#: ending at an entry (i, j) that touch row 0 or column 0.
+#: the 16 chamber minors of X, the minors that give the chart parameters.
 VERDICT_COLS = frozenset({(5, 6, 7, 8)} | {
-    cols for cols, rows, xcols in CONFIG_MINORS for i in range(4) for j in range(4)
-    if rows == tuple(range(i - min(i, j), i + 1)) and xcols == tuple(range(j - min(i, j), j + 1))})
+    cols for cols, rows, xcols in CONFIG_MINORS if (rows, xcols) in totalpos._CHAMBER})
 #: Near-boundary kinds of ``TestSeventeenMinors``.
 NEAR_KINDS = ("tp", "one-zero", "one-below", "zero", "below", "permuted", "singular", "flipped")
 
@@ -476,51 +475,52 @@ def near_boundary(values, kind: str, block: int, row: int, col: int, target: int
     return blocks
 
 
-def from_initial_minors(target) -> MatQ:
-    """The 4x4 matrix whose initial minor ending at entry (i, j) is
-    ``target[i][j]``.  Filled row by row, each entry enters its own initial
-    minor linearly, with the initial minor ending at (i-1, j-1) (or 1) as
-    coefficient, and no earlier one, so each entry is one linear solve."""
-    x = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            k = min(i, j)
-            rows, cols = tuple(range(i - k + 1, i + 2)), tuple(range(j - k + 1, j + 2))
-            x[i][j] = Fraction(0)
-            m0 = minor(MatQ(x), rows, cols)
-            x[i][j] = Fraction(1)
-            x[i][j] = (target[i][j] - m0) / (minor(MatQ(x), rows, cols) - m0)
-    return MatQ(x)
+def from_chamber_minors(target: dict) -> MatQ:
+    """The chart product L * diag(m,n,o,p) * U whose chamber minors are the
+    non-zero ``target[rows, cols]`` (0-based): each chamber minor of the
+    product is one monomial in its parameters, which ``_RATIOS`` inverts,
+    so the parameters are those ratios of the targets, of any sign."""
+    one = Fraction(1)
+    return MatQ(lw_product([math.prod((target[key] for key in num), start=one) /
+                            math.prod((target[key] for key in den), start=one)
+                            for num, den in map(totalpos._RATIOS.get, totalpos.PARAM_NAMES)]))
+
+
+def chamber_minor(x: MatQ, key):
+    rows, cols = key
+    return minor(x, tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
 
 
 class TestSeventeenMinors:
-    """The verdict reads det[W3 W4] and the 16 initial minors of X (26
+    """The verdict reads det[W3 W4] and the 16 chamber minors of X (30
     pairings with the canonical form), and the witness of a failure is the
     70-minor scan's."""
 
     def test_the_17_column_sets(self):
         assert len(VERDICT_COLS) == 17
-        # the initial minors of X: every entry of the first row and column,
-        # and one minor of each order ending at each other entry
+        # the chamber minors of X: three entries (11, 14 and 41), five 2x2
+        # minors, seven 3x3 minors and det X
         orders = sorted(len(CONFIG_MINORS[list(combinations(range(1, 9), 4)).index(c)][1])
                         for c in VERDICT_COLS)
-        assert orders == [0] + [1] * 7 + [2] * 5 + [3] * 3 + [4]
+        assert orders == [0] + [1] * 3 + [2] * 5 + [3] * 7 + [4]
 
     def test_each_verdict_minor_decides(self):
-        # X with one initial minor -1 or 0 and the other 15 positive is not
-        # TP; with all 16 negative, W = h [X Y] for det h < 0 has its 16
-        # initial-minor column sets positive and det[W3 W4] < 0
+        # X with one chamber minor -1, or 0 when it is in no denominator of
+        # the ratios, and the other 15 positive is not TP; with all 16
+        # negative, W = h [X Y] for det h < 0 has its 16 chamber-minor
+        # column sets positive and det[W3 W4] < 0
         rng = random.Random(67)
+        denominators = {key for _, den in totalpos._RATIOS.values() for key in den}
         cases = []
-        for i in range(4):
-            for j in range(4):
-                for value in (-1, 0) if 3 in (i, j) else (-1,):
-                    target = [[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
-                              for _ in range(4)]
-                    target[i][j] = Fraction(value)
-                    cases.append((from_initial_minors(target), rand_pos_det(rng)))
-        negative = from_initial_minors([[Fraction(-rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
-                                        for _ in range(4)])
+        for key in totalpos._CHAMBER:
+            for value in (-1,) if key in denominators else (-1, 0):
+                target = {k: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for k in totalpos._CHAMBER}
+                target[key] = Fraction(value)
+                x = from_chamber_minors(target)
+                assert {k for k in target if chamber_minor(x, k) <= 0} == {key}
+                cases.append((x, rand_pos_det(rng)))
+        negative = from_chamber_minors({k: Fraction(-rng.randint(1, 9), rng.randint(1, 9))
+                                        for k in totalpos._CHAMBER})
         flip = MatQ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         cases.append((negative, flip @ rand_pos_det(rng)))
         for x, h in cases:
@@ -530,14 +530,10 @@ class TestSeventeenMinors:
         w = concat(premultiply(blocks_of_canonical(negative), flip))
         assert {cols for cols in VERDICT_COLS if minor(w, ROWS4, cols) <= 0} == {(5, 6, 7, 8)}
 
-    def test_matrix_from_initial_minors(self):
-        target = [[Fraction(-1 if (i + j) % 3 else 2, j + 1) for j in range(4)] for i in range(4)]
-        x = from_initial_minors(target)
-        for i in range(4):
-            for j in range(4):
-                k = min(i, j)
-                rows, cols = tuple(range(i - k + 1, i + 2)), tuple(range(j - k + 1, j + 2))
-                assert minor(x, rows, cols) == target[i][j]
+    def test_matrix_from_chamber_minors(self):
+        target = {key: Fraction(-1 if k % 3 else 2, k + 1) for k, key in enumerate(totalpos._CHAMBER)}
+        x = from_chamber_minors(target)
+        assert {key: chamber_minor(x, key) for key in target} == target
 
     @settings(derandomize=True, max_examples=160, deadline=None, database=None)
     @given(st.lists(st.fractions(Fraction(1, 10), 10, max_denominator=10), min_size=16, max_size=16),
@@ -563,7 +559,7 @@ class TestSeventeenMinors:
         if kind == "singular":
             assert rep.canonical is None and (5, 6, 7, 8) in nonpositive
         if want[0]:
-            assert len(pairings) == 26
+            assert len(pairings) == 30
         else:
             assert len(pairings) <= 70
             if kind.endswith("zero"):
