@@ -5,8 +5,9 @@ Every function here uses only ``+``, ``-`` and ``*`` (and multiplication by
 the integer 4), so the same code runs on ``Fraction`` entries, where the
 solver evaluates it, and on ``Poly16`` variables, where
 ``fourlines.identity`` expands it symbolically; the predicate
-``proportional`` also compares with ``==``.  Matrices are row-major
-nested sequences indexed ``x[r][s]``.
+``proportional`` also compares with ``==``.  A matrix is a row-major
+nested sequence indexed ``x[r][s]``; ``wedge`` takes two columns, each a
+sequence of four entries.
 
 The chart writes a totally positive 4x4 matrix as X = L * diag(m,n,o,p) * U
 with the lower unitriangular factor
@@ -80,11 +81,15 @@ def discriminant_of(x):
     return discriminant(*resultant(*bilinear_forms(x)))
 
 
-def wedge(s, t) -> tuple:
-    """The six 2x2 minors, in the order p12..p34, of column 0 of the 4x2 matrix
-    s beside column 1 of t.  wedge(s, s) is the Pluecker vector of the span of
-    s, and wedge(s, t) + wedge(t, s) is bilinear in s and t."""
-    return tuple(s[r][0] * t[q][1] - s[q][0] * t[r][1] for r, q in PLUCKER_ROWS)
+def wedge(u, v) -> tuple:
+    """The six 2x2 minors u[r]*v[q] - u[q]*v[r] of two columns u and v of
+    length 4, in the order p12..p34: the Pluecker vector of their span.  It
+    is alternating (wedge(u, u) = 0, wedge(v, u) = -wedge(u, v)) and
+    bilinear in u and v."""
+    u1, u2, u3, u4 = u
+    v1, v2, v3, v4 = v
+    return (u1 * v2 - u2 * v1, u1 * v3 - u3 * v1, u1 * v4 - u4 * v1,
+            u2 * v3 - u3 * v2, u2 * v4 - u4 * v2, u3 * v4 - u4 * v3)
 
 
 def proportional(p, q) -> bool:

@@ -70,9 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: str):
+    """The JSON value in the file at ``path``, read once as bytes and
+    decoded as UTF-8 (RFC 8259, section 8.1).  A file that cannot be read
+    or is not UTF-8 is an ``InputError``."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        with open(path, "rb") as file:
+            text = file.read().decode()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return ser.loads(text)
 

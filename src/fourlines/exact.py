@@ -29,6 +29,9 @@ from .errors import (
 )
 
 Scalar = Union[int, Fraction, "QuadNum"]
+#: The rational 0 of every zero entry of an inverse or a nullspace basis
+#: (Fractions are immutable, so they share it).
+_ZERO = Fraction(0)
 
 
 def as_rat(x) -> Fraction:
@@ -331,9 +334,9 @@ class MatQ:
             raise DimensionError(f"minor needs |I| = |J|, got {len(I)} and {len(J)}")
         return self.submatrix(I, J).det()
 
-    def _rref(self, right: Optional[list] = None) -> tuple:
-        """Fraction-free Gauss-Jordan elimination of [self | right], pivoting
-        in the columns of self.
+    def _rref(self, augment: bool = False) -> tuple:
+        """Fraction-free Gauss-Jordan elimination of self, or of [self | I]
+        when ``augment``, pivoting in the columns of self.
 
         Returns ``(rows, pivots, den, det)``: the reduced row echelon form
         is ``rows`` over ``den`` entry by entry (``_over``), its pivot columns
@@ -341,31 +344,41 @@ class MatQ:
         spanned by the columns before it.  ``det`` is the determinant when
         the matrix is square with a pivot in every column.
 
-        Rational rows are scaled to integers, each by the LCM of its
-        denominators, and eliminated Bareiss-style: with p the pivot of row r
+        A rational matrix (every entry an instance of Fraction) is
+        eliminated on integers: row i is scaled by the LCM s_i of its
+        denominators, and [self | I] is row i's scaled entries followed by
+        s_i on the diagonal of the right half.  With p the pivot of row r
         and p' the pivot before it (1 at first), every other row i becomes
-        (p * row_i - a_ic * row_r) // p', an exact division (Sylvester's
-        identity).  So every entry stays a minor of the scaled matrix, each
-        pivot row ends with the last pivot, ``den``, in its pivot column, and
-        det is den, negated once per row swap, over the row scales.
-        ``QuadNum`` entries take the same steps with field division.
+        (p * row_i - a_ic * row_r) // p', an exact division (Bareiss,
+        Sylvester's identity); a row with a_ic = 0 is only rescaled,
+        p * row_i // p', and left as it is when p = p'.  So every entry
+        stays a minor of the scaled matrix, each pivot row ends with the
+        last pivot, ``den``, in its pivot column, and det is den, negated
+        once per row swap, over the product of the s_i.  Other entries
+        (``QuadNum``) take the full step on every row with field division,
+        on [self | I] built from the field's one and zero.
         """
-        e = self._e if right is None else [row + tuple(extra) for row, extra in zip(self._e, right)]
-        if all(isinstance(x, Fraction) for row in e for x in row):
-            a, scale = [], 1
-            for row in e:
+        n, m = self.rows, self.cols
+        if all(isinstance(x, Fraction) for row in self._e for x in row):
+            a, diag, div = [], [], operator.floordiv
+            for row in self._e:
                 (ints,), s = integer_rows((row,))
                 a.append(ints)
-                scale *= s
-            div = operator.floordiv
+                diag.append(s)
+            zero, scale = 0, math.prod(diag)
         else:
-            a, scale, div = [list(row) for row in e], None, operator.truediv
+            a, scale, div = [list(row) for row in self._e], None, operator.truediv
+            zero, diag = self._zero_like(), [self._one_like()] * n
+        if augment:
+            for i, row in enumerate(a):
+                row += [zero] * n
+                row[m + i] = diag[i]
         pivots, sign, den = [], 1, 1
-        for c in range(self.cols):
+        for c in range(m):
             r = len(pivots)
-            if r == self.rows:
+            if r == n:
                 break
-            for piv in range(r, self.rows):
+            for piv in range(r, n):
                 if a[piv][c]:
                     break
             else:
@@ -375,10 +388,14 @@ class MatQ:
                 sign = -sign
             top = a[r]
             p = top[c]
-            for i in range(self.rows):
-                if i != r:
-                    f = a[i][c]
+            for i in range(n):
+                if i == r:
+                    continue
+                f = a[i][c]
+                if f or scale is None:
                     a[i] = [div(p * x - f * y, den) for x, y in zip(a[i], top)]
+                elif p != den:
+                    a[i] = [p * x // den for x in a[i]]
             den = p
             pivots.append(c)
         return a, pivots, den, sign * den if scale is None else Fraction(sign * den, scale)
@@ -386,17 +403,20 @@ class MatQ:
     @staticmethod
     def _over(x, den) -> Scalar:
         """An entry of ``_rref``'s rows over its ``den``: one Fraction from two
-        integers, or one field division."""
-        return Fraction(x, den) if isinstance(x, int) else x / den
+        integers (the one ``_ZERO`` for 0), or one field division."""
+        if isinstance(x, int):
+            return Fraction(x, den) if x else _ZERO
+        return x / den
 
     def inverse(self) -> "MatQ":
-        """Exact inverse by Gauss-Jordan elimination of [self | I]; each
-        entry is one division by the last pivot (``_over``)."""
+        """Exact inverse by Gauss-Jordan elimination of [self | I], on
+        integers for a rational matrix (``_rref``); each entry is one
+        division by the last pivot (``_over``), so the inverse is the
+        adjugate over the determinant."""
         if not self.is_square():
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
-        one, zero = self._one_like(), self._zero_like()
-        a, pivots, den, _ = self._rref([[one if i == j else zero for j in range(n)] for i in range(n)])
+        a, pivots, den, _ = self._rref(augment=True)
         if len(pivots) < n:
             k = min(set(range(n)) - set(pivots))
             raise SingularMatrixError(
@@ -418,7 +438,7 @@ class MatQ:
         a, pivots, den, _ = self._rref()
         basis = []
         for fc in (c for c in range(self.cols) if c not in pivots):
-            v = [Fraction(0)] * self.cols
+            v = [_ZERO] * self.cols
             v[fc] = Fraction(1)
             for rr, pc in enumerate(pivots):
                 v[pc] = -self._over(a[rr][fc], den)
@@ -438,12 +458,13 @@ class MinorTable(dict):
     by 0-based row tuples i < j < k < l.
 
     Row i of the matrix is ``ints[i]`` over ``scales[i]``, every scale
-    positive, so the ints alone carry every sign.  ``wedge(i, j)`` is the
-    six 2x2 minors of ints i < j, made on first read and kept in
-    ``wedges``.  Reading a missing key makes the 4x4 minor of those ints,
-    the pairing <wedge(i, j), wedge(k, l)> (Laplace expansion along two
-    rows), and keeps it, so a reader of a few minors pays for those few and
-    the wedges they pair; a reader of them all reads each key of
+    positive, so the ints alone carry every sign.  ``wedge(i, j)`` is
+    ``chart.wedge`` of ints i < j, each a vector of length 4: their six 2x2
+    minors, made on first read and kept in ``wedges``.  Reading a missing
+    key makes the 4x4 minor of those ints, the pairing
+    <wedge(i, j), wedge(k, l)> (Laplace expansion along two rows), and
+    keeps it, so a reader of a few minors pays for those few and the
+    wedges they pair; a reader of them all reads each key of
     ``combinations(range(k), 4)``.  ``value`` is the minor of the matrix.
     """
 
@@ -456,8 +477,7 @@ class MinorTable(dict):
     def wedge(self, i: int, j: int) -> tuple:
         w = self.wedges.get((i, j))
         if w is None:
-            rows = tuple(zip(self.ints[i], self.ints[j]))
-            w = self.wedges[i, j] = wedge(rows, rows)
+            w = self.wedges[i, j] = wedge(self.ints[i], self.ints[j])
         return w
 
     def __missing__(self, sub: tuple) -> int:

@@ -156,7 +156,7 @@ def _canonical(blocks: ConfigBlocks, table: MinorTable) -> CanonicalForm:
 
 
 def _columns(blocks: ConfigBlocks) -> list:
-    return [w.col(j) for w in blocks.blocks() for j in (0, 1)]
+    return [col for w in blocks.blocks() for col in zip(*w.entries())]
 
 
 def check_tp_config(blocks: ConfigBlocks) -> TPReport:

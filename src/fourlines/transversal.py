@@ -81,7 +81,7 @@ def plucker_of_span(span: MatQ) -> tuple:
     """The six 2x2 row-minors of a 4x2 span, in order (12,13,14,23,24,34)."""
     if span.rows != 4 or span.cols != 2:
         raise DegenerateLine(f"span must be 4x2, got {span.rows}x{span.cols}")
-    p = chart.wedge(span.entries(), span.entries())
+    p = chart.wedge(span.col(0), span.col(1))
     if not any(p):
         raise DegenerateLine("span has rank < 2")
     return p
@@ -345,7 +345,7 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
         pa, pb = _plucker_parts(a, b, quad.disc)
         parts.append((pa, pb))
         span = MatQ([[_printed((u, v, k4), lam, disc), _printed((s, t, k3), lam, disc)]
-                     for (u, s), (v, t) in zip(a, b)])
+                     for u, s, v, t in zip(*a, *b)])
         plucker = tuple(_printed((u, v, k4 * k3), lam, disc) for u, v in zip(pa, pb))
         lines.append(LineRep(span, plucker))
     if pair:
@@ -370,10 +370,10 @@ def solve_transversals(blocks: ConfigBlocks) -> TransversalSolution:
 
 
 def _meeting_span(w3: tuple, w4: tuple, x, y: tuple) -> tuple:
-    """The integer parts A and B, each 4x2 and row-major, and the column
-    denominators (k4, k3) of a span of the solution line at the chart root
-    (x, y): its points on W4 and on W3.  Column j of the span is
-    (A[:, j] + sqrt(d)*B[:, j]) / k_j, for the radicand d of the roots.
+    """The integer parts A and B, each 4x2 and given as its two columns,
+    and the column denominators (k4, k3) of a span of the solution line at
+    the chart root (x, y): its points on W4 and on W3.  Column j of the span
+    is (A[j] + sqrt(d)*B[j]) / k_j, for the radicand d of the roots.
 
     W3 and W4 are given as (rows, s): integer rows over one denominator s.
     With W3 = [w3a w3b] and W4 = [w4a w4b], g^(-1) = [W3 W4] Y^T has the
@@ -392,14 +392,16 @@ def _meeting_span(w3: tuple, w4: tuple, x, y: tuple) -> tuple:
     yp, yq, yr = y
     a3 = [yr * v + yp * u for u, v in rows3]
     b3 = [yq * u for u, _ in rows3]
-    return tuple(zip(a4, a3)), tuple(zip(b4, b3)), (k4, yr * s3)
+    return (a4, a3), (b4, b3), (k4, yr * s3)
 
 
 def _plucker_parts(a, b, d: int) -> tuple:
     """The parts pa and pb of the Pluecker vector pa + sqrt(d)*pb of the
-    span A + sqrt(d)*B: pa = A^A + d*B^B and pb = A^B + B^A."""
-    pa = tuple(u + d * v for u, v in zip(wedge(a, a), wedge(b, b)))
-    pb = tuple(u + v for u, v in zip(wedge(a, b), wedge(b, a)))
+    span A + sqrt(d)*B, where A = (a1, a2) and B = (b1, b2) are given as
+    their columns: pa = a1^a2 + d*b1^b2 and pb = a1^b2 + b1^a2."""
+    (a1, a2), (b1, b2) = a, b
+    pa = tuple(u + d * v for u, v in zip(wedge(a1, a2), wedge(b1, b2)))
+    pb = tuple(u + v for u, v in zip(wedge(a1, b2), wedge(b1, a2)))
     return pa, pb
 
 

@@ -621,6 +621,23 @@ class TestErrorPaths:
             assert len(wedges) == made
         capsys.readouterr()
 
+    @pytest.mark.parametrize("curve, code", [(None, 0), (QUARTIC_MINUS_1, 3)], ids=["moment", "quartic-1"])
+    def test_auto_epsilon_reads_the_sample_minors(self, tmp_path, capsys, monkeypatch, curve, code):
+        # the 70 maximal minors of the 8x4 sample and det W0, each one
+        # pairing of two row wedges: 24 of the sample's 28 (rows 1 or 2
+        # beside rows 7 or 8 pair with nothing) and 2 of W0's.  The refused
+        # quartic reads as many.
+        calls, wedges = [], []
+        pair, wedge = exact.plucker_meet, exact.wedge
+        monkeypatch.setattr(exact, "plucker_meet", lambda p, q: calls.append(1) or pair(p, q))
+        monkeypatch.setattr(exact, "wedge", lambda s, t: wedges.append(1) or wedge(s, t))
+        argv = ["curve-sample", "--ts", "1/10,3/10,5/10,7/10"]
+        if curve is not None:
+            argv += ["--curve", write_obj(tmp_path, {"kind": "polynomial", "components": curve})]
+        assert run(argv) == code
+        assert (len(calls), len(wedges)) == (71, 26)
+        capsys.readouterr()
+
     def test_a_failure_makes_the_pairings_up_to_its_witness(self, tmp_path, capsys, monkeypatch):
         # negating row 1 of every block negates every maximal minor: the
         # canonical form reads det[W3 W4] < 0 and the 16 entries of X, the
@@ -680,6 +697,28 @@ class TestErrorPaths:
             transversal.solve_transversals(blocks)
         code, err = run_err(["solve", "--input", write_obj(tmp_path, ser.blocks_to_obj(blocks))], capsys)
         assert code == 3 and re.fullmatch(f"error: {message}\n", err)
+
+    @pytest.mark.parametrize("argv", [["check-tp", "--input"], ["factor", "--input"],
+                                      ["convexity-check", "--grid", "6", "--curve"]],
+                             ids=["check-tp", "factor", "convexity-check"])
+    def test_a_file_that_is_not_utf8(self, tmp_path, capsys, argv):
+        path = tmp_path / "in.json"
+        path.write_bytes('{"blocks": "\xe9"}'.encode("latin-1"))
+        assert run_err([*argv, str(path)], capsys) == (
+            2, f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 12: "
+               f"invalid continuation byte\n")
+
+    def test_batch_goes_on_past_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        indir, outdir = tmp_path / "batch", tmp_path / "out"
+        indir.mkdir()
+        for name, seed in (("a", 1), ("c", 3)):
+            (indir / f"{name}.json").write_text(ser.dumps(ser.blocks_to_obj(random_tp_instance(seed)[1])))
+        (indir / "b.json").write_bytes(b'{"blocks": "\xe9"}')
+        assert run(["solve", "--batch", str(indir), "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"b.json: cannot read {indir / 'b.json'}: 'utf-8' codec can't decode byte 0xe9 in position 12: "
+            f"invalid continuation byte\n")
+        assert sorted(p.name for p in outdir.iterdir()) == ["a.solution.json", "c.solution.json"]
 
     def test_repeated_blocks_key(self, tmp_path, capsys):
         # json.loads would keep the second, TP "blocks" and pass; the first

@@ -1,7 +1,8 @@
+import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -420,8 +421,10 @@ def big_fraction(rng: random.Random, digits: int) -> Fraction:
 def fraction_free_inputs() -> dict:
     """Matrices for the fraction-free pass: large and mixed denominators,
     zero pivots that force row swaps (also after the first step), rank
-    deficiency, and the [W3 W4] of tangent configurations."""
+    deficiency, zero multipliers, and the matrices of tangent
+    configurations and curves that the solver inverts."""
     from fourlines import CurveSpec, tangent_config
+    from fourlines.curves import _integer_points
 
     rng = random.Random(59)
     out = {f"25-digit {k}": MatQ([[big_fraction(rng, 25) for _ in range(4)] for _ in range(4)])
@@ -446,6 +449,26 @@ def fraction_free_inputs() -> dict:
     for name, curve in (("moment", CurveSpec.moment()), ("quartic", quartic)):
         blocks = tangent_config(curve, ts)
         out[f"tangent [W3 W4], {name}"] = blocks.w3.hstack(blocks.w4)
+    # zero multipliers, which the integer pass only rescales
+    out["diagonal"] = MatQ([[Fraction(3, 7), 0, 0, 0], [0, Fraction(-5, 2), 0, 0], [0, 0, 11, 0],
+                            [0, 0, 0, Fraction(1, 13)]])
+    out["scalar 2I"] = MatQ([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    out["block-diagonal 2+2"] = MatQ([[Fraction(1, 2), Fraction(1, 3), 0, 0], [Fraction(2, 5), 7, 0, 0],
+                                      [0, 0, -3, Fraction(4, 9)], [0, 0, Fraction(5, 6), Fraction(-1, 8)]])
+    out["block-diagonal 1+3"] = MatQ([[Fraction(-9, 4), 0, 0, 0], [0, 0, 1, Fraction(2, 3)],
+                                      [0, Fraction(3, 5), 2, 0], [0, 1, 0, Fraction(-7, 2)]])
+    # what curve-sample and solve invert on the three convex curves of the
+    # curve-tangent benchmark: g^(-1) = [-w4b w4a -w3b w3a] of a tangent
+    # configuration, and the Wronski matrix W0 at 0
+    ts = (Fraction(1, 10), Fraction(3, 10), Fraction(5, 10), Fraction(7, 10))
+    for name, c in (("moment", None), ("quartic -1/10", Fraction(-1, 10)), ("quartic -1/4", Fraction(-1, 4))):
+        curve = CurveSpec.moment() if c is None else CurveSpec(
+            kind="polynomial", components=((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1, c)))
+        b = tangent_config(curve, ts)
+        out[f"tangent g^-1, {name}"] = MatQ([(-b4, a4, -b3, a3) for (a3, b3), (a4, b4)
+                                             in zip(b.w3.entries(), b.w4.entries())])
+        (s, *cols), = _integer_points(curve, (0,), range(4))
+        out[f"W0, {name}"] = MatQ.from_cols([[Fraction(v, s) for v in col] for col in cols])
     return out
 
 
@@ -465,6 +488,7 @@ class TestFractionFreePass:
         if det:
             inv = m.inverse()
             assert inv == adjugate_inverse(m)
+            assert all(type(x) is Fraction for row in inv.entries() for x in row)
             assert m @ inv == MatQ.identity(m.rows) == inv @ m
         else:
             missing = min(set(range(m.rows)) - set(pivot_columns(m))) + 1
@@ -481,6 +505,9 @@ class TestFractionFreePass:
         ([[0, 1], [0, 3]], 1),
         ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], 3),
         ([[Fraction(1, 3), Fraction(2, 3), 0], [1, 2, 5], [2, 4, 1]], 2),
+        # zero multipliers on the integer pass
+        ([[2, 0, 0], [0, 0, 0], [0, 0, 5]], 2),
+        ([[Fraction(1, 2), 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2]], 3),
     ])
     def test_singular_message(self, rows, column):
         with pytest.raises(SingularMatrixError,
@@ -494,3 +521,45 @@ class TestFractionFreePass:
         assert m @ inv == MatQ.identity(3) == inv @ m
         with pytest.raises(SingularMatrixError, match="pivot column 2"):
             DET_INPUTS["quad singular"].inverse()
+
+
+def signed_permutations(n: int = 4) -> list:
+    """The 2^n * n! signed n x n permutation matrices, each with its
+    determinant: the sign of the permutation times the signs."""
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        for signs in product((1, -1), repeat=n):
+            rows = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+            out.append((MatQ(rows), (-1) ** inversions * math.prod(signs)))
+    return out
+
+
+class TestIntegerAugmentedPass:
+    """[A | I] of a rational matrix is eliminated on integers, and a row
+    whose multiplier is 0 is only rescaled or left as it is."""
+
+    def test_signed_permutations(self):
+        perms = signed_permutations()
+        assert len(perms) == 384
+        for m, det in perms:
+            assert m.det() == det
+            assert m.inverse() == m.transpose() == adjugate_inverse(m)
+
+    def test_fraction_subclass_entries_take_the_integer_path(self):
+        m = MatQ([[_Half(1, 2), 0, _Half(3)], [0, _Half(5, 4), 0], [_Half(-2, 3), 0, 1]])
+        rows, pivots, den, det = m._rref(augment=True)
+        assert all(type(x) is int for row in rows for x in row) and pivots == [0, 1, 2]
+        assert type(det) is Fraction and det == det_cofactor(m)
+        inv = m.inverse()
+        assert inv == adjugate_inverse(m) and all(type(x) is Fraction for row in inv.entries() for x in row)
+
+    def test_quadnum_matrices_keep_the_field_path(self):
+        # a zero multiplier on the field path: the full step, as before
+        m = MatQ([[r2(1, 1), r2(0, 0)], [r2(0, 0), r2(3, -1)]])
+        inv = m.inverse()
+        assert inv == MatQ([[r2(1, 1).inverse(), r2(0, 0)], [r2(0, 0), r2(3, -1).inverse()]])
+        assert all(isinstance(x, QuadNum) and x.d == 2 for row in inv.entries() for x in row)
+        rows = m._rref(augment=True)[0]
+        assert all(isinstance(x, QuadNum) for row in rows for x in row)
+        assert m.det() == r2(1, 1) * r2(3, -1)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -105,6 +105,62 @@ class TestPlucker:
         l5 = line(Fraction(5), QuadNum(Fraction(0), Fraction(8), Fraction(5)))
         assert l320.same_line(l5)
         assert not l320.same_line(l5.conjugated())
+
+
+def minors_2x2(u, v) -> tuple:
+    """Oracle: det [[u_r, v_r], [u_q, v_q]] for the row pairs 12, 13, 14,
+    23, 24, 34, each as its own 2x2 matrix."""
+    out = []
+    for r, q in combinations(range(4), 2):
+        m = ((u[r], v[r]), (u[q], v[q]))
+        out.append(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    return tuple(out)
+
+
+def det_leibniz(cols) -> Fraction:
+    """The determinant of the square matrix with these columns: the sum over
+    permutations s of sign(s) * prod_j cols[j][s(j)]."""
+    n, total = len(cols), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(cols[j][perm[j]] for j in range(n))
+    return total
+
+
+class TestWedge:
+    """``chart.wedge`` of two columns against a 2x2-minor oracle and the
+    Leibniz determinant, on int and Fraction entries."""
+
+    @staticmethod
+    def columns(rng, k, rational):
+        entry = (lambda: rand_frac(rng)) if rational else (lambda: rng.randint(-9, 9))
+        return [tuple(entry() for _ in range(4)) for _ in range(k)]
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["int", "Fraction"])
+    def test_the_2x2_minors(self, rational):
+        rng = random.Random(83)
+        for _ in range(50):
+            u, v = self.columns(rng, 2, rational)
+            assert chart.wedge(u, v) == minors_2x2(u, v)
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["int", "Fraction"])
+    def test_alternating_and_bilinear(self, rational):
+        rng = random.Random(89)
+        for _ in range(50):
+            u, v, w = self.columns(rng, 3, rational)
+            s, t = (rand_frac(rng) if rational else rng.randint(-9, 9) for _ in range(2))
+            assert chart.wedge(u, u) == (0,) * 6
+            assert chart.wedge(v, u) == tuple(-x for x in chart.wedge(u, v))
+            su_tw = tuple(s * a + t * b for a, b in zip(u, w))
+            assert chart.wedge(su_tw, v) == tuple(s * a + t * b for a, b in zip(chart.wedge(u, v),
+                                                                                 chart.wedge(w, v)))
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["int", "Fraction"])
+    def test_pairing_is_the_4x4_determinant(self, rational):
+        rng = random.Random(97)
+        for _ in range(50):
+            a, b, c, d = self.columns(rng, 4, rational)
+            assert plucker_meet(chart.wedge(a, b), chart.wedge(c, d)) == det_leibniz((a, b, c, d))
 
 
 class TestBilinearForms:
